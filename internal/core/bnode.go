@@ -105,6 +105,13 @@ type bnode struct {
 	// collectRound records when the node entered stCollect; its buffer is
 	// complete after the following round's scan and distributions.
 	collectRound int
+	// collectListed marks membership in the builder's collects list. A
+	// collect child that a same-scan secondary split turns pending keeps
+	// its stale entry there; if that pending split fails and the re-decided
+	// node is collected again in the same round, a second entry would have
+	// two workers finish one buffer concurrently (and, serially, graft an
+	// empty subtree over the real one).
+	collectListed bool
 
 	// banned lists numeric attributes whose pending split failed to resolve
 	// (no distinct values inside the alive gaps); they are not retried.
@@ -126,6 +133,12 @@ type bnode struct {
 // pendingSplit is a provisional split awaiting exact resolution.
 type pendingSplit struct {
 	attr int
+	// disc is the discretizer set of the view the split was decided from.
+	// The region children's histograms are binned by it, so a failed
+	// split's merged re-decision must be too. It differs from the node's
+	// own set when a same-scan secondary split decided the node from its
+	// parent's X-sliced view.
+	disc []*quantile.Discretizer
 	// gaps are the alive-interval value ranges (Lo, Hi], ascending,
 	// non-overlapping, with adjacent alive intervals merged.
 	gaps []valueRange

@@ -862,7 +862,7 @@ func (b *builder) revertToBuilding(p *bnode, attr int, counts []int) {
 // mergeable (e.g. a nested pending region), in which case the caller falls
 // back to a rescan.
 func (b *builder) mergedMarginalView(p *bnode, totals []int) *histView {
-	attr := p.pending.attr
+	attr, disc := p.pending.attr, p.pending.disc
 	for _, c := range p.children {
 		if c.state != stBuilding {
 			return nil
@@ -870,7 +870,7 @@ func (b *builder) mergedMarginalView(p *bnode, totals []int) *histView {
 	}
 	v := &histView{
 		marg:  make([]*histogram.Hist1D, b.na),
-		disc:  p.disc,
+		disc:  disc,
 		xAttr: p.xAttr,
 	}
 	for a := 0; a < b.na; a++ {
@@ -903,7 +903,7 @@ func (b *builder) mergedMarginalView(p *bnode, totals []int) *histView {
 			if b.schema.Attrs[a].Kind == dataset.Categorical {
 				h.Add(int(row[a]), label)
 			} else {
-				bin := p.disc[a].Interval(row[a])
+				bin := disc[a].Interval(row[a])
 				if bin >= h.Bins() {
 					bin = h.Bins() - 1
 				}
@@ -1017,12 +1017,14 @@ func (b *builder) finishCollects() {
 	var remaining, ready []*bnode
 	for _, c := range b.collects {
 		if c.dead || c.state != stCollect {
+			c.collectListed = false
 			continue
 		}
 		if c.collectRound >= b.round {
 			remaining = append(remaining, c)
 			continue
 		}
+		c.collectListed = false
 		ready = append(ready, c)
 	}
 	b.parallelDo(len(ready), func(i int) {

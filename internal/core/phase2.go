@@ -480,7 +480,10 @@ func (b *builder) markCollect(n *bnode) {
 	n.state = stCollect
 	n.collectRound = b.round
 	n.dropHists()
-	b.collects = append(b.collects, n)
+	if !n.collectListed {
+		n.collectListed = true
+		b.collects = append(b.collects, n)
+	}
 }
 
 // selectAlive picks the alive intervals of the chosen attribute: intervals
@@ -889,7 +892,7 @@ func (b *builder) makePending(n *bnode, v *histView, e *numEval, alive []int, ki
 	gaps := gapsFor(v.disc[e.attr], alive)
 	A := len(gaps)
 
-	n.pending = &pendingSplit{attr: e.attr, gaps: gaps, fallbackGini: math.Inf(1), fallbackX: [2]int{-1, -1}}
+	n.pending = &pendingSplit{attr: e.attr, disc: v.disc, gaps: gaps, fallbackGini: math.Inf(1), fallbackX: [2]int{-1, -1}}
 	if e.bestBoundary >= 0 {
 		n.pending.fallbackThresh = v.disc[e.attr].Boundary(e.bestBoundary)
 		n.pending.fallbackGini = e.giniMin
