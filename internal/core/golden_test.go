@@ -1,11 +1,11 @@
 package core_test
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -17,22 +17,13 @@ import (
 )
 
 // goldenPath holds one "<row> <sha256 of the serialized model>" line per
-// golden build. The hashes pin the builders' exact output: any change to a
-// split, threshold, subset, coefficient, class count or leaf label of any
-// row changes its hash. On a mismatch the test logs the complete file its
-// builds would produce, so an intended change regenerates it by copying
-// that log.
+// golden build. On a mismatch the test logs the file its builds would
+// produce, so an intended change regenerates it by copying that log.
 const goldenPath = "testdata/golden_trees.sha256"
 
-// goldenN is the record count of every golden store: large enough that the
-// frontier outgrows the in-memory finisher for several rounds, small enough
-// for the whole table to build in a few seconds.
-const goldenN = 10_000
-
-// goldenTreeConfig is the per-row build configuration: the evaluation
-// defaults, serial, with a small in-memory threshold so the scan-round
-// machinery (prediction, alive intervals, double splits, collects) does
-// most of the work instead of the exact finisher.
+// goldenTreeConfig is the evaluation default, serial, with a small
+// in-memory threshold so the scan rounds (prediction, alive intervals,
+// double splits, collects) do most of the work on 10k-record stores.
 func goldenTreeConfig(algo core.Algorithm, quantize bool) core.Config {
 	cfg := core.Default(algo)
 	cfg.Workers = 1
@@ -41,111 +32,66 @@ func goldenTreeConfig(algo core.Algorithm, quantize bool) core.Config {
 	return cfg
 }
 
-// goldenRow is one golden build: a name and a function producing the
-// serialized model.
-type goldenRow struct {
-	name  string
-	build func(t *testing.T) []byte
+func goldenStore(fn synth.Func, seed int64) *storage.Mem {
+	return storage.NewMem(synth.Generate(fn, 10_000, seed))
 }
 
-func goldenRows() []goldenRow {
-	var rows []goldenRow
+// goldenModels serializes every golden build, keyed by row name, in row
+// order.
+func goldenModels(t *testing.T) (names []string, models map[string][]byte) {
+	models = map[string][]byte{}
+	add := func(name string, write func(io.Writer) error) {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		names = append(names, name)
+		models[name] = buf.Bytes()
+	}
+	build := func(name string, src storage.Source, cfg core.Config) {
+		res, err := core.Build(src, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		add(name, res.Tree.WriteJSON)
+	}
 	algos := []struct {
 		name string
 		algo core.Algorithm
 	}{{"CMPS", core.CMPS}, {"CMPB", core.CMPB}, {"CMP", core.CMPFull}}
 	for fn := synth.F1; fn <= synth.F10; fn++ {
 		for _, a := range algos {
-			for _, quantize := range []bool{false, true} {
-				mode := "raw"
-				if quantize {
-					mode = "quantized"
-				}
-				fn, algo, quantize := fn, a.algo, quantize
-				rows = append(rows, goldenRow{
-					name: fmt.Sprintf("F%d/%s/%s", int(fn), a.name, mode),
-					build: func(t *testing.T) []byte {
-						return buildGoldenTree(t, fn, int64(fn), goldenTreeConfig(algo, quantize))
-					},
-				})
-			}
+			build(fmt.Sprintf("F%d/%s/raw", int(fn), a.name), goldenStore(fn, int64(fn)), goldenTreeConfig(a.algo, false))
+			build(fmt.Sprintf("F%d/%s/quantized", int(fn), a.name), goldenStore(fn, int64(fn)), goldenTreeConfig(a.algo, true))
 		}
 	}
-	// A numeric-only SplitAttrs on a quantized CMP-B build: every split
-	// lands on one axis, so children of on-axis second splits inherit the
-	// parent's X-axis (the only regime where that inheritance is enabled).
-	rows = append(rows, goldenRow{
-		name: "F7/CMPB/quantized/splitattrs=8",
-		build: func(t *testing.T) []byte {
-			cfg := goldenTreeConfig(core.CMPB, true)
-			cfg.InMemoryNodeRecords = -1
-			cfg.Prune = false
-			cfg.SplitAttrs = []int{8} // loan
-			return buildGoldenTree(t, synth.F7, 3, cfg)
-		},
-	})
-	// An 8-tree quantized CMP-B forest with per-tree feature subsets.
-	rows = append(rows, goldenRow{
-		name: "F2/forest8/featurefrac=0.7",
-		build: func(t *testing.T) []byte {
-			cfg := forest.Config{
-				Trees:       8,
-				FeatureFrac: 0.7,
-				Seed:        42,
-				Parallel:    2,
-				Tree:        goldenTreeConfig(core.CMPB, true),
-			}
-			res, err := forest.Train(storage.NewMem(synth.Generate(synth.F2, goldenN, 2)), cfg)
-			if err != nil {
-				t.Fatalf("forest.Train: %v", err)
-			}
-			var buf bytes.Buffer
-			if err := res.Forest.WriteJSON(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		},
-	})
-	return rows
-}
 
-func buildGoldenTree(t *testing.T, fn synth.Func, seed int64, cfg core.Config) []byte {
-	t.Helper()
-	res, err := core.Build(storage.NewMem(synth.Generate(fn, goldenN, seed)), cfg)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := res.Tree.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
+	// Numeric-only SplitAttrs: every split lands on one axis, so children
+	// of on-axis second splits inherit the parent's X-axis (the only regime
+	// where that inheritance is enabled).
+	cfg := goldenTreeConfig(core.CMPB, true)
+	cfg.InMemoryNodeRecords = -1
+	cfg.Prune = false
+	cfg.SplitAttrs = []int{8} // loan
+	build("F7/CMPB/quantized/splitattrs=8", goldenStore(synth.F7, 3), cfg)
 
-func readGolden(t *testing.T) map[string]string {
-	t.Helper()
-	f, err := os.Open(goldenPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want := map[string]string{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	// 8-tree quantized CMP-B forests with per-tree feature subsets. F2 is
+	// the benchmark's forest workload; F3's forest also changes if the
+	// X-axis stickiness changes.
+	for _, fn := range []synth.Func{synth.F2, synth.F3} {
+		res, err := forest.Train(goldenStore(fn, int64(fn)), forest.Config{
+			Trees:       8,
+			FeatureFrac: 0.7,
+			Seed:        42,
+			Parallel:    2,
+			Tree:        goldenTreeConfig(core.CMPB, true),
+		})
+		if err != nil {
+			t.Fatalf("forest: %v", err)
 		}
-		name, sum, ok := strings.Cut(line, " ")
-		if !ok {
-			t.Fatalf("%s: malformed line %q", goldenPath, line)
-		}
-		want[name] = sum
+		add(fmt.Sprintf("F%d/forest8/featurefrac=0.7", int(fn)), res.Forest.WriteJSON)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return want
+	return names, models
 }
 
 // TestGoldenTrees pins the serialized model of every builder variant on
@@ -153,27 +99,30 @@ func readGolden(t *testing.T) map[string]string {
 // forest rows: the byte-level safety net for refactors of the construction
 // engines.
 func TestGoldenTrees(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden builds take a few seconds")
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := readGolden(t)
-	rows := goldenRows()
-	var regen strings.Builder
-	failed := false
-	for _, row := range rows {
-		sum := sha256.Sum256(row.build(t))
-		got := hex.EncodeToString(sum[:])
-		fmt.Fprintf(&regen, "%s %s\n", row.name, got)
-		if want[row.name] != got {
-			failed = true
-			t.Errorf("%s: sha256 %s, golden %q", row.name, got, want[row.name])
+	want := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if name, sum, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			want[name] = sum
 		}
 	}
-	if len(want) != len(rows) {
-		failed = true
-		t.Errorf("%s has %d rows, the test builds %d", goldenPath, len(want), len(rows))
+	names, models := goldenModels(t)
+	var regen strings.Builder
+	for _, name := range names {
+		sum := sha256.Sum256(models[name])
+		got := hex.EncodeToString(sum[:])
+		fmt.Fprintf(&regen, "%s %s\n", name, got)
+		if want[name] != got {
+			t.Errorf("%s: sha256 %s, golden %q", name, got, want[name])
+		}
 	}
-	if failed {
+	if len(want) != len(names) {
+		t.Errorf("%s has %d rows, the test builds %d", goldenPath, len(want), len(names))
+	}
+	if t.Failed() {
 		t.Logf("regenerated %s:\n%s", goldenPath, regen.String())
 	}
 }
