@@ -3,7 +3,7 @@ GO ?= go
 # Total-coverage floor enforced by cover-check (and CI).
 COVER_FLOOR ?= 80.0
 
-.PHONY: build test race bench bench-infer bench-cache bench-forest bench-serve bench-buildq bench-stream bench-stats bench-gate serve-smoke stream-smoke lint cover cover-check faults
+.PHONY: build test race bench bench-infer bench-cache bench-forest bench-serve bench-buildq bench-stream bench-gate serve-smoke stream-smoke lint cover cover-check faults
 
 build:
 	$(GO) build ./...
@@ -60,13 +60,6 @@ bench-buildq:
 bench-stream:
 	$(GO) run ./cmd/cmpbench -exp stream -n 100000 -json BENCH_stream.json
 
-# Statistics-cache baseline: cached vs uncached quantized CMP-B builds over
-# in-memory Function 7 in the default and axis-chain regimes, writing
-# ns/record, the scan savings, and the trees-identical check to
-# BENCH_stats.json. The flags must match bench-gate's measurement.
-bench-stats:
-	$(GO) run ./cmd/cmpbench -exp stats -n 100000 -json BENCH_stats.json
-
 # End-to-end daemon smoke: build cmpserve, start it on a real socket,
 # probe /readyz, score a golden batch twice (byte-identical answers),
 # check /metrics, then SIGTERM and assert a clean exit-0 drain.
@@ -80,8 +73,8 @@ stream-smoke:
 	bash scripts/stream_smoke.sh
 
 # The CI regression gate: measure the inference, forest, serving,
-# quantized-build, streaming, and statistics-cache paths fresh and compare
-# all six against their committed baselines in one benchdiff invocation;
+# quantized-build, and streaming paths fresh and compare all five against
+# their committed baselines in one benchdiff invocation;
 # fails on >25% ns/record regression, any allocs/record increase, or a
 # benchmark row vanishing. The aggregate metrics report lands next to the
 # measurement for artifact upload.
@@ -96,11 +89,9 @@ bench-gate:
 		-json /tmp/bench_buildq_current.json
 	$(GO) run ./cmd/cmpbench -exp stream -n 100000 \
 		-json /tmp/bench_stream_current.json
-	$(GO) run ./cmd/cmpbench -exp stats -n 100000 \
-		-json /tmp/bench_stats_current.json
 	$(GO) run ./cmd/benchdiff \
-		-baseline BENCH_infer.json,BENCH_forest.json,BENCH_serve.json,BENCH_buildq.json,BENCH_stream.json,BENCH_stats.json \
-		-current /tmp/bench_current.json,/tmp/bench_forest_current.json,/tmp/bench_serve_current.json,/tmp/bench_buildq_current.json,/tmp/bench_stream_current.json,/tmp/bench_stats_current.json
+		-baseline BENCH_infer.json,BENCH_forest.json,BENCH_serve.json,BENCH_buildq.json,BENCH_stream.json \
+		-current /tmp/bench_current.json,/tmp/bench_forest_current.json,/tmp/bench_serve_current.json,/tmp/bench_buildq_current.json,/tmp/bench_stream_current.json
 	$(MAKE) bench
 
 # gofmt + go vet always; staticcheck and govulncheck when installed (CI

@@ -28,7 +28,7 @@ import (
 	"cmpdt/internal/synth"
 )
 
-var experimentNames = []string{"table1", "fig2", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "trees", "accuracy", "curve", "infer", "cache", "forest", "serve", "buildq", "stream", "stats"}
+var experimentNames = []string{"table1", "fig2", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "trees", "accuracy", "curve", "infer", "cache", "forest", "serve", "buildq", "stream"}
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: all, "+strings.Join(experimentNames, ", "))
@@ -44,7 +44,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV rows instead of aligned tables")
 	inferJSON := flag.String("json", "", "for -exp infer/cache: also write the baseline to this file (e.g. BENCH_infer.json)")
 	cache := flag.String("cache", "0", `page-cache capacity for -disk record stores and -exp cache, e.g. "64m" ("0" = default for -exp cache, uncached elsewhere)`)
-	statsCache := flag.String("stats-cache", "0", `sufficient-statistics cache budget for quantized CMP-family builds, e.g. "64m" ("0" = off; -exp stats uses its own fixed budget)`)
 	metricsJSON := flag.String("metrics-json", "", `write the aggregate observability report as JSON to this path ("-" for stderr)`)
 	httpAddr := flag.String("http", "", "serve /metrics and /debug/pprof on this address (e.g. localhost:6060) for the run's duration")
 	flag.Parse()
@@ -83,12 +82,6 @@ func main() {
 		os.Exit(1)
 	}
 	opts.Eval.CacheBytes = cacheBytes
-	statsCacheBytes, err := storage.ParseCacheSize(*statsCache)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "cmpbench:", err)
-		os.Exit(1)
-	}
-	opts.Eval.StatsCacheBytes = statsCacheBytes
 
 	// One collector aggregates every build the selected experiments run;
 	// CMP-family rounds from successive builds append in execution order.
@@ -245,25 +238,6 @@ func main() {
 					return err
 				}
 				if err := experiments.WriteBuildqJSON(f, res); err != nil {
-					f.Close()
-					return err
-				}
-				return f.Close()
-			}
-			return nil
-		case "stats":
-			res, err := opts.StatsBench()
-			if err != nil {
-				return err
-			}
-			fmt.Println("== Stats cache: cached vs uncached quantized builds, default and chain regimes ==")
-			experiments.PrintStatsBench(os.Stdout, res)
-			if *inferJSON != "" {
-				f, err := os.Create(*inferJSON)
-				if err != nil {
-					return err
-				}
-				if err := experiments.WriteStatsJSON(f, res); err != nil {
 					f.Close()
 					return err
 				}

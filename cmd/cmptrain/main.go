@@ -44,7 +44,6 @@ func main() {
 	cache := flag.String("cache", "0", `page-cache capacity for the record store, e.g. "64m", "1g", plain bytes ("0" = uncached)`)
 	quantize := flag.Bool("quantize", false, "bin-coded dense-histogram build for the CMP family (thresholds stay in raw units)")
 	quantizeBins := flag.Int("quantize-bins", 0, "code-table resolution for -quantize (0 = -intervals)")
-	statsCache := flag.String("stats-cache", "0", `sufficient-statistics cache budget for -quantize CMP-B/CMP builds, e.g. "64m" ("0" = off; the tree is identical either way)`)
 	quiet := flag.Bool("quiet", false, "suppress the tree printout")
 	save := flag.String("save", "", "write the trained model as JSON to this path")
 	metricsJSON := flag.String("metrics-json", "", `write the observability report as JSON to this path ("-" for stdout)`)
@@ -61,10 +60,6 @@ func main() {
 	if err != nil {
 		cli.Fatal("cmptrain", err)
 	}
-	statsCacheBytes, err := storage.ParseCacheSize(*statsCache)
-	if err != nil {
-		cli.Fatal("cmptrain", err)
-	}
 	opts := eval.Options{
 		Intervals:       *intervals,
 		MaxAlive:        *alive,
@@ -76,7 +71,6 @@ func main() {
 		CacheBytes:      cacheBytes,
 		Quantize:        *quantize,
 		QuantizeBins:    *quantizeBins,
-		StatsCacheBytes: statsCacheBytes,
 	}
 	if *forestMode {
 		fcfg := forestOptions{
@@ -142,7 +136,6 @@ func runForest(ctx context.Context, fo forestOptions, data, save, metricsJSON st
 			CacheBytes:      fo.eval.CacheBytes,
 			Quantize:        fo.eval.Quantize,
 			QuantizeBins:    fo.eval.QuantizeBins,
-			StatsCacheBytes: fo.eval.StatsCacheBytes,
 		},
 	}
 	if fo.eval.SkipInvalid {

@@ -40,7 +40,13 @@ func runMetrics(t *testing.T, data string, quantize bool) (*obs.Report, []byte) 
 	if err := run(context.Background(), "cmp", data, "", metrics, true, opts, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(metrics)
+	return readReport(t, metrics)
+}
+
+// readReport decodes a -metrics-json file.
+func readReport(t *testing.T, path string) (*obs.Report, []byte) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,5 +190,33 @@ func TestMetricsScanTotalsMatchStorage(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestForestMetricsQuantBlock trains a quantized -forest run with
+// -metrics-json: the merged ensemble report must carry the members' quant
+// block (enabled, code tables, summed quantize time), not a zero one.
+func TestForestMetricsQuantBlock(t *testing.T) {
+	metrics := filepath.Join(t.TempDir(), "metrics.json")
+	fo := forestOptions{
+		algo:        eval.AlgoCMPB,
+		trees:       3,
+		featureFrac: 0.7,
+		eval:        eval.Options{Workers: 1, Seed: 1, Quantize: true},
+	}
+	if err := runForest(context.Background(), fo, trainData(t), "", metrics, &bytes.Buffer{}); err != nil {
+		t.Fatal(err)
+	}
+	rep, _ := readReport(t, metrics)
+	q := rep.Quant
+	if !q.Enabled {
+		t.Fatal("forest report: quant.enabled = false on a quantized forest")
+	}
+	if len(q.BinsPerAttr) == 0 || q.CodeBytesPerRecord == 0 || q.QuantizeNs <= 0 {
+		t.Errorf("forest report quant block incomplete: %+v", q)
+	}
+	if q.DenseScanRounds != rep.Build.Rounds || q.IntervalScanRounds != 0 {
+		t.Errorf("dense_scan_rounds = %d, interval = %d; want the merged round count %d and 0",
+			q.DenseScanRounds, q.IntervalScanRounds, rep.Build.Rounds)
 	}
 }

@@ -231,16 +231,6 @@ type Config struct {
 	// QuantizeBins is the per-numeric-attribute code-table resolution for
 	// Quantize (default: Intervals).
 	QuantizeBins int
-	// StatsCacheBytes, when positive, attaches a cross-level sufficient-
-	// statistics cache of that byte budget to quantized CMP-B/CMP builds:
-	// the bivariate code matrices a node accumulates are retained after an
-	// X-axis split and partitioned in place to its children, so rounds
-	// whose whole frontier is served from cache skip the physical scan.
-	// Trees stay bit-identical with the cache on or off; Stats.Scans drops
-	// by Stats.ScansSaved and the cache counters land in the observability
-	// report's stats block. Zero (the default) disables the cache; ignored
-	// for non-quantized builds and CMP-S.
-	StatsCacheBytes int64
 	// Observer, when non-nil, collects the build's observability report:
 	// per-round phase timings (scan, buffer sort, exact-split resolution,
 	// oblique search, decide, collect, prune), per-worker scan shares, and
@@ -317,9 +307,6 @@ func (c Config) internal() core.Config {
 	if c.QuantizeBins != 0 {
 		cfg.QuantizeBins = c.QuantizeBins
 	}
-	if c.StatsCacheBytes > 0 {
-		cfg.StatsCacheBytes = c.StatsCacheBytes
-	}
 	return cfg
 }
 
@@ -343,10 +330,6 @@ type Stats struct {
 	// Quantized reports whether the build ran the bin-coded dense path
 	// (Config.Quantize, or a pre-quantized training store).
 	Quantized bool
-	// ScansSaved counts construction-round scans skipped by the
-	// sufficient-statistics cache (Config.StatsCacheBytes); Scans already
-	// reflects the saving.
-	ScansSaved int
 }
 
 // Tree is a trained classifier.
@@ -466,7 +449,6 @@ func trainSource(ctx context.Context, src storage.Source, cfg Config) (*Tree, *S
 		rep.Build.WallNs = time.Since(start).Nanoseconds()
 		res.Stats.FillSummary(&rep.Build)
 		res.Stats.FillQuant(&rep.Quant)
-		res.Stats.FillStatsCache(&rep.Stats)
 		rep.IO = eval.IOSummary(res.IO)
 		cfg.Observer.rep = rep
 	}
@@ -480,7 +462,6 @@ func trainSource(ctx context.Context, src storage.Source, cfg Config) (*Tree, *S
 		ObliqueSplits:   res.Stats.ObliqueSplits,
 		SkippedRecords:  res.Stats.SkippedRecords,
 		Quantized:       res.Stats.Quantized,
-		ScansSaved:      res.Stats.ScansSaved,
 	}
 	return &Tree{t: res.Tree}, st, nil
 }

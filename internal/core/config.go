@@ -183,17 +183,6 @@ type Config struct {
 	// builds see the same split-point resolution); the maximum is 65536.
 	// Attributes with at most 256 codes are stored in one byte each.
 	QuantizeBins int
-	// StatsCacheBytes, when positive, attaches a cross-level sufficient-
-	// statistics cache of that byte budget to matrix-bearing quantized
-	// builds (Quantize with CMP-B/CMPFull and at least two numeric
-	// attributes; ignored elsewhere): the bivariate code matrices a node
-	// accumulates are retained after it splits on its X-axis and
-	// partitioned in place at the code boundary, so descendant rounds
-	// whose whole frontier finds its statistics resident skip the physical
-	// scan. Trees are bit-identical with the cache on or off at any worker
-	// count; only Stats.Scans (by Stats.ScansSaved), NidBytesIO, and the
-	// source's scan counters drop. Zero or negative disables the cache.
-	StatsCacheBytes int64
 }
 
 // Default returns the configuration used throughout the evaluation.
@@ -346,23 +335,6 @@ type Stats struct {
 	DenseScanRounds    int
 	IntervalScanRounds int
 
-	// Statistics-cache block (Config.StatsCacheBytes; matrix-bearing
-	// quantized builds only). StatsCacheEnabled reports whether the cache
-	// actually engaged; ScansSaved counts construction rounds whose
-	// physical scan was skipped because every live frontier node was
-	// served from cached statistics — Scans with the cache on equals
-	// Scans with it off minus ScansSaved, and nothing else in Stats
-	// differs. Hits and misses count entry-level lookups (one entry is
-	// one (node, attribute) matrix); evictions are budget-forced removals.
-	StatsCacheEnabled       bool
-	StatsCacheBudgetBytes   int64
-	ScansSaved              int
-	StatsCacheHits          int64
-	StatsCacheMisses        int64
-	StatsCacheEvictions     int64
-	StatsCacheBytesResident int64
-	StatsCachePeakBytes     int64
-
 	// Root-split diagnostics for Table 1: the attribute the root split on,
 	// how many alive intervals its provisional split retained, and the
 	// exact gini index of the resolved split.
@@ -397,20 +369,6 @@ func (s Stats) FillQuant(q *obs.QuantSummary) {
 	q.CodeBytesPerRecord = s.QuantCodeBytes
 	q.DenseScanRounds = s.DenseScanRounds
 	q.IntervalScanRounds = s.IntervalScanRounds
-}
-
-// FillStatsCache copies the sufficient-statistics-cache counters into an
-// observability report's stats block. Valid for uncached and raw builds
-// too: enabled=false with every counter zero.
-func (s Stats) FillStatsCache(c *obs.StatsCacheSummary) {
-	c.Enabled = s.StatsCacheEnabled
-	c.BudgetBytes = s.StatsCacheBudgetBytes
-	c.Hits = s.StatsCacheHits
-	c.Misses = s.StatsCacheMisses
-	c.Evictions = s.StatsCacheEvictions
-	c.BytesResident = s.StatsCacheBytesResident
-	c.PeakBytes = s.StatsCachePeakBytes
-	c.ScansSaved = s.ScansSaved
 }
 
 // Result bundles a finished build.

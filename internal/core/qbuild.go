@@ -36,7 +36,6 @@ import (
 	"cmpdt/internal/obs"
 	"cmpdt/internal/prune"
 	"cmpdt/internal/quantile"
-	"cmpdt/internal/stats"
 	"cmpdt/internal/storage"
 	"cmpdt/internal/tree"
 )
@@ -60,12 +59,6 @@ type qnode struct {
 
 	hists []*histogram.Hist1D // per-attr; with mats: categorical only
 	mats  []*histogram.Matrix // CMP-B: (xAttr, y) per numeric y != xAttr
-	cmats []*histogram.Matrix // stats cache only: (xAttr, cat) per categorical
-
-	// prefilled: the accumulators were installed from the statistics cache
-	// before this round's scan; route skips accumulation for this node and
-	// its decision reads the cached (exact) statistics instead.
-	prefilled bool
 
 	buffer       buffer // collect rows: codes widened to float64
 	collectRound int
@@ -150,13 +143,12 @@ type qbuilder struct {
 	collects []*qnode
 	byTN     map[*tree.Node]*qnode
 
-	root   *qnode
-	round  int
-	stats  Stats
-	rng    *rand.Rand
-	obs    *obs.Collector
-	scache *stats.Cache // cross-level sufficient-statistics cache; nil = off
-	row    []float64    // serial-scan scratch: one code row widened to float64
+	root  *qnode
+	round int
+	stats Stats
+	rng   *rand.Rand
+	obs   *obs.Collector
+	row   []float64 // serial-scan scratch: one code row widened to float64
 }
 
 // buildQuantized is BuildContext's bin-coded branch. cfg is already
@@ -205,7 +197,6 @@ func buildQuantized(ctx context.Context, src storage.Source, cfg Config) (*Resul
 			b.inheritX = false
 		}
 	}
-	b.initStatsCache()
 	b.row = make([]float64, b.na)
 
 	b.obs.StartRound(0) // round 0: quantization (discretize + encode)
@@ -257,7 +248,6 @@ func buildQuantized(ctx context.Context, src storage.Source, cfg Config) (*Resul
 	t := &tree.Tree{Root: b.root.tn, Schema: b.schema}
 	b.stats.ObliqueSplits = t.CountLinearSplits()
 	b.stats.DenseScanRounds = b.stats.Rounds
-	b.finishStatsCache()
 
 	io := b.qsrc.Stats()
 	if _, same := src.(storage.CodeSource); !same {
@@ -522,7 +512,7 @@ func (b *qbuilder) makeRoot() {
 		hi[a] = b.q.Bins(a)
 	}
 	b.root = b.newQNode(0, lo, hi, x)
-	b.root.hists, b.root.mats, b.root.cmats = b.makeQHists(b.root)
+	b.root.hists, b.root.mats = b.makeQHists(b.root)
 	b.queueScanned(b.root)
 }
 
@@ -544,10 +534,9 @@ func (b *qbuilder) newQNode(depth int, lo, hi []int, xAttr int) *qnode {
 }
 
 // makeQHists allocates a building node's dense accumulators over its code
-// windows (plus the cache-only categorical matrices, see makeCMats).
-// Parallel scan workers call it again with the same geometry for their
-// private shards.
-func (b *qbuilder) makeQHists(n *qnode) ([]*histogram.Hist1D, []*histogram.Matrix, []*histogram.Matrix) {
+// windows. Parallel scan workers call it again with the same geometry for
+// their private shards.
+func (b *qbuilder) makeQHists(n *qnode) ([]*histogram.Hist1D, []*histogram.Matrix) {
 	if b.useMats {
 		mats := make([]*histogram.Matrix, b.na)
 		xw := n.width(n.xAttr)
@@ -563,7 +552,7 @@ func (b *qbuilder) makeQHists(n *qnode) ([]*histogram.Hist1D, []*histogram.Matri
 				hists[a] = histogram.New1D(b.schema.Attrs[a].Cardinality(), b.nc)
 			}
 		}
-		return hists, mats, b.makeCMats(n)
+		return hists, mats
 	}
 	hists := make([]*histogram.Hist1D, b.na)
 	for a := 0; a < b.na; a++ {
@@ -573,7 +562,7 @@ func (b *qbuilder) makeQHists(n *qnode) ([]*histogram.Hist1D, []*histogram.Matri
 			hists[a] = histogram.New1D(n.width(a), b.nc)
 		}
 	}
-	return hists, nil, nil
+	return hists, nil
 }
 
 func (b *qbuilder) hasWork() bool {
@@ -603,10 +592,6 @@ func goesLeftCodes(s *tree.Split, codes []uint16) bool {
 // validation (records were validated at encode) and no interval search: the
 // bin index is the code minus the node's window base.
 func (b *qbuilder) scan() error {
-	if b.scache != nil && b.tryCachedRound() {
-		b.finishSkippedScan()
-		return nil
-	}
 	if b.cfg.Workers > 1 {
 		if rs, ok := b.qsrc.(storage.CodeRangeSource); ok {
 			return b.scanParallel(rs)
@@ -641,18 +626,6 @@ func (b *qbuilder) finishScan() {
 	b.stats.NidBytesIO += 8 * int64(len(b.nid))
 }
 
-// finishSkippedScan accounts a round whose physical pass was skipped: every
-// live building node was prefilled from the statistics cache and no collect
-// buffer needed filling. The round still counts (the decide/prune cadence
-// is unchanged — that is what keeps cached trees bit-identical) but no scan
-// is charged anywhere: storage never ran one, and the nid[] routing state
-// simply goes stale, which route tolerates by walking records down through
-// resolved splits on the next physical pass.
-func (b *qbuilder) finishSkippedScan() {
-	b.stats.Rounds++
-	b.stats.ScansSaved++
-}
-
 // qshard holds one scan worker's private accumulators, merged in
 // worker-index order after the pass (same contract as the raw scanShard).
 type qshard struct {
@@ -663,7 +636,6 @@ type qshard struct {
 type qshardNode struct {
 	hists  []*histogram.Hist1D
 	mats   []*histogram.Matrix
-	cmats  []*histogram.Matrix
 	buffer buffer
 }
 
@@ -673,7 +645,7 @@ func (sh *qshard) nodeFor(b *qbuilder, n *qnode) *qshardNode {
 		sn = &qshardNode{}
 		sn.buffer.init(b.na)
 		if n.state == stBuilding {
-			sn.hists, sn.mats, sn.cmats = b.makeQHists(n)
+			sn.hists, sn.mats = b.makeQHists(n)
 		}
 		sh.nodes[n.id] = sn
 	}
@@ -694,11 +666,6 @@ func (sh *qshard) mergeInto(b *qbuilder) {
 		for a, m := range sn.mats {
 			if m != nil {
 				n.mats[a].Merge(m)
-			}
-		}
-		for a, m := range sn.cmats {
-			if m != nil {
-				n.cmats[a].Merge(m)
 			}
 		}
 		n.buffer.appendFrom(&sn.buffer)
@@ -769,17 +736,11 @@ func (b *qbuilder) route(sh *qshard, rid int, codes []uint16, label int) {
 			b.nid[rid] = n.id
 			return
 		default: // stBuilding
-			if n.prefilled {
-				// Statistics were installed from the cache before the scan;
-				// accumulating on top would double-count.
-				b.nid[rid] = n.id
-				return
-			}
 			if sh != nil {
 				sn := sh.nodeFor(b, n)
-				b.countCodes(n, sn.hists, sn.mats, sn.cmats, codes, label)
+				b.countCodes(n, sn.hists, sn.mats, codes, label)
 			} else {
-				b.countCodes(n, n.hists, n.mats, n.cmats, codes, label)
+				b.countCodes(n, n.hists, n.mats, codes, label)
 			}
 			b.nid[rid] = n.id
 			return
@@ -790,7 +751,7 @@ func (b *qbuilder) route(sh *qshard, rid int, codes []uint16, label int) {
 // countCodes counts one code record into dense accumulators of node n's
 // geometry (its own, or a worker shard's): bin = code - window base, no
 // comparisons, no search.
-func (b *qbuilder) countCodes(n *qnode, hists []*histogram.Hist1D, mats, cmats []*histogram.Matrix, codes []uint16, label int) {
+func (b *qbuilder) countCodes(n *qnode, hists []*histogram.Hist1D, mats []*histogram.Matrix, codes []uint16, label int) {
 	if mats != nil {
 		xb := int(codes[n.xAttr]) - n.lo[n.xAttr]
 		for _, y := range b.numeric {
@@ -802,11 +763,6 @@ func (b *qbuilder) countCodes(n *qnode, hists []*histogram.Hist1D, mats, cmats [
 		for a, h := range hists {
 			if h != nil { // categorical: code is the category index
 				h.Add(int(codes[a]), label)
-			}
-		}
-		for a, m := range cmats {
-			if m != nil { // cache-only (xAttr, cat) matrix, see makeCMats
-				m.Add(xb, int(codes[a]), label)
 			}
 		}
 		return
@@ -829,8 +785,7 @@ func (b *qbuilder) countCodes(n *qnode, hists []*histogram.Hist1D, mats, cmats [
 type qview struct {
 	marg   []*histogram.Hist1D
 	mats   []*histogram.Matrix
-	cmats  []*histogram.Matrix // cache donation only; never read by decisions
-	lo     []int               // global code base per attr (numeric)
+	lo     []int // global code base per attr (numeric)
 	xAttr  int
 	totals []int
 	n      int
@@ -856,7 +811,6 @@ func (b *qbuilder) viewOf(n *qnode) *qview {
 	v := &qview{xAttr: n.xAttr, lo: n.lo, marg: make([]*histogram.Hist1D, b.na)}
 	if n.mats != nil {
 		v.mats = n.mats
-		v.cmats = n.cmats
 		var first *histogram.Matrix
 		for _, y := range b.numeric {
 			if y != n.xAttr && n.mats[y] != nil {
@@ -897,16 +851,6 @@ func (b *qbuilder) sliceViewX(v *qview, lo, hi int) *qview {
 		lo:    append([]int(nil), v.lo...),
 	}
 	sv.lo[v.xAttr] = v.lo[v.xAttr] + lo
-	if v.cmats != nil {
-		// Slice the cache-only categorical matrices along with the rest so a
-		// second split on this axis can donate them to its own children.
-		sv.cmats = make([]*histogram.Matrix, b.na)
-		for a, m := range v.cmats {
-			if m != nil {
-				sv.cmats[a] = m.SliceX(lo, hi)
-			}
-		}
-	}
 	var first *histogram.Matrix
 	for _, y := range b.numeric {
 		if m := v.mats[y]; m != nil {
@@ -1163,22 +1107,18 @@ func (b *qbuilder) decideNode(n *qnode, v *qview, kind decideKind) {
 func (b *qbuilder) markCollect(n *qnode) {
 	n.state = stCollect
 	n.collectRound = b.round
-	n.hists, n.mats, n.cmats = nil, nil, nil
-	n.prefilled = false
-	b.scache.Drop(n.id)
+	n.hists, n.mats = nil, nil
 	b.collects = append(b.collects, n)
 }
 
 // xStickiness is the axis-stickiness tolerance: when predicting a child's
 // X-axis, the current axis is kept if its score is within this fraction of
 // the class impurity of the best attribute's score — the same 2% nudge
-// decideNode applies when choosing the actual split. Sticking to the axis
-// is what lets a double-split child's partitioned statistics stay usable
-// (a cached (axis, y) matrix only serves a node whose X-axis IS that
-// axis), turning one saved scan into a chain of them on deep trees. The
-// nudge applies to every quantized matrix build, cached or not — a
-// cache-gated policy would break the cached-vs-uncached bit-identity
-// contract.
+// decideNode applies when choosing the actual split. A node can split twice
+// in one scan only when its split lands on its own X-axis, so between
+// near-tied attributes the prediction keeps the axis the node's matrices
+// are already built around rather than trading a double split for a
+// statistically indistinguishable alternative.
 const xStickiness = 0.02
 
 // predictX implements predictSplit (Figure 7) over code marginals.
@@ -1263,13 +1203,12 @@ func (b *qbuilder) predictChildX(v *qview, attr, binLo, binHi int) int {
 // consumed its sliced views, so this child has none of its own). When every
 // allowed attribute is numeric, an X-axis split restricts every matrix
 // exactly, so the child gets the same fully-exact predictX the first-level
-// children get, stickiness included — these children are next round's
-// frontier, and an inherited axis is what lets the statistics cache serve
-// them without a scan. When categorical attributes are in play the axis is
-// excluded instead (the pre-inheritance behavior): sticky axes breed
-// same-scan second splits, second splits cannot see categorical evidence
-// (sliced views have no categorical marginals), and on categorical-driven
-// data that trades real splits for numeric near-ties.
+// children get, stickiness included: on axis-coherent data the child keeps
+// splitting along the axis and keeps earning same-scan double splits. When
+// categorical attributes are in play the axis is excluded instead: sticky
+// axes breed same-scan second splits, second splits cannot see categorical
+// evidence (sliced views have no categorical marginals), and on
+// categorical-driven data that trades real splits for numeric near-ties.
 func (b *qbuilder) predictChildXOnAxis(v *qview, binLo, binHi int) int {
 	if b.inheritX {
 		if sv := b.sliceViewX(v, binLo, binHi); sv != nil {
@@ -1304,7 +1243,7 @@ func (b *qbuilder) newChild(depth int, v *qview, splitAttr, binLo, binHi, x int,
 		b.markCollect(c)
 		return c
 	}
-	c.hists, c.mats, c.cmats = b.makeQHists(c)
+	c.hists, c.mats = b.makeQHists(c)
 	b.queueScanned(c)
 	return c
 }
@@ -1374,7 +1313,7 @@ func (b *qbuilder) makeResolvedNumeric(n *qnode, v *qview, e *qEval, kind decide
 	n.tn.Left, n.tn.Right = left.tn, right.tn
 	n.children = []*qnode{left, right}
 	n.state = stResolved
-	n.hists, n.mats, n.cmats = nil, nil, nil
+	n.hists, n.mats = nil, nil
 
 	if doubleSplit {
 		grew := false
@@ -1388,22 +1327,6 @@ func (b *qbuilder) makeResolvedNumeric(n *qnode, v *qview, e *qEval, kind decide
 		}
 		if grew {
 			b.stats.DoubleSplits++
-		}
-	}
-	if b.scache != nil {
-		if v.mats != nil && e.attr == v.xAttr {
-			// X-axis split — first or second level: every matrix partitions
-			// exactly at the code boundary into the children's. For a
-			// second-level split n is this scan's fresh child and v its
-			// sliced view, whose matrices (and sliced cmats) donate the same
-			// way — that is the path that feeds next round's frontier, since
-			// the first-level children are resolved within this very scan.
-			// Runs after any double-split decisions so eligibility is final.
-			b.cacheChildren(n, v, e.boundary+1, left, right)
-		} else {
-			// Y-attribute split: resident entries cannot be partitioned
-			// along a non-X attribute.
-			b.scache.Drop(n.id)
 		}
 	}
 }
@@ -1431,8 +1354,7 @@ func (b *qbuilder) makeResolvedCategorical(n *qnode, v *qview, attr int, mask ui
 	n.tn.Left, n.tn.Right = left.tn, right.tn
 	n.children = []*qnode{left, right}
 	n.state = stResolved
-	n.hists, n.mats, n.cmats = nil, nil, nil
-	b.scache.Drop(n.id) // categorical splits do not partition the matrices
+	n.hists, n.mats = nil, nil
 }
 
 func (b *qbuilder) finalizeAsLeaf(n *qnode, counts []int) {
@@ -1448,9 +1370,8 @@ func (b *qbuilder) finalizeAsLeaf(n *qnode, counts []int) {
 	}
 	n.children = nil
 	n.buffer.reset()
-	n.hists, n.mats, n.cmats = nil, nil, nil
+	n.hists, n.mats = nil, nil
 	n.state = stLeaf
-	b.scache.Drop(n.id)
 }
 
 func (b *qbuilder) retire(n *qnode, to *qnode) {
@@ -1459,9 +1380,8 @@ func (b *qbuilder) retire(n *qnode, to *qnode) {
 	}
 	n.dead = true
 	n.succ = to
-	n.hists, n.mats, n.cmats = nil, nil, nil
+	n.hists, n.mats = nil, nil
 	n.buffer.reset()
-	b.scache.Drop(n.id)
 	delete(b.byTN, n.tn)
 	for _, c := range n.children {
 		b.retire(c, to)

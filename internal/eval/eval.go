@@ -85,10 +85,6 @@ type Options struct {
 	// QuantizeBins sets the quantized path's code-table resolution; zero
 	// means Intervals.
 	QuantizeBins int
-	// StatsCacheBytes attaches a cross-level sufficient-statistics cache
-	// of that byte budget to quantized CMP builds (see
-	// core.Config.StatsCacheBytes). Zero disables it.
-	StatsCacheBytes int64
 }
 
 func (o Options) withDefaults() Options {
@@ -215,7 +211,6 @@ func RunContext(ctx context.Context, algo string, src storage.Source, trainTbl, 
 		cfg.CacheBytes = opts.CacheBytes
 		cfg.Quantize = opts.Quantize
 		cfg.QuantizeBins = opts.QuantizeBins
-		cfg.StatsCacheBytes = opts.StatsCacheBytes
 		var res *core.Result
 		res, err = core.BuildContext(ctx, src, cfg)
 		if err == nil {

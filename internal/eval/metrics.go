@@ -29,7 +29,6 @@ func MetricsReport(c *obs.Collector, res *RunResult) *obs.Report {
 	if st := res.CoreStats; st != nil {
 		st.FillSummary(&rep.Build)
 		st.FillQuant(&rep.Quant)
-		st.FillStatsCache(&rep.Stats)
 	}
 	rep.IO = IOSummary(res.IOStats)
 	return rep

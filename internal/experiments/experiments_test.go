@@ -313,54 +313,3 @@ func TestBuildqBench(t *testing.T) {
 	}
 	PrintBuildqBench(io.Discard, res)
 }
-
-// TestStatsBench pins the statistics-cache benchmark's shape: 8 rows
-// (default regime at workers {1,2,8}, chain regime serial, each cache
-// off/on), byte-identical trees, exact scan-delta accounting, and real
-// savings in the chain regime.
-func TestStatsBench(t *testing.T) {
-	o := Defaults()
-	o.N = 10_000
-	res, err := o.StatsBench()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 8 {
-		t.Fatalf("%d rows, want 8", len(res.Rows))
-	}
-	for _, r := range res.Rows {
-		if r.Set != "stats" {
-			t.Errorf("row set %q, want stats", r.Set)
-		}
-		if r.NsPerRecord <= 0 || r.MRecordsPerSec <= 0 || r.SpeedupVsPointer <= 0 {
-			t.Errorf("non-positive measurement: %+v", r)
-		}
-	}
-	if !res.TreesIdentical {
-		t.Error("cached trees differ across configurations")
-	}
-	if res.ScansCached != res.ScansUncached-res.ScansSaved {
-		t.Errorf("default regime: %d cached scans, want %d - %d",
-			res.ScansCached, res.ScansUncached, res.ScansSaved)
-	}
-	if res.ChainScansCached != res.ChainScansUncached-res.ChainScansSaved {
-		t.Errorf("chain regime: %d cached scans, want %d - %d",
-			res.ChainScansCached, res.ChainScansUncached, res.ChainScansSaved)
-	}
-	if res.ChainScansSaved == 0 || res.ChainCacheHits == 0 {
-		t.Errorf("chain regime saved %d scans with %d hits; want real savings",
-			res.ChainScansSaved, res.ChainCacheHits)
-	}
-	var buf strings.Builder
-	if err := WriteStatsJSON(&buf, res); err != nil {
-		t.Fatal(err)
-	}
-	var back StatsResult
-	if err := json.Unmarshal([]byte(buf.String()), &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Records != res.Records || len(back.Rows) != len(res.Rows) {
-		t.Error("JSON round-trip lost data")
-	}
-	PrintStatsBench(io.Discard, res)
-}

@@ -290,7 +290,6 @@ func buildOne(ctx context.Context, src storage.RangeSource, mask *storage.Mask, 
 		rep = col.Snapshot()
 		res.Stats.FillSummary(&rep.Build)
 		res.Stats.FillQuant(&rep.Quant)
-		res.Stats.FillStatsCache(&rep.Stats)
 		rep.Build.TreeNodes = res.Tree.Size()
 		rep.Build.TreeLeaves = res.Tree.Leaves()
 		rep.Build.TreeDepth = res.Tree.Depth()

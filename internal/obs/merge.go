@@ -22,12 +22,13 @@ func MergeReports(reports ...*Report) *Report {
 		}
 		if first {
 			out.Build = r.Build
+			out.Quant = r.Quant
 			first = false
 		} else {
 			mergeBuild(&out.Build, &r.Build)
+			mergeQuant(&out.Quant, &r.Quant)
 		}
 		addIO(&out.IO, &r.IO)
-		mergeStatsCache(&out.Stats, &r.Stats)
 		for name, st := range r.PhaseTotals {
 			tot := out.PhaseTotals[name]
 			tot.Ns += st.Ns
@@ -83,22 +84,19 @@ func addIO(dst, s *IOSummary) {
 	dst.PrefetchedPages += s.PrefetchedPages
 }
 
-// mergeStatsCache folds a member's statistics-cache block in: counters sum,
-// the budget and peak take the largest member (members hold independent
-// caches), and enabled is true if any member's cache engaged.
-func mergeStatsCache(dst, s *StatsCacheSummary) {
-	dst.Enabled = dst.Enabled || s.Enabled
-	if s.BudgetBytes > dst.BudgetBytes {
-		dst.BudgetBytes = s.BudgetBytes
+// mergeQuant folds a member's quant block in: enabled if any member was
+// quantized, quantize time summed (members quantize independently), and
+// round counts maxed like Build.Rounds. The identity fields (code tables and
+// record width) keep dst's, i.e. the first member's, values.
+func mergeQuant(dst, q *QuantSummary) {
+	dst.Enabled = dst.Enabled || q.Enabled
+	dst.QuantizeNs += q.QuantizeNs
+	if q.DenseScanRounds > dst.DenseScanRounds {
+		dst.DenseScanRounds = q.DenseScanRounds
 	}
-	dst.Hits += s.Hits
-	dst.Misses += s.Misses
-	dst.Evictions += s.Evictions
-	dst.BytesResident += s.BytesResident
-	if s.PeakBytes > dst.PeakBytes {
-		dst.PeakBytes = s.PeakBytes
+	if q.IntervalScanRounds > dst.IntervalScanRounds {
+		dst.IntervalScanRounds = q.IntervalScanRounds
 	}
-	dst.ScansSaved += s.ScansSaved
 }
 
 // mergeRounds folds member rounds into the output by round index: scans and

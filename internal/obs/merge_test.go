@@ -75,3 +75,41 @@ func TestMergeReportsHistograms(t *testing.T) {
 		t.Fatalf("histogram merge wrong: %+v", h)
 	}
 }
+
+// TestMergeReportsQuant pins the quant block's merge rules: enabled ORs
+// across members, quantize time sums, round counts take the maximum, and
+// the code tables and record width come from the first member.
+func TestMergeReportsQuant(t *testing.T) {
+	mk := func(enabled bool, bins []int, ns int64, codeBytes int64, dense, interval int) *Report {
+		rep := (*Collector)(nil).Snapshot()
+		rep.Quant = QuantSummary{
+			Enabled: enabled, BinsPerAttr: bins, QuantizeNs: ns,
+			CodeBytesPerRecord: codeBytes, DenseScanRounds: dense, IntervalScanRounds: interval,
+		}
+		return rep
+	}
+	m := MergeReports(nil, mk(false, nil, 0, 0, 0, 7), mk(true, []int{4, 9}, 300, 12, 5, 0), mk(true, []int{4, 8}, 200, 11, 9, 0))
+	q := m.Quant
+	if !q.Enabled {
+		t.Error("enabled must OR across members")
+	}
+	if q.QuantizeNs != 500 {
+		t.Errorf("quantize_ns = %d, want the sum 500", q.QuantizeNs)
+	}
+	if q.DenseScanRounds != 9 || q.IntervalScanRounds != 7 {
+		t.Errorf("round counts = dense %d, interval %d; want the maxima 9 and 7",
+			q.DenseScanRounds, q.IntervalScanRounds)
+	}
+	if q.BinsPerAttr != nil || q.CodeBytesPerRecord != 0 {
+		t.Errorf("identity fields = %v/%d, want the first member's nil/0", q.BinsPerAttr, q.CodeBytesPerRecord)
+	}
+
+	m = MergeReports(mk(true, []int{4, 9}, 300, 12, 5, 0), mk(true, []int{4, 8}, 200, 11, 3, 0))
+	if len(m.Quant.BinsPerAttr) != 2 || m.Quant.BinsPerAttr[1] != 9 || m.Quant.CodeBytesPerRecord != 12 {
+		t.Errorf("identity fields = %v/%d, want the first member's [4 9]/12",
+			m.Quant.BinsPerAttr, m.Quant.CodeBytesPerRecord)
+	}
+	if m.Quant.DenseScanRounds != 5 {
+		t.Errorf("dense_scan_rounds = %d, want 5", m.Quant.DenseScanRounds)
+	}
+}

@@ -14,9 +14,9 @@ import (
 // v3 added the serve block (null outside cmpserve).
 // v4 added the quant block (always present; enabled=false on raw builds).
 // v5 added the stream block (null outside cmpstream).
-// v6 added the stats block (always present; enabled=false without a
-// sufficient-statistics cache).
-const ReportSchemaVersion = 6
+// v6 added the stats block (sufficient-statistics cache counters).
+// v7 removed the stats block with the cache it described.
+const ReportSchemaVersion = 7
 
 // PhaseStat is one phase's accumulated time.
 type PhaseStat struct {
@@ -153,22 +153,14 @@ type StreamSummary struct {
 	SketchBytes int64 `json:"sketch_bytes"`
 }
 
-// StatsCacheSummary is the sufficient-statistics-cache block of the report
-// (schema v6): the cross-level (node, attribute) matrix cache of quantized
-// builds. Always present; enabled=false with zero counters when the cache
-// is off or the build cannot use one. Hits and misses count entry-level
-// lookups; ScansSaved counts whole construction-round scans skipped, so
-// build.scans here plus scans_saved equals the same build's scans with the
-// cache disabled.
-type StatsCacheSummary struct {
-	Enabled       bool  `json:"enabled"`
-	BudgetBytes   int64 `json:"budget_bytes"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
-	BytesResident int64 `json:"bytes_resident"`
-	PeakBytes     int64 `json:"peak_bytes"`
-	ScansSaved    int   `json:"scans_saved"`
+// RetiredStats is what is left of the schema-v6 statistics-cache block.
+// Its fields are always zero and never serialized; the type exists only so
+// perfbench, which still reads them for its stats.* metrics, compiles.
+// Delete it together with those metrics.
+type RetiredStats struct {
+	Hits       int64
+	Misses     int64
+	ScansSaved int
 }
 
 // Report is the machine-readable observability report: the -metrics-json
@@ -185,9 +177,8 @@ type Report struct {
 	Rounds      []RoundReport        `json:"rounds"`
 	// Quant is the quantized-build summary (enabled=false on raw builds).
 	Quant QuantSummary `json:"quant"`
-	// Stats is the sufficient-statistics-cache summary (enabled=false
-	// without a cache).
-	Stats StatsCacheSummary `json:"stats"`
+	// Stats is always zero and not serialized (see RetiredStats).
+	Stats RetiredStats `json:"-"`
 	// Metrics snapshots the auxiliary registry (inference latency
 	// histograms, tool-specific counters).
 	Metrics RegistrySnapshot `json:"metrics"`
