@@ -3,7 +3,7 @@ GO ?= go
 # Total-coverage floor enforced by cover-check (and CI).
 COVER_FLOOR ?= 80.0
 
-.PHONY: build test race bench bench-infer bench-cache bench-forest bench-serve bench-buildq bench-stream bench-gate serve-smoke stream-smoke lint cover cover-check faults
+.PHONY: build test race bench bench-infer bench-cache bench-forest bench-serve bench-buildq bench-stream bench-gate serve-smoke stream-smoke lint cover cover-check faults fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -124,3 +124,15 @@ cover-check: cover
 faults:
 	$(GO) test -run Fault -count=5 ./internal/storage/ ./internal/core/
 	$(GO) test -race -run 'Cancel|PageCacheStress' ./internal/core/ ./internal/storage/
+
+# Coverage-guided fuzzing, briefly: every Fuzz* target in the module runs
+# for 10s, one go test -fuzz call per target (go test fuzzes one target at
+# a time). Plain go test only replays the seed corpora.
+fuzz-smoke:
+	@set -e; grep -rl --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' . | sort | \
+	while read -r file; do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$file"); do \
+			echo "fuzz-smoke: $$target ($$(dirname "$$file"))"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime=10s "./$$(dirname "$$file")"; \
+		done; \
+	done

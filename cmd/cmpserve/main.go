@@ -122,6 +122,14 @@ func run(ctx context.Context, o options, ready chan<- string) int {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
+	// SIGHUP hot-reloads the model file in place; failures keep serving
+	// the previous version. The handler is registered before the initial
+	// load makes the server ready, so a SIGHUP sent as soon as /readyz
+	// answers is queued for the reload loop instead of killing the process.
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
+
 	m, err := s.Load(o.model)
 	if err != nil {
 		logf("initial load: %v", err)
@@ -130,11 +138,6 @@ func run(ctx context.Context, o options, ready chan<- string) int {
 	}
 	logf("serving %s model %s (version %d)", m.Kind(), m.Path, m.Version)
 
-	// SIGHUP hot-reloads the model file in place; failures keep serving
-	// the previous version.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
 	go func() {
 		for range hup {
 			cur := s.Model()

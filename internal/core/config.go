@@ -118,7 +118,8 @@ type Config struct {
 	ObliqueAllPairs bool
 	// InMemoryNodeRecords: nodes with at most this many records are finished
 	// in memory — the next scan gathers their records into a buffer and the
-	// subtree is completed with the exact algorithm, the standard bottoming-
+	// subtree is completed with the exact algorithm (on bin codes, from
+	// dense per-code histograms, when quantized), the standard bottoming-
 	// out strategy for disk-oriented builders. Negative disables; zero means
 	// the default.
 	InMemoryNodeRecords int
@@ -141,7 +142,7 @@ type Config struct {
 	Seed int64
 	// SplitAttrs, when non-nil, restricts split selection to the listed
 	// attribute indices: numeric thresholds, categorical subsets, the
-	// in-memory exact finisher, and both ends of a linear combination all
+	// in-memory subtree finishers, and both ends of a linear combination all
 	// draw only from this set. Attributes outside it still feed
 	// discretization and histogram axes but never appear in a split test —
 	// the per-tree feature-subsampling hook the forest layer builds on.

@@ -421,10 +421,3 @@ func (b *builder) makeResolvedLinear(n *bnode, v *histView, line obliqueLine) {
 	n.state = stResolved
 	n.dropHists()
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

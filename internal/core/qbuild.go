@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"cmpdt/internal/dataset"
-	"cmpdt/internal/exact"
 	"cmpdt/internal/gini"
 	"cmpdt/internal/histogram"
 	"cmpdt/internal/obs"
@@ -60,7 +59,7 @@ type qnode struct {
 	hists []*histogram.Hist1D // per-attr; with mats: categorical only
 	mats  []*histogram.Matrix // CMP-B: (xAttr, y) per numeric y != xAttr
 
-	buffer       buffer // collect rows: codes widened to float64
+	buffer       codeBuffer // collect rows: raw bin codes
 	collectRound int
 
 	children []*qnode
@@ -148,7 +147,6 @@ type qbuilder struct {
 	stats Stats
 	rng   *rand.Rand
 	obs   *obs.Collector
-	row   []float64 // serial-scan scratch: one code row widened to float64
 }
 
 // buildQuantized is BuildContext's bin-coded branch. cfg is already
@@ -197,8 +195,6 @@ func buildQuantized(ctx context.Context, src storage.Source, cfg Config) (*Resul
 			b.inheritX = false
 		}
 	}
-	b.row = make([]float64, b.na)
-
 	b.obs.StartRound(0) // round 0: quantization (discretize + encode)
 	initSpan := b.obs.StartSpan(obs.PhaseInit)
 	cleanup, err := b.quantizeSource(src)
@@ -630,13 +626,12 @@ func (b *qbuilder) finishScan() {
 // worker-index order after the pass (same contract as the raw scanShard).
 type qshard struct {
 	nodes []*qshardNode
-	row   []float64
 }
 
 type qshardNode struct {
 	hists  []*histogram.Hist1D
 	mats   []*histogram.Matrix
-	buffer buffer
+	buffer codeBuffer
 }
 
 func (sh *qshard) nodeFor(b *qbuilder, n *qnode) *qshardNode {
@@ -675,7 +670,7 @@ func (sh *qshard) mergeInto(b *qbuilder) {
 func (b *qbuilder) scanParallel(rs storage.CodeRangeSource) error {
 	shards := make([]*qshard, b.cfg.Workers)
 	for w := range shards {
-		shards[w] = &qshard{nodes: make([]*qshardNode, len(b.nodes)), row: make([]float64, b.na)}
+		shards[w] = &qshard{nodes: make([]*qshardNode, len(b.nodes))}
 	}
 	span := b.obs.StartSpan(obs.PhaseScan)
 	var observe func(storage.WorkerScan)
@@ -723,16 +718,11 @@ func (b *qbuilder) route(sh *qshard, rid int, codes []uint16, label int) {
 				n = n.children[1]
 			}
 		case stCollect:
-			row := b.row
 			buf := &n.buffer
 			if sh != nil {
-				row = sh.row
 				buf = &sh.nodeFor(b, n).buffer
 			}
-			for a, c := range codes {
-				row[a] = float64(c)
-			}
-			buf.add(rid, row, label)
+			buf.add(codes, label)
 			b.nid[rid] = n.id
 			return
 		default: // stBuilding
@@ -1389,10 +1379,10 @@ func (b *qbuilder) retire(n *qnode, to *qnode) {
 	n.children = nil
 }
 
-// finishCollects builds each filled collect node's subtree in memory with
-// the exact algorithm, over code rows. The exact finisher's midpoint
-// thresholds land between integer codes, which translate resolves like any
-// boundary: code <= t is code <= floor(t) for integer codes.
+// finishCollects grows each filled collect node's subtree in memory over
+// its buffered codes (finishCodes). The finisher's midpoint thresholds land
+// between integer codes, which translate resolves like any boundary:
+// code <= t is code <= floor(t) for integer codes.
 func (b *qbuilder) finishCollects() {
 	span := b.obs.StartSpan(obs.PhaseCollect)
 	defer span.End()
@@ -1409,7 +1399,7 @@ func (b *qbuilder) finishCollects() {
 	}
 	doParallel(b.cfg.Workers, len(ready), func(i int) {
 		c := ready[i]
-		sub := exact.BuildSubtree(&c.buffer, b.schema, exact.Config{
+		sub := finishCodes(&c.buffer, b.schema, finishConfig{
 			MinSplitRecords: b.cfg.MinSplitRecords,
 			MaxDepth:        b.cfg.MaxDepth - c.depth,
 			MinGiniGain:     b.cfg.MinGiniGain,
@@ -1487,12 +1477,12 @@ func (b *qbuilder) snapshotMemory() {
 }
 
 // translate rewrites every numeric threshold from code space to raw feature
-// units: build-time thresholds are global code boundaries c (possibly
-// half-integer midpoints from the exact finisher — floor recovers the
-// boundary, since integer codes satisfy code <= t iff code <= floor(t)), and
-// the raw threshold is the breakpoint cuts[c] ("value <= cuts[c]" selects
-// exactly the records with "code <= c"). Categorical subsets need no
-// translation: codes are the category indices.
+// units: build-time thresholds are global code boundaries c (or, from the
+// code finisher, midpoints between two occupied codes — floor recovers a
+// boundary, since integer codes satisfy code <= t iff code <= floor(t)),
+// and the raw threshold is the breakpoint cuts[c] ("value <= cuts[c]"
+// selects exactly the records with "code <= c"). Categorical subsets need
+// no translation: codes are the category indices.
 func (b *qbuilder) translate(tn *tree.Node) {
 	if tn == nil || tn.Split == nil {
 		return

@@ -1,9 +1,11 @@
 // Package exact implements a straightforward in-memory decision-tree
 // builder that evaluates the gini index at every distinct attribute value —
 // the "exact algorithm" the paper compares CMP's split selection against in
-// Table 1. It is also used by the CMP builders to finish small subtrees in
-// memory once a node's records fit a buffer, the standard practice for
-// disk-oriented tree builders.
+// Table 1. It is also used by the raw CMP builder and the comparators to
+// finish small subtrees in memory once a node's records fit a buffer, the
+// standard practice for disk-oriented tree builders. (Quantized CMP builds
+// finish on bin codes instead, growing the same trees; see
+// internal/core/qfinish.go.)
 package exact
 
 import (

@@ -1,5 +1,10 @@
 package gini
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // MaxSubsetCardinality bounds categorical domains: subsets are represented
 // as uint64 bitmasks.
 const MaxSubsetCardinality = 64
@@ -47,39 +52,33 @@ func BestSubsetSplit(counts [][]int) (mask uint64, best float64, ok bool) {
 	return greedySubset(counts, total)
 }
 
+// exhaustiveSubset tries every partition of the occupied values. Value 0's
+// side is fixed to halve the search space (complements are equal), and
+// mask bit val-1 stands for value val. Only submasks of the occupied set
+// are enumerated, in ascending order: a mask that also takes empty values
+// yields the same partition as its occupied part, which is smaller, so the
+// first strictly-best mask is the one a walk over every mask would find.
 func exhaustiveSubset(counts [][]int, total []int) (mask uint64, best float64, ok bool) {
 	v := len(counts)
-	nc := len(total)
-	left := make([]int, nc)
-	best = 2.0
-	// Fix value 0's side to halve the search space; complements are equal.
-	for m := uint64(1); m < 1<<uint(v-1); m++ {
-		for c := range left {
-			left[c] = 0
-		}
-		empty := true
-		for val := 1; val < v; val++ {
-			if m&(1<<uint(val-1)) == 0 {
-				continue
-			}
-			for c, n := range counts[val] {
-				left[c] += n
-				if n > 0 {
-					empty = false
-				}
-			}
-		}
-		if empty {
-			continue
-		}
-		full := true
-		for c := range left {
-			if left[c] != total[c] {
-				full = false
+	left := make([]int, len(total))
+	var occ uint64
+	for val := 1; val < v; val++ {
+		for _, n := range counts[val] {
+			if n > 0 {
+				occ |= 1 << uint(val-1)
 				break
 			}
 		}
-		if full {
+	}
+	best = 2.0
+	for m := occ & -occ; m != 0; m = (m - occ) & occ {
+		clear(left)
+		for r := m; r != 0; r &= r - 1 {
+			for c, n := range counts[bits.TrailingZeros64(r)+1] {
+				left[c] += n
+			}
+		}
+		if slices.Equal(left, total) {
 			continue
 		}
 		if g := SplitBelow(left, total); g < best {

@@ -144,20 +144,26 @@ func EstimateInterval(x, y, total []int) Estimate {
 		BoundaryRight: SplitBelow(y, total),
 	}
 
-	inside := make([]int, c) // records of each class inside the interval
+	// One scratch block holds both climbs' cumulative counts and movable
+	// records; small class counts stay on the stack.
+	var stack [4 * stackClasses]int
+	scratch := stack[:]
+	if c > stackClasses {
+		scratch = make([]int, 4*c)
+	}
+	lrCur, lrRem := scratch[:c], scratch[c:2*c]
+	rlCur, rlRem := scratch[2*c:3*c], scratch[3*c:4*c]
+	copy(lrCur, x)
+	copy(rlCur, y)
 	for i := 0; i < c; i++ {
-		inside[i] = y[i] - x[i]
+		lrRem[i] = y[i] - x[i] // records of each class inside the interval
+		rlRem[i] = lrRem[i]
 	}
 
 	// Left-to-right: advance the class with the minimum gradient.
-	cur := append([]int(nil), x...)
-	rem := append([]int(nil), inside...)
-	e.LR = climb(cur, rem, total, true)
-
+	e.LR = climb(lrCur, lrRem, total, true)
 	// Right-to-left: retreat the class with the maximum gradient.
-	cur = append([]int(nil), y...)
-	rem = append([]int(nil), inside...)
-	e.RL = climb(cur, rem, total, false)
+	e.RL = climb(rlCur, rlRem, total, false)
 
 	e.Est = e.BoundaryLeft
 	for _, v := range []float64{e.BoundaryRight, e.LR, e.RL} {
@@ -167,6 +173,10 @@ func EstimateInterval(x, y, total []int) Estimate {
 	}
 	return e
 }
+
+// stackClasses is the class count up to which EstimateInterval keeps its
+// scratch on the stack.
+const stackClasses = 8
 
 // climb performs one hill-climbing sweep. cur is the cumulative count vector
 // being mutated; rem the per-class records still movable. When forward is
