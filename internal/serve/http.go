@@ -13,34 +13,6 @@ import (
 	"cmpdt/internal/obs"
 )
 
-// maxBodyBytes bounds request bodies before JSON decoding starts; a batch
-// of MaxBatchRecords 9-attribute records fits comfortably.
-const maxBodyBytes = 32 << 20
-
-// predictRequest is the /predict body: one record.
-type predictRequest struct {
-	Values []float64 `json:"values"`
-}
-
-// batchRequest is the /predict/batch body.
-type batchRequest struct {
-	Records [][]float64 `json:"records"`
-}
-
-// predictResponse answers /predict.
-type predictResponse struct {
-	Class        string `json:"class"`
-	ClassIndex   int    `json:"class_index"`
-	ModelVersion int64  `json:"model_version"`
-}
-
-// batchResponse answers /predict/batch.
-type batchResponse struct {
-	Classes      []string `json:"classes"`
-	ClassIndexes []int    `json:"class_indexes"`
-	ModelVersion int64    `json:"model_version"`
-}
-
 // errorResponse is the uniform error body.
 type errorResponse struct {
 	Error string `json:"error"`
@@ -72,30 +44,31 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	s.mPredictReqs.Inc()
-	var req predictRequest
-	if err := decodeBody(w, r, &req); err != nil {
+	c := getCodecBuf()
+	defer c.release()
+	var values []float64
+	err := c.readBody(r)
+	if err == nil {
+		values, err = decodePredict(c)
+	}
+	if err != nil {
 		s.mBadInput.Inc()
-		writeError(w, http.StatusBadRequest, err.Error())
+		writeError(w, http.StatusBadRequest, "decoding request body: "+err.Error())
 		return
 	}
-	if len(req.Values) == 0 {
+	if len(values) == 0 {
 		s.mBadInput.Inc()
 		writeError(w, http.StatusBadRequest, "values is empty")
 		return
 	}
-	ctx, cancel := s.requestContext(r.Context())
-	defer cancel()
-	classes, m, err := s.Submit(ctx, [][]float64{req.Values})
+	classes, m, err := s.submit(r.Context(), s.deadline(start), [][]float64{values})
 	if err != nil {
 		s.writeSubmitError(w, err)
 		return
 	}
 	s.hRequestNs.Observe(time.Since(start).Nanoseconds())
-	writeJSON(w, http.StatusOK, predictResponse{
-		Class:        m.Schema.Classes[classes[0]],
-		ClassIndex:   classes[0],
-		ModelVersion: m.Version,
-	})
+	c.b = appendPredictResponse(c.b[:0], m, classes[0])
+	writeOK(w, c.b)
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -105,40 +78,36 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	s.mBatchReqs.Inc()
-	var req batchRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.mBadInput.Inc()
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
+	c := getCodecBuf()
+	defer c.release()
+	var records [][]float64
+	err := c.readBody(r)
+	if err == nil {
+		records, err = decodeBatch(c, s.cfg.MaxBatchRecords)
 	}
-	if len(req.Records) == 0 {
+	switch {
+	case errors.Is(err, errTooManyRecords):
+		s.mBadInput.Inc()
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("batch exceeds the %d-record cap; split the request", s.cfg.MaxBatchRecords))
+		return
+	case err != nil:
+		s.mBadInput.Inc()
+		writeError(w, http.StatusBadRequest, "decoding request body: "+err.Error())
+		return
+	case len(records) == 0:
 		s.mBadInput.Inc()
 		writeError(w, http.StatusBadRequest, "records is empty")
 		return
 	}
-	if len(req.Records) > s.cfg.MaxBatchRecords {
-		s.mBadInput.Inc()
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Sprintf("batch of %d records exceeds the %d-record cap; split the request", len(req.Records), s.cfg.MaxBatchRecords))
-		return
-	}
-	ctx, cancel := s.requestContext(r.Context())
-	defer cancel()
-	classes, m, err := s.Submit(ctx, req.Records)
+	classes, m, err := s.submit(r.Context(), s.deadline(start), records)
 	if err != nil {
 		s.writeSubmitError(w, err)
 		return
 	}
-	names := make([]string, len(classes))
-	for i, c := range classes {
-		names[i] = m.Schema.Classes[c]
-	}
 	s.hRequestNs.Observe(time.Since(start).Nanoseconds())
-	writeJSON(w, http.StatusOK, batchResponse{
-		Classes:      names,
-		ClassIndexes: classes,
-		ModelVersion: m.Version,
-	})
+	c.b = appendBatchResponse(c.b[:0], m, classes)
+	writeOK(w, c.b)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -223,12 +192,13 @@ func (s *Server) Summary() *obs.ServeSummary {
 	return sum
 }
 
-// requestContext attaches the per-request deadline.
-func (s *Server) requestContext(parent context.Context) (context.Context, context.CancelFunc) {
+// deadline is the absolute deadline of a request that started at start,
+// or the zero time when RequestTimeout disables it.
+func (s *Server) deadline(start time.Time) time.Time {
 	if s.cfg.RequestTimeout <= 0 {
-		return context.WithCancel(parent)
+		return time.Time{}
 	}
-	return context.WithTimeout(parent, s.cfg.RequestTimeout)
+	return start.Add(s.cfg.RequestTimeout)
 }
 
 // writeSubmitError maps pipeline errors onto HTTP statuses.
@@ -250,15 +220,6 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, err error) {
 	default:
 		writeError(w, http.StatusInternalServerError, err.Error())
 	}
-}
-
-func decodeBody(w http.ResponseWriter, r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("decoding request body: %w", err)
-	}
-	return nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

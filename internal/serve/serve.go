@@ -9,8 +9,11 @@
 //   - Admission is bounded. When the queue is full the request is shed
 //     immediately with 429 + Retry-After; no unbounded goroutines, no
 //     unbounded memory.
-//   - Every request carries a deadline. The context is checked at
-//     admission, when its micro-batch is picked up, and between scoring
+//   - Every request carries a deadline. The HTTP handlers compute it once
+//     (request start + RequestTimeout) and store it on the queued job next
+//     to the request's context, so no per-request timer context is built.
+//     The waiting handler gives up when either ends, and the dispatcher
+//     checks both when the micro-batch is picked up and between scoring
 //     chunks, so an expired request stops consuming CPU at the next
 //     bounded step.
 //   - The model registry is versioned and swapped through one atomic
@@ -27,6 +30,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -126,6 +130,8 @@ type Model struct {
 	Version   int64
 	Path      string
 	LoadedAt  time.Time
+
+	classJSON [][]byte // each class name JSON-encoded, for the responses
 }
 
 // Kind names the model's concrete type for operators.
@@ -143,9 +149,22 @@ func (m *Model) Kind() string {
 // job is one admitted request waiting to be coalesced.
 type job struct {
 	ctx      context.Context
+	deadline time.Time // zero: ctx alone bounds the job
 	records  [][]float64
 	enqueued time.Time
 	done     chan jobResult // buffered 1: the dispatcher never blocks on it
+}
+
+// expired reports why j can no longer be answered with predictions at
+// now: its context ended, or its deadline passed.
+func (j *job) expired(now time.Time) error {
+	if err := j.ctx.Err(); err != nil {
+		return err
+	}
+	if !j.deadline.IsZero() && !now.Before(j.deadline) {
+		return context.DeadlineExceeded
+	}
+	return nil
 }
 
 type jobResult struct {
@@ -261,8 +280,12 @@ func (s *Server) Reload(path string) (*Model, error) {
 			return nil, fmt.Errorf("serve: probe rejected %s: %w", path, err)
 		}
 	}
+	classJSON := make([][]byte, len(schema.Classes))
+	for i, name := range schema.Classes {
+		classJSON[i], _ = json.Marshal(name) // a string always marshals
+	}
 	s.nextVersion++
-	m := &Model{Predictor: p, Schema: schema, Version: s.nextVersion, Path: path, LoadedAt: time.Now()}
+	m := &Model{Predictor: p, Schema: schema, Version: s.nextVersion, Path: path, LoadedAt: time.Now(), classJSON: classJSON}
 	s.model.Store(m)
 	s.mReloadOK.Inc()
 	s.mModelVersion.Set(m.Version)
@@ -273,6 +296,12 @@ func (s *Server) Reload(path string) (*Model, error) {
 // are scored, the context expires, or the request is shed. It returns the
 // class indexes and the model version that produced them.
 func (s *Server) Submit(ctx context.Context, records [][]float64) ([]int, *Model, error) {
+	return s.submit(ctx, time.Time{}, records)
+}
+
+// submit is Submit with an absolute deadline (zero for none) that the
+// dispatcher checks alongside ctx.
+func (s *Server) submit(ctx context.Context, deadline time.Time, records [][]float64) ([]int, *Model, error) {
 	m := s.model.Load()
 	if m == nil {
 		s.mNotReady.Inc()
@@ -282,7 +311,7 @@ func (s *Server) Submit(ctx context.Context, records [][]float64) ([]int, *Model
 		s.mBadInput.Inc()
 		return nil, nil, err
 	}
-	j := &job{ctx: ctx, records: records, enqueued: time.Now(), done: make(chan jobResult, 1)}
+	j := &job{ctx: ctx, deadline: deadline, records: records, enqueued: time.Now(), done: make(chan jobResult, 1)}
 	s.admitMu.RLock()
 	if s.draining {
 		s.admitMu.RUnlock()
@@ -297,14 +326,53 @@ func (s *Server) Submit(ctx context.Context, records [][]float64) ([]int, *Model
 		s.mShed.Inc()
 		return nil, nil, ErrShed
 	}
+	// On an early return the dispatcher notices the dead context or the
+	// passed deadline and drops the job's remaining work at its next
+	// bounded check.
+	if deadline.IsZero() {
+		select {
+		case res := <-j.done:
+			return res.classes, res.model, res.err
+		case <-ctx.Done():
+			return nil, nil, ctx.Err()
+		}
+	}
+	t := getTimer(time.Until(deadline))
 	select {
 	case res := <-j.done:
+		putTimer(t, false)
 		return res.classes, res.model, res.err
 	case <-ctx.Done():
-		// The dispatcher will notice the dead context and drop the job's
-		// remaining work at its next bounded check.
+		putTimer(t, false)
 		return nil, nil, ctx.Err()
+	case <-t.C:
+		putTimer(t, true)
+		return nil, nil, context.DeadlineExceeded
 	}
+}
+
+// timerPool reuses the timers submit waits on.
+var timerPool sync.Pool
+
+func getTimer(d time.Duration) *time.Timer {
+	if t, ok := timerPool.Get().(*time.Timer); ok {
+		t.Reset(d)
+		return t
+	}
+	return time.NewTimer(d)
+}
+
+// putTimer stops t and pools it; fired says whether its value was
+// received. go.mod's go 1.22 line keeps the pre-1.23 timer semantics: a
+// timer that fired unreceived holds (or is about to hold) its value after
+// Stop returns false, and Reset would not clear it, so the receive is
+// blocking. Under go 1.23 or later semantics Stop leaves no value behind
+// and that receive would block forever; the drain must go with the bump.
+func putTimer(t *time.Timer, fired bool) {
+	if !t.Stop() && !fired {
+		<-t.C
+	}
+	timerPool.Put(t)
 }
 
 // Drain stops admissions and flushes the queue: new Submits fail with
@@ -362,15 +430,15 @@ func (s *Server) dispatch() {
 }
 
 // scoreBatch scores one micro-batch against the model version current at
-// pick-up time. Jobs whose deadline already passed are answered with their
-// context error without touching the predictor.
+// pick-up time. Jobs whose context ended or deadline passed are answered
+// with that error without touching the predictor.
 func (s *Server) scoreBatch(batch []*job) {
 	m := s.model.Load()
 	now := time.Now()
 	live := batch[:0]
 	total := 0
 	for _, j := range batch {
-		if err := j.ctx.Err(); err != nil {
+		if err := j.expired(now); err != nil {
 			s.mExpired.Inc()
 			j.done <- jobResult{err: err}
 			continue
@@ -411,23 +479,24 @@ func (s *Server) scoreBatch(batch []*job) {
 }
 
 // predictChunked drives PredictBatchWorkers in bounded chunks, re-checking
-// the participating jobs' contexts between chunks — this is how a
-// per-request deadline propagates into the batch scoring path. A job whose
-// deadline fires mid-batch is answered immediately with its own context
-// error; the other jobs are unaffected and keep scoring (the expired job's
-// records may still be scored in passing — wasted work bounded by one
-// micro-batch). Returns which jobs were already answered here; the caller
-// distributes results to the rest. Scoring stops early once every job has
-// expired.
+// the participating jobs' contexts and deadlines between chunks — this is
+// how a per-request deadline propagates into the batch scoring path. A job
+// whose deadline fires mid-batch is answered immediately with its own
+// context error; the other jobs are unaffected and keep scoring (the
+// expired job's records may still be scored in passing — wasted work
+// bounded by one micro-batch). Returns which jobs were already answered
+// here; the caller distributes results to the rest. Scoring stops early
+// once every job has expired.
 func (s *Server) predictChunked(live []*job, m *Model, dst []int, records [][]float64) []bool {
 	answered := make([]bool, len(live))
 	remaining := len(live)
 	for off := 0; off < len(records); off += scoreChunk {
+		now := time.Now()
 		for i, j := range live {
 			if answered[i] {
 				continue
 			}
-			if err := j.ctx.Err(); err != nil {
+			if err := j.expired(now); err != nil {
 				s.mExpired.Inc()
 				answered[i] = true
 				remaining--

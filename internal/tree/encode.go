@@ -163,6 +163,9 @@ func decodeNode(n *nodeJSON, schema *dataset.Schema) (*Node, error) {
 		return nil, fmt.Errorf("tree: node class %d out of range", n.Class)
 	}
 	if len(out.ClassCounts) > 0 {
+		if len(out.ClassCounts) != schema.NumClasses() {
+			return nil, fmt.Errorf("tree: node has %d class counts for %d classes", len(out.ClassCounts), schema.NumClasses())
+		}
 		out.SetCounts(out.ClassCounts)
 	}
 	if n.Split == nil {

@@ -12,7 +12,7 @@ import (
 )
 
 // errTestModel trains a tiny tree and returns its serialized model bytes.
-func errTestModel(t *testing.T) []byte {
+func errTestModel(t testing.TB) []byte {
 	t.Helper()
 	ds := smallDataset(t)
 	tr, err := Train(ds, Config{Algorithm: CMPS, Seed: 1})
@@ -27,7 +27,7 @@ func errTestModel(t *testing.T) []byte {
 }
 
 // smallDataset builds a two-attribute dataset big enough to split.
-func smallDataset(t *testing.T) *Dataset {
+func smallDataset(t testing.TB) *Dataset {
 	t.Helper()
 	ds, err := NewDataset(Schema{
 		Attrs:   []Attr{{Name: "x"}, {Name: "y"}},
@@ -73,6 +73,9 @@ func TestReadPredictorBadModelTyped(t *testing.T) {
 		{"valid-json-non-model", []byte(`{"hello": "world"}`)},
 		{"corrupt-node", corrupt(func(b []byte) []byte {
 			return bytes.Replace(b, []byte(`"class": 0`), []byte(`"class": -7`), 1)
+		})},
+		{"extra-class-count", corrupt(func(b []byte) []byte {
+			return bytes.Replace(b, []byte(`"counts": [`), []byte(`"counts": [100000000,`), 1)
 		})},
 	}
 	for _, tc := range cases {
@@ -154,4 +157,40 @@ func TestReadPredictorRegressionForestBadModel(t *testing.T) {
 	if !strings.Contains(err.Error(), "regression") {
 		t.Fatalf("error %v should name the regression rejection", err)
 	}
+}
+
+// FuzzReadPredictor holds ReadPredictor to its contract on arbitrary
+// bytes: the only failure is ErrBadModel (never a panic), and a model it
+// returns scores a zero record to an in-range class through both Predict
+// and PredictBatchWorkers.
+func FuzzReadPredictor(f *testing.F) {
+	f.Add(errTestModel(f))
+	forest, err := TrainForest(smallDataset(f), ForestConfig{Trees: 3, Seed: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := forest.WriteModel(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := ReadPredictor(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadModel) {
+				t.Fatalf("error does not match ErrBadModel: %v", err)
+			}
+			return
+		}
+		schema := p.ModelSchema()
+		zero := make([]float64, len(schema.Attrs))
+		c := p.Predict(zero)
+		if c < 0 || c >= len(schema.Classes) {
+			t.Fatalf("Predict(zero record) = %d with %d classes", c, len(schema.Classes))
+		}
+		batch := p.PredictBatchWorkers(nil, [][]float64{zero, zero}, 2)
+		if len(batch) != 2 || batch[0] != c || batch[1] != c {
+			t.Fatalf("PredictBatchWorkers(zero records) = %v, Predict = %d", batch, c)
+		}
+	})
 }

@@ -6,8 +6,11 @@
 #   3. poll /readyz until the model is serving
 #   4. score a golden batch twice and assert the answers are identical
 #      (and carry class names + a model version)
-#   5. check /metrics exposes the serve block
-#   6. SIGTERM the daemon and assert it drains to exit 0 within the budget
+#   5. score the batch's first record alone, plain and with a chunked body
+#      (same class as in the batch, byte-identical answers), and check that
+#      malformed bodies and null elements get 400
+#   6. check /metrics exposes the serve block
+#   7. SIGTERM the daemon and assert it drains to exit 0 within the budget
 #
 # Run via `make serve-smoke` or directly: bash scripts/serve_smoke.sh
 set -euo pipefail
@@ -71,6 +74,22 @@ grep -q '"classes":\["Group' "$WORK/out1.json" || {
 grep -q '"model_version":1' "$WORK/out1.json" || {
   echo "FAIL: batch response lacks model_version 1"; cat "$WORK/out1.json"; exit 1; }
 echo "batch answer: $(cat "$WORK/out1.json")"
+
+echo "== single record =="
+SINGLE='{"values":[60000,0,45,2,5,3,300000,10,100000]}'
+curl -fsS -X POST -d "$SINGLE" "$BASE/predict" >"$WORK/single.json"
+curl -fsS -X POST -H 'Transfer-Encoding: chunked' --data-binary "$SINGLE" "$BASE/predict" >"$WORK/chunked.json"
+cmp "$WORK/single.json" "$WORK/chunked.json" || {
+  echo "FAIL: chunked body scored differently"; cat "$WORK/single.json" "$WORK/chunked.json"; exit 1; }
+BATCH_FIRST=$(sed -n 's/^{"classes":\["\([^"]*\)".*/\1/p' "$WORK/out1.json")
+SINGLE_CLASS=$(sed -n 's/^{"class":"\([^"]*\)".*/\1/p' "$WORK/single.json")
+[ -n "$SINGLE_CLASS" ] && [ "$SINGLE_CLASS" = "$BATCH_FIRST" ] || {
+  echo "FAIL: /predict class '$SINGLE_CLASS' != batch's first class '$BATCH_FIRST'"; cat "$WORK/single.json"; exit 1; }
+echo "single answer: $(cat "$WORK/single.json")"
+for BAD in '{"values":[1,]}' '{"values":[60000,null,45,2,5,3,300000,10,100000]}'; do
+  CODE=$(curl -sS -o "$WORK/bad.json" -w '%{http_code}' -X POST -d "$BAD" "$BASE/predict")
+  [ "$CODE" = 400 ] || { echo "FAIL: $BAD got $CODE, want 400"; cat "$WORK/bad.json"; exit 1; }
+done
 
 echo "== metrics =="
 curl -fsS "$BASE/metrics" >"$WORK/metrics.json"
