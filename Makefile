@@ -119,11 +119,12 @@ cover-check: cover
 
 # The robustness suite: fault-injection tests repeated (they are seeded, so
 # repetition guards the retry plumbing, not flakiness — and the TestFaultCache*
-# set covers faults landing on page-cache fills), plus cancellation and the
-# cache stress test under the race detector.
+# set covers faults landing on page-cache fills), plus cancellation (core
+# builds, storage scans, forest index and tree builds) and the cache stress
+# test under the race detector.
 faults:
 	$(GO) test -run Fault -count=5 ./internal/storage/ ./internal/core/
-	$(GO) test -race -run 'Cancel|PageCacheStress' ./internal/core/ ./internal/storage/
+	$(GO) test -race -run 'Cancel|PageCacheStress' ./internal/core/ ./internal/storage/ ./internal/forest/
 
 # Coverage-guided fuzzing, briefly: every Fuzz* target in the module runs
 # for 10s, one go test -fuzz call per target (go test fuzzes one target at

@@ -17,14 +17,12 @@ package main
 
 import (
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
 	"time"
 
 	"cmpdt/internal/cli"
@@ -127,7 +125,7 @@ func run(ctx context.Context, opts runOpts, stdin io.Reader, logw io.Writer) err
 	cancelled := false
 loop:
 	for {
-		vals, label, err := src.Next()
+		vals, label, err := src.Read()
 		switch {
 		case err == io.EOF:
 			break loop
@@ -142,7 +140,7 @@ loop:
 				cancelled = true
 				break loop
 			}
-			return err
+			return fmt.Errorf("cmpstream: line %d: %w", src.Line(), err)
 		}
 		ingested++
 		sinceSnapshot++
@@ -211,7 +209,7 @@ func loadSchema(path string) (*dataset.Schema, error) {
 }
 
 // openSource resolves the input flag to a streaming CSV source.
-func openSource(ctx context.Context, opts runOpts, stdin io.Reader) (*csvSource, func(), error) {
+func openSource(ctx context.Context, opts runOpts, stdin io.Reader) (*dataset.CSVReader, func(), error) {
 	closeFn := func() {}
 	var r io.Reader
 	if opts.in == "-" || opts.in == "" {
@@ -231,7 +229,7 @@ func openSource(ctx context.Context, opts runOpts, stdin io.Reader) (*csvSource,
 			r = f
 		}
 	}
-	src, err := newCSVSource(r, opts.cfg.Schema)
+	src, err := dataset.NewCSVReader(r, opts.cfg.Schema)
 	if err != nil {
 		closeFn()
 		return nil, nil, err
@@ -288,87 +286,6 @@ func writeMetrics(path string, st stream.Stats, published int64, workers int, wa
 		return err
 	}
 	return f.Close()
-}
-
-// csvSource incrementally parses the WriteCSV record shape: header-validated
-// attribute columns plus a final symbolic class column.
-type csvSource struct {
-	cr       *csv.Reader
-	schema   *dataset.Schema
-	classIdx map[string]int
-	catIdx   []map[string]int
-	vals     []float64
-	line     int
-}
-
-func newCSVSource(r io.Reader, schema *dataset.Schema) (*csvSource, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = schema.NumAttrs() + 1
-	header, err := cr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("cmpstream: reading CSV header: %w", err)
-	}
-	for i := range schema.Attrs {
-		if header[i] != schema.Attrs[i].Name {
-			return nil, fmt.Errorf("cmpstream: CSV column %d is %q, schema expects %q",
-				i, header[i], schema.Attrs[i].Name)
-		}
-	}
-	if last := header[len(header)-1]; last != "class" {
-		return nil, fmt.Errorf("cmpstream: CSV last column is %q, expected \"class\"", last)
-	}
-	s := &csvSource{
-		cr:       cr,
-		schema:   schema,
-		classIdx: make(map[string]int, schema.NumClasses()),
-		catIdx:   make([]map[string]int, schema.NumAttrs()),
-		vals:     make([]float64, schema.NumAttrs()),
-		line:     1,
-	}
-	for i, c := range schema.Classes {
-		s.classIdx[c] = i
-	}
-	for i := range schema.Attrs {
-		if schema.Attrs[i].Kind == dataset.Categorical {
-			m := make(map[string]int, len(schema.Attrs[i].Values))
-			for j, v := range schema.Attrs[i].Values {
-				m[v] = j
-			}
-			s.catIdx[i] = m
-		}
-	}
-	return s, nil
-}
-
-// Next parses one record. The returned slice is reused between calls (the
-// builder copies on Ingest). io.EOF signals a clean end of stream.
-func (s *csvSource) Next() ([]float64, int, error) {
-	rec, err := s.cr.Read()
-	if err != nil {
-		return nil, 0, err
-	}
-	s.line++
-	for j := 0; j < s.schema.NumAttrs(); j++ {
-		if m := s.catIdx[j]; m != nil {
-			idx, ok := m[rec[j]]
-			if !ok {
-				return nil, 0, fmt.Errorf("cmpstream: line %d: unknown category %q for attribute %q",
-					s.line, rec[j], s.schema.Attrs[j].Name)
-			}
-			s.vals[j] = float64(idx)
-			continue
-		}
-		v, err := strconv.ParseFloat(rec[j], 64)
-		if err != nil {
-			return nil, 0, fmt.Errorf("cmpstream: line %d attribute %q: %w", s.line, s.schema.Attrs[j].Name, err)
-		}
-		s.vals[j] = v
-	}
-	label, ok := s.classIdx[rec[len(rec)-1]]
-	if !ok {
-		return nil, 0, fmt.Errorf("cmpstream: line %d: unknown class %q", s.line, rec[len(rec)-1])
-	}
-	return s.vals, label, nil
 }
 
 // tailReader turns a file into an unbounded stream: EOF means "wait for the

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -197,6 +198,15 @@ func TestRunErrors(t *testing.T) {
 	rows = bytes.NewBufferString(header + "1,2,3,L0,M1,Z1,4,5,6,GroupC\n")
 	if err := run(context.Background(), runOpts{in: "-"}, rows, io.Discard); err == nil {
 		t.Error("unknown class accepted")
+	}
+	// A value ParseFloat accepts but no tree can train on fails at its
+	// line, not later when a snapshot is published.
+	for _, v := range []string{"-inf", "NaN", "+Inf"} {
+		rows = bytes.NewBufferString(header + "1,2,3,L0,M1,Z1,4,5,6,GroupA\n1,2,3,L0,M1,Z1,4," + v + ",6,GroupA\n")
+		err := run(context.Background(), runOpts{in: "-"}, rows, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), "hyears") {
+			t.Errorf("hyears=%s: run returned %v, want an error naming line 3 and the attribute", v, err)
+		}
 	}
 	if _, err := loadSchema(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing schema file accepted")

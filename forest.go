@@ -62,7 +62,8 @@ type ForestConfig struct {
 	// Tree is the per-tree training configuration. Its Seed is offset by
 	// the tree index so members differ; its CacheBytes sizes the shared
 	// store's page cache once for the whole build (disk-resident training
-	// only); its Observer is ignored — use ForestConfig.Observer.
+	// only). Its Observer must be nil: a forest's report is collected
+	// through ForestConfig.Observer, and TrainForest rejects a per-tree one.
 	Tree Config
 	// Observer, when non-nil, collects the merged per-tree observability
 	// report (phase timings summed across members, I/O totalled).
@@ -201,6 +202,9 @@ func TrainForest(ds *Dataset, cfg ForestConfig) (*Forest, error) {
 // TrainForestContext is TrainForest under a context: cancelling ctx aborts
 // the member builds within a bounded slice of one scan round.
 func TrainForestContext(ctx context.Context, ds *Dataset, cfg ForestConfig) (*Forest, error) {
+	if cfg.Tree.Observer != nil {
+		return nil, errTreeObserver
+	}
 	if ds == nil || ds.Len() == 0 {
 		return nil, errors.New("cmpdt: empty dataset")
 	}
@@ -218,12 +222,19 @@ func TrainForestFile(path string, cfg ForestConfig) (*Forest, error) {
 
 // TrainForestFileContext is TrainForestFile under a context.
 func TrainForestFileContext(ctx context.Context, path string, cfg ForestConfig) (*Forest, error) {
+	if cfg.Tree.Observer != nil {
+		return nil, errTreeObserver
+	}
 	f, err := storage.OpenFile(path)
 	if err != nil {
 		return nil, err
 	}
 	return trainForestSource(ctx, f, cfg)
 }
+
+// errTreeObserver rejects ForestConfig.Tree.Observer, which no member build
+// could honour.
+var errTreeObserver = errors.New("cmpdt: ForestConfig.Tree.Observer is not supported; set ForestConfig.Observer to collect the forest's report")
 
 func trainForestSource(ctx context.Context, src storage.RangeSource, cfg ForestConfig) (*Forest, error) {
 	res, err := forest.TrainContext(ctx, src, cfg.internal())

@@ -2,6 +2,7 @@ package cmpdt
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -184,5 +185,40 @@ func TestTrainForestFileMatchesMemory(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatal("disk-trained forest differs from memory-trained forest")
+	}
+}
+
+// TestTrainForestRejectsTreeObserver: a per-tree Observer on a forest
+// config would silently stay empty, so every TrainForest entry point
+// rejects it and points to ForestConfig.Observer instead.
+func TestTrainForestRejectsTreeObserver(t *testing.T) {
+	ds := loanDataset(t, 500)
+	path := filepath.Join(t.TempDir(), "loans.rec")
+	if err := ds.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	cfg := ForestConfig{Trees: 2, Tree: Config{Algorithm: CMPB, Observer: NewObserver()}}
+	ctx := context.Background()
+	for name, train := range map[string]func() (*Forest, error){
+		"TrainForest":            func() (*Forest, error) { return TrainForest(ds, cfg) },
+		"TrainForestContext":     func() (*Forest, error) { return TrainForestContext(ctx, ds, cfg) },
+		"TrainForestFile":        func() (*Forest, error) { return TrainForestFile(path, cfg) },
+		"TrainForestFileContext": func() (*Forest, error) { return TrainForestFileContext(ctx, path, cfg) },
+	} {
+		f, err := train()
+		if err == nil || !strings.Contains(err.Error(), "ForestConfig.Observer") {
+			t.Errorf("%s: returned (%v, %v), want an error pointing to ForestConfig.Observer", name, f, err)
+		}
+		if cfg.Tree.Observer.Report() != nil {
+			t.Errorf("%s: the rejected per-tree observer received a report", name)
+		}
+	}
+	// The supported spelling still works.
+	obs := NewObserver()
+	if _, err := TrainForest(ds, ForestConfig{Trees: 2, Tree: Config{Algorithm: CMPB}, Observer: obs}); err != nil {
+		t.Fatal(err)
+	}
+	if obs.Report() == nil {
+		t.Error("ForestConfig.Observer received no report")
 	}
 }

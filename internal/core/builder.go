@@ -61,7 +61,16 @@ func BuildContext(ctx context.Context, src storage.Source, cfg Config) (res *Res
 		}
 	}
 	if _, preQuantized := src.(storage.CodeSource); cfg.Quantize || preQuantized {
-		return buildQuantized(ctx, src, cfg)
+		res, err := buildQuantized(ctx, src.Schema(), cfg, func(b *qbuilder) (func(), error) {
+			return b.quantizeSource(src)
+		})
+		if err != nil {
+			return nil, err
+		}
+		if !preQuantized {
+			res.IO.Add(src.Stats())
+		}
+		return res, nil
 	}
 	b := &builder{
 		ctx:    ctx,
@@ -189,40 +198,6 @@ func (b *builder) attrAllowed(a int) bool {
 // yet frequent enough that cancellation lands well inside one scan round.
 const ctxCheckMask = 1023
 
-// recordDefect reports why a record cannot be trained on, or "" if it is
-// valid: NaN/infinite numeric features break histogram binning and the
-// buffer-sort determinism guarantee, non-integral or out-of-range
-// categorical codes would index outside their histogram, and out-of-range
-// labels outside the class-count arrays. The check is a pure function of
-// the record, so under ValidateSkip the same records are skipped on every
-// scan and the build stays deterministic.
-func recordDefect(schema *dataset.Schema, vals []float64, label int) string {
-	if label < 0 || label >= schema.NumClasses() {
-		return fmt.Sprintf("label %d outside [0,%d)", label, schema.NumClasses())
-	}
-	if len(vals) != schema.NumAttrs() {
-		return fmt.Sprintf("%d values for %d attributes", len(vals), schema.NumAttrs())
-	}
-	for a := range schema.Attrs {
-		v := vals[a]
-		if schema.Attrs[a].Kind == dataset.Numeric {
-			if math.IsNaN(v) {
-				return fmt.Sprintf("attribute %q is NaN", schema.Attrs[a].Name)
-			}
-			if math.IsInf(v, 0) {
-				return fmt.Sprintf("attribute %q is %v", schema.Attrs[a].Name, v)
-			}
-			continue
-		}
-		card := schema.Attrs[a].Cardinality()
-		iv := int(v)
-		if math.IsNaN(v) || float64(iv) != v || iv < 0 || iv >= card {
-			return fmt.Sprintf("categorical %q value %v outside [0,%d)", schema.Attrs[a].Name, v, card)
-		}
-	}
-	return ""
-}
-
 // errInvalidRecord builds the ValidateStrict abort error.
 func errInvalidRecord(rid int, defect string) error {
 	return fmt.Errorf("core: record %d invalid: %s (set Config.Validation = ValidateSkip to drop such records)", rid, defect)
@@ -264,7 +239,7 @@ func (b *builder) init() error {
 				return err
 			}
 		}
-		if d := recordDefect(b.schema, vals, label); d != "" {
+		if d := b.schema.RecordDefect(vals, label); d != "" {
 			if b.cfg.Validation == ValidateStrict {
 				return errInvalidRecord(rid, d)
 			}
@@ -334,7 +309,7 @@ func (b *builder) initFullPass(n int) error {
 				return err
 			}
 		}
-		if d := recordDefect(b.schema, vals, label); d != "" {
+		if d := b.schema.RecordDefect(vals, label); d != "" {
 			if b.cfg.Validation == ValidateStrict {
 				return errInvalidRecord(rid, d)
 			}
@@ -487,7 +462,7 @@ func (b *builder) scan() error {
 				return err
 			}
 		}
-		if d := recordDefect(b.schema, vals, label); d != "" {
+		if d := b.schema.RecordDefect(vals, label); d != "" {
 			if b.cfg.Validation == ValidateStrict {
 				return errInvalidRecord(rid, d)
 			}

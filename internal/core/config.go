@@ -323,8 +323,8 @@ type Stats struct {
 	// cardinality). Nil for raw builds.
 	QuantBinsPerAttr []int
 	// QuantizeNs is the wall time of the quantization step — discretizer
-	// construction plus the encode pass. Zero when the source was already
-	// bin-coded.
+	// construction plus the encode pass, or BuildIndexed's index walk. Zero
+	// when the source was already bin-coded.
 	QuantizeNs int64
 	// QuantCodeBytes is the encoded record size in bytes (sum of per-attr
 	// code widths plus the 2-byte label).

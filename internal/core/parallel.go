@@ -91,7 +91,7 @@ func (b *builder) scanParallel(rs storage.RangeSource) error {
 		}
 	}
 	err := storage.ParallelScanObserved(b.ctx, rs, b.cfg.Workers, observe, func(worker, rid int, vals []float64, label int) error {
-		if d := recordDefect(b.schema, vals, label); d != "" {
+		if d := b.schema.RecordDefect(vals, label); d != "" {
 			if b.cfg.Validation == ValidateStrict {
 				return errInvalidRecord(rid, d)
 			}

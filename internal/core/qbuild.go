@@ -149,11 +149,12 @@ type qbuilder struct {
 	obs   *obs.Collector
 }
 
-// buildQuantized is BuildContext's bin-coded branch. cfg is already
-// normalized and src validated/cached by the caller; panics unwind into the
-// caller's recover.
-func buildQuantized(ctx context.Context, src storage.Source, cfg Config) (*Result, error) {
-	schema := src.Schema()
+// buildQuantized is the bin-coded build shared by BuildContext and
+// BuildIndexed. quantize obtains the code store (setting b.q and b.qsrc)
+// inside round 0's init span. cfg is already normalized and the schema
+// validated by the caller; panics unwind into the caller's recover.
+// Result.IO covers the code store only: callers add their raw source's.
+func buildQuantized(ctx context.Context, schema *dataset.Schema, cfg Config, quantize func(b *qbuilder) (cleanup func(), err error)) (*Result, error) {
 	b := &qbuilder{
 		ctx:    ctx,
 		cfg:    cfg,
@@ -197,7 +198,7 @@ func buildQuantized(ctx context.Context, src storage.Source, cfg Config) (*Resul
 	}
 	b.obs.StartRound(0) // round 0: quantization (discretize + encode)
 	initSpan := b.obs.StartSpan(obs.PhaseInit)
-	cleanup, err := b.quantizeSource(src)
+	cleanup, err := quantize(b)
 	if cleanup != nil {
 		defer cleanup()
 	}
@@ -245,11 +246,7 @@ func buildQuantized(ctx context.Context, src storage.Source, cfg Config) (*Resul
 	b.stats.ObliqueSplits = t.CountLinearSplits()
 	b.stats.DenseScanRounds = b.stats.Rounds
 
-	io := b.qsrc.Stats()
-	if _, same := src.(storage.CodeSource); !same {
-		io.Add(src.Stats())
-	}
-	return &Result{Tree: t, Stats: b.stats, IO: io}, nil
+	return &Result{Tree: t, Stats: b.stats, IO: b.qsrc.Stats()}, nil
 }
 
 // quantizeSource obtains the bin-coded training set: pre-quantized sources
@@ -290,13 +287,9 @@ func (b *qbuilder) discretize(src storage.Source) ([]storage.QuantAttr, error) {
 	}
 	disc := make([]*quantile.Discretizer, b.na)
 	if b.cfg.DiscretizeSample < 0 {
-		eps := 1 / (8 * float64(b.cfg.QuantizeBins))
-		if eps > 0.01 {
-			eps = 0.01
-		}
 		sketches := make([]*quantile.GK, b.na)
 		for _, a := range b.numeric {
-			gk, err := quantile.NewGK(eps)
+			gk, err := quantile.NewGK(b.gkEpsilon())
 			if err != nil {
 				return nil, err
 			}
@@ -310,7 +303,7 @@ func (b *qbuilder) discretize(src storage.Source) ([]storage.QuantAttr, error) {
 					return err
 				}
 			}
-			if d := recordDefect(b.schema, vals, label); d != "" {
+			if d := b.schema.RecordDefect(vals, label); d != "" {
 				if b.cfg.Validation == ValidateStrict {
 					return errInvalidRecord(rid, d)
 				}
@@ -355,7 +348,7 @@ func (b *qbuilder) discretize(src storage.Source) ([]storage.QuantAttr, error) {
 				return err
 			}
 		}
-		if d := recordDefect(b.schema, vals, label); d != "" {
+		if d := b.schema.RecordDefect(vals, label); d != "" {
 			if b.cfg.Validation == ValidateStrict {
 				return errInvalidRecord(rid, d)
 			}
@@ -392,6 +385,12 @@ func (b *qbuilder) discretize(src storage.Source) ([]storage.QuantAttr, error) {
 		disc[a] = d
 	}
 	return b.quantTables(disc, attrMax), nil
+}
+
+// gkEpsilon is the rank error of the Greenwald-Khanna sketches that
+// replace the sample when DiscretizeSample is negative.
+func (b *qbuilder) gkEpsilon() float64 {
+	return math.Min(1/(8*float64(b.cfg.QuantizeBins)), 0.01)
 }
 
 // quantTables assembles the code tables: the discretizer cut points plus the
@@ -449,7 +448,7 @@ func (b *qbuilder) encode(src storage.Source, q *storage.Quantizer) (cleanup fun
 				return err
 			}
 		}
-		if d := recordDefect(b.schema, vals, label); d != "" {
+		if d := b.schema.RecordDefect(vals, label); d != "" {
 			if b.cfg.Validation == ValidateStrict {
 				return errInvalidRecord(rid, d)
 			}

@@ -120,6 +120,40 @@ func (s *Schema) Validate() error {
 	return nil
 }
 
+// RecordDefect reports why a record cannot be trained on, or "" if it is
+// valid: the one validity rule every trainer applies. NaN/infinite numeric
+// features break histogram binning and sort determinism, non-integral or
+// out-of-range categorical codes would index outside their histogram, and
+// out-of-range labels outside the class-count arrays. The check is a pure
+// function of the record, so a trainer that skips invalid records skips the
+// same ones on every pass.
+func (s *Schema) RecordDefect(vals []float64, label int) string {
+	if label < 0 || label >= s.NumClasses() {
+		return fmt.Sprintf("label %d outside [0,%d)", label, s.NumClasses())
+	}
+	if len(vals) != s.NumAttrs() {
+		return fmt.Sprintf("%d values for %d attributes", len(vals), s.NumAttrs())
+	}
+	for a := range s.Attrs {
+		v := vals[a]
+		if s.Attrs[a].Kind == Numeric {
+			if math.IsNaN(v) {
+				return fmt.Sprintf("attribute %q is NaN", s.Attrs[a].Name)
+			}
+			if math.IsInf(v, 0) {
+				return fmt.Sprintf("attribute %q is %v", s.Attrs[a].Name, v)
+			}
+			continue
+		}
+		card := s.Attrs[a].Cardinality()
+		iv := int(v)
+		if math.IsNaN(v) || float64(iv) != v || iv < 0 || iv >= card {
+			return fmt.Sprintf("categorical %q value %v outside [0,%d)", s.Attrs[a].Name, v, card)
+		}
+	}
+	return ""
+}
+
 // Clone returns a deep copy of the schema.
 func (s *Schema) Clone() *Schema {
 	c := &Schema{

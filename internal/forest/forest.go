@@ -2,10 +2,14 @@
 // storage source.
 //
 // Each tree trains on its own bootstrap resample, realized as a seeded
-// per-record multiplicity mask (storage.Masked) instead of a data copy: all
-// trees scan the SAME store — and therefore share whatever page cache it
-// carries — while the level-synchronous CMP builder runs over each masked
-// view completely unchanged, parallel scans included. The determinism
+// per-record multiplicity mask (storage.Mask) instead of a data copy. Raw
+// and regression trees scan the SAME store through masked views
+// (storage.Masked) — and therefore share whatever page cache it carries —
+// while the level-synchronous CMP builder runs over each view completely
+// unchanged, parallel scans included. Quantized classification trees do
+// not scan the store at all: the forest scans it once into a value-sorted
+// core.Index, and each tree derives its own cut points and code records
+// from the index and its mask (core.BuildIndexed). The determinism
 // invariant extends from single trees to the ensemble: a fixed forest seed
 // yields a bit-identical serialized forest at any scan worker count, any
 // tree-build concurrency and any cache size.
@@ -64,8 +68,12 @@ type Config struct {
 	// dataset's class labels.
 	Target string
 	// CacheBytes, when positive, sizes the shared source's page cache once
-	// before training (a no-op for non-cacheable sources). The cache only
-	// changes physical I/O counters, never the forest.
+	// before training (a no-op for non-cacheable sources). The cache serves
+	// the raw and regression trees' per-round scans; a quantized
+	// classification forest reads the store only twice, for its index and
+	// for the out-of-bag pass, which the cache then serves from the pages
+	// the index scan loaded. The cache only changes physical I/O counters,
+	// never the forest.
 	CacheBytes int64
 	// CollectObs gathers a per-tree observability report and merges them
 	// into Result.Report (per-tree phase timings summed, I/O summed, wall
@@ -124,9 +132,11 @@ func (f *Forest) Compile() *tree.CompiledForest {
 // Result bundles a finished forest build.
 type Result struct {
 	Forest *Forest
-	// IO sums every masked view's logical and physical scan accounting,
-	// plus the out-of-bag pass. Logical totals are worker-count
-	// independent; physical cache counters vary with scheduling.
+	// IO sums the reads of the shared store: every masked view's logical
+	// and physical scan accounting (raw and regression trees) or the one
+	// index scan (quantized classification trees), plus the out-of-bag
+	// pass. Logical totals are worker-count independent; physical cache
+	// counters vary with scheduling.
 	IO storage.Stats
 	// Report is the merged per-tree observability report; nil unless
 	// Config.CollectObs.
@@ -141,9 +151,10 @@ func Train(src storage.RangeSource, cfg Config) (*Result, error) {
 }
 
 // TrainContext builds a forest over src, bounding tree-build concurrency
-// by cfg.Parallel and aborting early when ctx is cancelled. All trees
-// train against masked views of src; src itself is never scanned without
-// private stats, so its own counters only ever see merged totals.
+// by cfg.Parallel and aborting early when ctx is cancelled. Trees train
+// against masked views of src or, when quantized classifiers, against one
+// index of it; src itself is never scanned without private stats, so its
+// own counters only ever see merged totals.
 func TrainContext(ctx context.Context, src storage.RangeSource, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -168,8 +179,22 @@ func TrainContext(ctx context.Context, src storage.RangeSource, cfg Config) (*Re
 		}
 	}
 
+	// Quantized classification trees quantize their views from one
+	// value-sorted index of the store instead of sorting and scanning it
+	// per tree.
+	var idx *core.Index
+	var idxNs int64
+	if target < 0 && cfg.Tree.Quantize {
+		idxStart := time.Now()
+		var err error
+		if idx, err = core.NewIndex(ctx, src, cfg.Parallel); err != nil {
+			return nil, fmt.Errorf("forest: indexing the training set: %w", err)
+		}
+		idxNs = time.Since(idxStart).Nanoseconds()
+	}
+
 	trees := make([]*tree.Tree, cfg.Trees)
-	views := make([]*storage.Masked, cfg.Trees)
+	viewIO := make([]storage.Stats, cfg.Trees)
 	reports := make([]*obs.Report, cfg.Trees)
 	errs := make([]error, cfg.Trees)
 	sem := make(chan struct{}, cfg.Parallel)
@@ -184,7 +209,7 @@ func TrainContext(ctx context.Context, src storage.RangeSource, cfg Config) (*Re
 				errs[i] = err
 				return
 			}
-			trees[i], views[i], reports[i], errs[i] = buildOne(ctx, src, masks[i], cfg, target, i)
+			trees[i], viewIO[i], reports[i], errs[i] = buildOne(ctx, src, idx, masks[i], cfg, target, i)
 		}(i)
 	}
 	wg.Wait()
@@ -203,8 +228,11 @@ func TrainContext(ctx context.Context, src storage.RangeSource, cfg Config) (*Re
 		Bootstrap:   !cfg.NoBootstrap,
 	}
 	res := &Result{Forest: f}
-	for _, v := range views {
-		res.IO.Add(v.Stats())
+	if idx != nil {
+		res.IO.Add(idx.Stats())
+	}
+	for _, s := range viewIO {
+		res.IO.Add(s)
 	}
 	if !cfg.NoBootstrap {
 		var oobStats storage.Stats
@@ -215,8 +243,11 @@ func TrainContext(ctx context.Context, src storage.RangeSource, cfg Config) (*Re
 	}
 	if cfg.CollectObs {
 		res.Report = obs.MergeReports(reports...)
+		if idx != nil {
+			addIndexBuild(res.Report, idxNs)
+		}
 		// Replace the summed member view with the ensemble total, which
-		// additionally includes the out-of-bag pass.
+		// additionally includes the index scan and the out-of-bag pass.
 		res.Report.IO = ioSummary(res.IO)
 	}
 	res.Wall = time.Since(start)
@@ -261,16 +292,21 @@ func normalize(src storage.RangeSource, cfg Config) (Config, int, error) {
 	return cfg, target, nil
 }
 
-// buildOne trains tree i over its masked view.
-func buildOne(ctx context.Context, src storage.RangeSource, mask *storage.Mask, cfg Config, target, i int) (*tree.Tree, *storage.Masked, *obs.Report, error) {
-	view, err := storage.NewMasked(src, mask)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+// buildOne trains tree i and returns the raw-store I/O its build made. A
+// quantized classification tree quantizes from idx and reads nothing; the
+// others train over a masked view of src, whose I/O is returned.
+func buildOne(ctx context.Context, src storage.RangeSource, idx *core.Index, mask *storage.Mask, cfg Config, target, i int) (*tree.Tree, storage.Stats, *obs.Report, error) {
 	attrs := featureSubset(src.Schema(), cfg, target, i)
+	var view *storage.Masked
+	if idx == nil {
+		var err error
+		if view, err = storage.NewMasked(src, mask); err != nil {
+			return nil, storage.Stats{}, nil, err
+		}
+	}
 	if target >= 0 {
 		t, err := buildRegressTree(ctx, view, cfg, target, attrs, i)
-		return t, view, nil, err
+		return t, view.Stats(), nil, err
 	}
 	tcfg := cfg.Tree
 	tcfg.Seed += int64(i)
@@ -281,9 +317,17 @@ func buildOne(ctx context.Context, src storage.RangeSource, mask *storage.Mask, 
 		col = obs.NewCollector(tcfg.Workers)
 		tcfg.Obs = col
 	}
-	res, err := core.BuildContext(ctx, view, tcfg)
+	var res *core.Result
+	var err error
+	var read storage.Stats
+	if idx != nil {
+		res, err = core.BuildIndexed(ctx, idx, mask, tcfg)
+	} else {
+		res, err = core.BuildContext(ctx, view, tcfg)
+		read = view.Stats()
+	}
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("forest: tree %d: %w", i, err)
+		return nil, storage.Stats{}, nil, fmt.Errorf("forest: tree %d: %w", i, err)
 	}
 	var rep *obs.Report
 	if col != nil {
@@ -294,7 +338,29 @@ func buildOne(ctx context.Context, src storage.RangeSource, mask *storage.Mask, 
 		rep.Build.TreeLeaves = res.Tree.Leaves()
 		rep.Build.TreeDepth = res.Tree.Depth()
 	}
-	return res.Tree, view, rep, nil
+	return res.Tree, read, rep, nil
+}
+
+// addIndexBuild charges the forest's one index build to a merged report:
+// its time to the init phase (in the totals and in round 0, where each
+// tree's own quantize walk already sits) and to the quantize time, and its
+// scan to round 0 and the build's scan count.
+func addIndexBuild(rep *obs.Report, ns int64) {
+	init := obs.PhaseInit.String()
+	st := rep.PhaseTotals[init]
+	st.Ns += ns
+	st.Count++
+	rep.PhaseTotals[init] = st
+	if len(rep.Rounds) > 0 {
+		r0 := &rep.Rounds[0]
+		st := r0.Phases[init]
+		st.Ns += ns
+		st.Count++
+		r0.Phases[init] = st
+		r0.Scans++
+	}
+	rep.Build.Scans++
+	rep.Quant.QuantizeNs += ns
 }
 
 // featureSubset draws tree i's allowed split attributes: a seeded

@@ -2,6 +2,7 @@ package forest
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"testing"
 
@@ -34,7 +35,8 @@ func serializeForest(t *testing.T, f *Forest) []byte {
 // TestForestDeterminism is the ensemble differential suite: a fixed seed
 // must produce a bit-identical serialized forest (trees AND the out-of-bag
 // estimate) at every scan worker count, every tree-build concurrency, and
-// with or without a page cache on the shared store.
+// with or without a page cache on the shared store — for raw trees, which
+// scan masked views, and for quantized ones, which share one index.
 func TestForestDeterminism(t *testing.T) {
 	tbl := synth.Generate(synth.F2, 6000, 3)
 	path := filepath.Join(t.TempDir(), "f2.rec")
@@ -42,69 +44,97 @@ func TestForestDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var ref []byte
-	var refOOB float64
-	run := func(workers, parallel int, cache int64) {
-		cfg := smallConfig(5)
-		// Feature subsampling is part of the invariant: restricted split
-		// attributes combined with bootstrap multiplicities once exposed a
-		// worker-dependent scanned-list double-queue in the core builder.
-		cfg.FeatureFrac = 0.7
-		cfg.Tree.Workers = workers
-		cfg.Parallel = parallel
-		cfg.CacheBytes = cache
-		res, err := Train(fsrc, cfg)
-		if err != nil {
-			t.Fatalf("workers=%d parallel=%d cache=%d: %v", workers, parallel, cache, err)
-		}
-		got := serializeForest(t, res.Forest)
-		if ref == nil {
-			ref, refOOB = got, res.Forest.OOBError
-			return
-		}
-		if !bytes.Equal(got, ref) {
-			t.Errorf("workers=%d parallel=%d cache=%d: serialized forest differs", workers, parallel, cache)
-		}
-		if res.Forest.OOBError != refOOB {
-			t.Errorf("workers=%d parallel=%d cache=%d: OOB %v != %v", workers, parallel, cache, res.Forest.OOBError, refOOB)
-		}
+	for _, quantize := range []bool{false, true} {
+		t.Run(fmt.Sprintf("quantize=%v", quantize), func(t *testing.T) {
+			var ref []byte
+			var refOOB float64
+			run := func(workers, parallel int, cache int64) {
+				cfg := smallConfig(5)
+				// Feature subsampling is part of the invariant: restricted
+				// split attributes combined with bootstrap multiplicities
+				// once exposed a worker-dependent scanned-list double-queue
+				// in the core builder.
+				cfg.FeatureFrac = 0.7
+				cfg.Tree.Quantize = quantize
+				cfg.Tree.Workers = workers
+				cfg.Parallel = parallel
+				cfg.CacheBytes = cache
+				res, err := Train(fsrc, cfg)
+				if err != nil {
+					t.Fatalf("workers=%d parallel=%d cache=%d: %v", workers, parallel, cache, err)
+				}
+				got := serializeForest(t, res.Forest)
+				if ref == nil {
+					ref, refOOB = got, res.Forest.OOBError
+					return
+				}
+				if !bytes.Equal(got, ref) {
+					t.Errorf("workers=%d parallel=%d cache=%d: serialized forest differs", workers, parallel, cache)
+				}
+				if res.Forest.OOBError != refOOB {
+					t.Errorf("workers=%d parallel=%d cache=%d: OOB %v != %v", workers, parallel, cache, res.Forest.OOBError, refOOB)
+				}
+			}
+			run(1, 1, 0)
+			run(2, 1, 0)
+			run(8, 2, 0)
+			run(2, 4, 64<<20)
+			run(8, 1, 64<<20)
+		})
 	}
-	run(1, 1, 0)
-	run(2, 1, 0)
-	run(8, 2, 0)
-	run(2, 4, 64<<20)
-	run(8, 1, 64<<20)
 }
 
 // TestSingleTreePlainEquivalence: a 1-tree forest with no bootstrap and no
 // feature subsampling is the plain CMP build — byte-identical serialized
-// trees.
+// trees. Quantized, the forest's index walk must match the plain build's
+// discretize+encode over an in-memory store and over a file alike.
 func TestSingleTreePlainEquivalence(t *testing.T) {
 	tbl := synth.Generate(synth.F7, 5000, 9)
-	src := storage.NewMem(tbl)
-	cfg := smallConfig(1)
-	cfg.NoBootstrap = true
-	cfg.FeatureFrac = 1
-	res, err := Train(src, cfg)
-	if err != nil {
+	path := filepath.Join(t.TempDir(), "f7.rec")
+	if _, err := storage.WriteTable(path, tbl); err != nil {
 		t.Fatal(err)
 	}
-	plain, err := core.Build(storage.NewMem(tbl), cfg.Tree)
-	if err != nil {
-		t.Fatal(err)
+	sources := map[string]func() storage.RangeSource{
+		"mem": func() storage.RangeSource { return storage.NewMem(tbl) },
+		"file": func() storage.RangeSource {
+			f, err := storage.OpenFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		},
 	}
-	var fb, pb bytes.Buffer
-	if err := res.Forest.Trees[0].WriteJSON(&fb); err != nil {
-		t.Fatal(err)
-	}
-	if err := plain.Tree.WriteJSON(&pb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(fb.Bytes(), pb.Bytes()) {
-		t.Error("single-tree forest differs from the plain build")
-	}
-	if res.Forest.OOBCount != 0 {
-		t.Errorf("no-bootstrap forest reported %d OOB records", res.Forest.OOBCount)
+	for _, quantize := range []bool{false, true} {
+		for name, open := range sources {
+			if name == "file" && !quantize {
+				continue
+			}
+			cfg := smallConfig(1)
+			cfg.NoBootstrap = true
+			cfg.FeatureFrac = 1
+			cfg.Tree.Quantize = quantize
+			res, err := Train(open(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := core.Build(open(), cfg.Tree)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fb, pb bytes.Buffer
+			if err := res.Forest.Trees[0].WriteJSON(&fb); err != nil {
+				t.Fatal(err)
+			}
+			if err := plain.Tree.WriteJSON(&pb); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(fb.Bytes(), pb.Bytes()) {
+				t.Errorf("quantize=%v %s: single-tree forest differs from the plain build", quantize, name)
+			}
+			if res.Forest.OOBCount != 0 {
+				t.Errorf("quantize=%v %s: no-bootstrap forest reported %d OOB records", quantize, name, res.Forest.OOBCount)
+			}
+		}
 	}
 }
 

@@ -92,8 +92,9 @@ type QuantSummary struct {
 	// BinsPerAttr is each attribute's code-table size (numeric: cut points
 	// + 1; categorical: the cardinality). Null on raw builds.
 	BinsPerAttr []int `json:"bins_per_attr"`
-	// QuantizeNs is the wall time of the discretize + encode passes; zero
-	// when the training source was already bin-coded.
+	// QuantizeNs is the wall time of the discretize + encode passes (for a
+	// quantized forest: every member's index walk plus the one index
+	// build); zero when the training source was already bin-coded.
 	QuantizeNs int64 `json:"quantize_ns"`
 	// CodeBytesPerRecord is the encoded record size (per-attr code widths
 	// plus the 2-byte label).

@@ -30,14 +30,21 @@ type Discretizer struct {
 // the property the paper's 2*N_i/N estimation bound relies on. vals is not
 // modified.
 func EqualDepth(vals []float64, q int) (*Discretizer, error) {
+	sorted := append([]float64(nil), vals...)
+	sort.Float64s(sorted)
+	return EqualDepthSorted(sorted, q)
+}
+
+// EqualDepthSorted is EqualDepth over a sample that is already in ascending
+// order, for callers that hold their sample sorted and would otherwise pay
+// for a copy and a sort. sorted is neither modified nor retained.
+func EqualDepthSorted(sorted []float64, q int) (*Discretizer, error) {
 	if q < 2 {
 		return nil, errors.New("quantile: need at least 2 intervals")
 	}
-	if len(vals) == 0 {
+	if len(sorted) == 0 {
 		return nil, errors.New("quantile: empty sample")
 	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
 	n := len(sorted)
 	cutSet := make(map[float64]bool)
 	var cuts []float64

@@ -2,6 +2,7 @@ package quantile
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -90,6 +91,46 @@ func TestIntervalMappingConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEqualDepthSortedMatchesEqualDepth: on a sample already in order,
+// EqualDepthSorted is EqualDepth without the copy and sort — the same cuts
+// and singleton intervals — and it leaves its input untouched.
+func TestEqualDepthSortedMatchesEqualDepth(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 2, 50, 999, 5000} {
+		for _, q := range []int{2, 10, 100} {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = float64(rng.Intn(40)) // heavy ties
+				if i%3 == 0 {
+					vals[i] = rng.NormFloat64()
+				}
+			}
+			want, err := EqualDepth(vals, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sort.Float64s(vals)
+			before := append([]float64(nil), vals...)
+			got, err := EqualDepthSorted(vals, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("n=%d q=%d: EqualDepthSorted %+v, EqualDepth %+v", n, q, got, want)
+			}
+			if !reflect.DeepEqual(vals, before) {
+				t.Fatalf("n=%d q=%d: EqualDepthSorted modified its input", n, q)
+			}
+		}
+	}
+	if _, err := EqualDepthSorted(nil, 4); err == nil {
+		t.Error("empty sample accepted")
+	}
+	if _, err := EqualDepthSorted([]float64{1}, 1); err == nil {
+		t.Error("one interval accepted")
 	}
 }
 

@@ -62,6 +62,10 @@ func (m *Mask) NumSource() int { return len(m.counts) }
 // Count returns record rid's multiplicity.
 func (m *Mask) Count(rid int) int { return int(m.counts[rid]) }
 
+// Offset returns the first virtual rid record rid covers: its copies are
+// the virtual records [Offset(rid), Offset(rid)+Count(rid)).
+func (m *Mask) Offset(rid int) int { return int(m.cum[rid]) }
+
 // InBag reports whether record rid appears at least once.
 func (m *Mask) InBag(rid int) bool { return m.counts[rid] > 0 }
 

@@ -520,6 +520,12 @@ type QuantMem struct {
 // NewQuantMem returns an empty in-memory code store.
 func NewQuantMem(q *Quantizer) *QuantMem { return &QuantMem{q: q} }
 
+// NewQuantMemCap returns an empty in-memory code store with room for n
+// records, so the first n AppendCodes calls never reallocate.
+func NewQuantMemCap(q *Quantizer, n int) *QuantMem {
+	return &QuantMem{q: q, codes: make([]uint16, 0, n*q.NumAttrs()), labels: make([]int32, 0, n)}
+}
+
 // AppendCodes adds one encoded record.
 func (m *QuantMem) AppendCodes(codes []uint16, label int) error {
 	if err := m.q.checkCodes(codes, label); err != nil {

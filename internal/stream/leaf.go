@@ -44,13 +44,14 @@ func (v *snode) childFor(vals []float64) *snode {
 }
 
 // splitMissing reports whether the split's attribute is unusable in the
-// record: NaN, or a categorical value outside the subset bitmask domain.
+// record: a categorical value outside the subset bitmask domain. Ingest
+// rejects NaN and infinite values, so numeric attributes never are.
 func splitMissing(s *tree.Split, vals []float64) bool {
-	if s.Kind == tree.SplitCategorical {
-		v := vals[s.Attr]
-		return !(v >= 0 && v < 64)
+	if s.Kind != tree.SplitCategorical {
+		return false
 	}
-	return math.IsNaN(vals[s.Attr])
+	v := vals[s.Attr]
+	return !(v >= 0 && v < 64)
 }
 
 // brec is one buffered warming-phase record.
@@ -96,12 +97,9 @@ func (lf *leafState) encode(vals []float64, schema *dataset.Schema) []uint16 {
 
 func (lf *leafState) encodeAttr(a int, v float64, schema *dataset.Schema) uint16 {
 	if schema.Attrs[a].Kind == dataset.Categorical {
-		if card := schema.Attrs[a].Cardinality(); v >= 0 && v < float64(card) {
-			return uint16(int(v))
-		}
-		return codeNone
+		return uint16(v) // Ingest admits only in-domain categories
 	}
-	if lf.cuts[a] == nil || math.IsNaN(v) {
+	if lf.cuts[a] == nil {
 		return codeNone
 	}
 	return uint16(lf.cuts[a].Interval(v))

@@ -220,16 +220,16 @@ func (b *Builder) newLeaf(depth, fallback int) *snode {
 // a commit pass, which is where ctx cancellation is honoured (the error is
 // returned and the builder closes — a cancelled commit may leave the batch
 // partially applied, which only matters if the caller intends to continue,
-// and a cancelled caller does not).
+// and a cancelled caller does not). A record that fails
+// dataset.Schema.RecordDefect (wrong arity, out-of-range label or category,
+// NaN or infinite value) is rejected with an error naming the defect, and
+// the builder is left unchanged.
 func (b *Builder) Ingest(ctx context.Context, vals []float64, label int) error {
 	if b.closed {
 		return ErrClosed
 	}
-	if len(vals) != b.k {
-		return fmt.Errorf("stream: record has %d values, schema has %d attributes", len(vals), b.k)
-	}
-	if label < 0 || label >= b.cfg.Schema.NumClasses() {
-		return fmt.Errorf("stream: label %d out of range", label)
+	if d := b.cfg.Schema.RecordDefect(vals, label); d != "" {
+		return fmt.Errorf("stream: invalid record: %s", d)
 	}
 	b.batch = append(b.batch, vals...)
 	b.labels = append(b.labels, label)
@@ -263,8 +263,8 @@ type hint struct {
 	codes []uint16
 }
 
-// codeNone marks an attribute value unusable for histogramming (NaN, or a
-// categorical value outside its domain).
+// codeNone marks an attribute value unusable for histogramming: a numeric
+// attribute the leaf has no cuts for.
 const codeNone = math.MaxUint16
 
 // leafDelta carries one subchunk's mergeable GK delta sketches for one
@@ -401,7 +401,7 @@ func (b *Builder) precompute(s int) *subDelta {
 				d.leaves = append(d.leaves, ld)
 			}
 			for a := 0; a < b.k; a++ {
-				if ld.sketch[a] != nil && !math.IsNaN(vals[a]) {
+				if ld.sketch[a] != nil {
 					ld.sketch[a].Add(vals[a])
 				}
 			}
@@ -459,7 +459,7 @@ func (b *Builder) apply(s int, d *subDelta) {
 				// Fresh leaf (created mid-batch) or stale hint: the
 				// delta sketch does not cover this record.
 				for a := 0; a < b.k; a++ {
-					if lf.sketch[a] != nil && !math.IsNaN(vals[a]) {
+					if lf.sketch[a] != nil {
 						lf.sketch[a].Add(vals[a])
 					}
 				}

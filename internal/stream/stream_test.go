@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"cmpdt/internal/core"
@@ -230,3 +232,75 @@ func BenchmarkIngest(bm *testing.B) {
 }
 
 var _ = fmt.Sprintf // keep fmt while iterating on diagnostics
+
+// TestStreamRejectsInvalidRecords: a record the batch builders would refuse
+// (a NaN or infinite numeric value, a category outside its domain) must be
+// rejected by Ingest with an error naming the attribute, and leave the
+// builder exactly as if it had never been offered: the snapshot equals that
+// of a builder fed only the valid records, and it serializes.
+func TestStreamRejectsInvalidRecords(t *testing.T) {
+	const n = 20_000
+	tbl := synth.Generate(synth.F2, n, 5)
+	schema := synth.Schema()
+	newBuilder := func() *Builder {
+		b, err := New(Config{Schema: schema, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	ctx := context.Background()
+	poisons := []struct {
+		attr int
+		v    float64
+		name string
+	}{
+		{0, math.Inf(-1), "salary"},
+		{2, math.NaN(), "age"},
+		{6, math.Inf(1), "hvalue"},
+		{4, 99, "car"},
+	}
+	dirty, clean := newBuilder(), newBuilder()
+	bad := make([]float64, schema.NumAttrs())
+	rejected := 0
+	for i := 0; i < n; i++ {
+		if i%50 == 49 {
+			p := poisons[(i/50)%len(poisons)]
+			copy(bad, tbl.Row(i))
+			bad[p.attr] = p.v
+			err := dirty.Ingest(ctx, bad, tbl.Label(i))
+			if err == nil || !strings.Contains(err.Error(), p.name) {
+				t.Fatalf("record %d with %s=%v: Ingest returned %v, want an error naming %q", i, p.name, p.v, err, p.name)
+			}
+			rejected++
+			continue
+		}
+		for _, b := range []*Builder{dirty, clean} {
+			if err := b.Ingest(ctx, tbl.Row(i), tbl.Label(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := dirty.Ingest(ctx, tbl.Row(0), len(schema.Classes)); err == nil {
+		t.Error("out-of-range label accepted")
+	}
+	if err := dirty.Ingest(ctx, tbl.Row(0)[:3], 0); err == nil {
+		t.Error("short record accepted")
+	}
+	snap := func(b *Builder) string {
+		if err := b.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := b.Snapshot().WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	if snap(dirty) != snap(clean) {
+		t.Error("rejected records changed the snapshot")
+	}
+	if got, want := dirty.Stats().Records, int64(n-rejected); got != want {
+		t.Errorf("builder counted %d records, want %d", got, want)
+	}
+}
