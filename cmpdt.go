@@ -195,7 +195,9 @@ type Config struct {
 	// InMemoryNodeRecords finishes subtrees in memory once a node has at
 	// most this many records (default 4096; negative disables).
 	InMemoryNodeRecords int
-	// DisablePruning turns off the PUBLIC(1) MDL pruning pass.
+	// DisablePruning turns off the PUBLIC(1) MDL pruning pass, and with it
+	// the pruning bound on in-memory subtree growth: subtrees then grow
+	// until the stopping rules end them.
 	DisablePruning bool
 	// ObliqueAllPairs extends full CMP with matrices over every numeric
 	// attribute pair, lifting the paper's N-1-matrices limitation.

@@ -123,7 +123,10 @@ type Config struct {
 	// out strategy for disk-oriented builders. Negative disables; zero means
 	// the default.
 	InMemoryNodeRecords int
-	// Prune applies PUBLIC(1) pruning after each round.
+	// Prune applies PUBLIC(1) pruning after each round and once the build
+	// ends. It also bounds the in-memory finishers' subtree growth: they
+	// stop splitting a node the final prune is certain to collapse, so the
+	// tree is the same, reached with less work (see prune.MDL).
 	Prune bool
 	// DiscretizeSample bounds the prefix sample used to compute equal-depth
 	// interval boundaries. Zero means the default; a negative value runs a

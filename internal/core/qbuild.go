@@ -1404,6 +1404,7 @@ func (b *qbuilder) finishCollects() {
 			MinGiniGain:     b.cfg.MinGiniGain,
 			PurityStop:      b.cfg.PurityStop,
 			AllowedAttrs:    b.allowed,
+			Prune:           b.cfg.Prune,
 		})
 		// Graft in place so the parent's pointer to c.tn stays valid.
 		*c.tn = *sub

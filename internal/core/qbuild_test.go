@@ -153,10 +153,34 @@ func TestQuantizedCMPFullActsAsCMPB(t *testing.T) {
 	}
 }
 
-// quantizeTable builds explicit code tables over a raw table (equal-depth
-// cuts at the given resolution, observed maxima as top-bin representatives)
-// and encodes it into both CodeSource implementations.
+// quantizeTable builds explicit code tables over a raw table (see
+// tableQuantizer) and encodes it into both CodeSource implementations.
 func quantizeTable(t *testing.T, tbl *dataset.Table, bins int, path string) (*storage.Quantizer, *storage.QuantMem, *storage.QuantFile) {
+	t.Helper()
+	qz := tableQuantizer(t, tbl, bins)
+	qm := storage.NewQuantMem(qz)
+	w, err := storage.CreateQuantFile(path, qz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < tbl.NumRecords(); i++ {
+		if err := qm.Append(tbl.Row(i), tbl.Label(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(tbl.Row(i), tbl.Label(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qf, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qz, qm, qf
+}
+
+// tableQuantizer builds explicit code tables over a raw table: equal-depth
+// cuts at the given resolution, observed maxima as top-bin representatives.
+func tableQuantizer(t *testing.T, tbl *dataset.Table, bins int) *storage.Quantizer {
 	t.Helper()
 	schema := tbl.Schema()
 	attrs := make([]storage.QuantAttr, schema.NumAttrs())
@@ -185,24 +209,7 @@ func quantizeTable(t *testing.T, tbl *dataset.Table, bins int, path string) (*st
 	if err != nil {
 		t.Fatal(err)
 	}
-	qm := storage.NewQuantMem(qz)
-	w, err := storage.CreateQuantFile(path, qz)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < tbl.NumRecords(); i++ {
-		if err := qm.Append(tbl.Row(i), tbl.Label(i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Append(tbl.Row(i), tbl.Label(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	qf, err := w.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return qz, qm, qf
+	return qz
 }
 
 // TestQuantizedPreQuantizedSource pins the pass-through path: a CMPDQ1 store

@@ -20,6 +20,7 @@ import (
 
 	"cmpdt/internal/dataset"
 	"cmpdt/internal/gini"
+	"cmpdt/internal/prune"
 	"cmpdt/internal/tree"
 )
 
@@ -69,6 +70,8 @@ type finishConfig struct {
 	MinGiniGain     float64
 	PurityStop      float64
 	AllowedAttrs    []bool // nil allows every attribute
+	// Prune grows only what prune.PUBLIC1 would keep (see build).
+	Prune bool
 }
 
 // codeFinisher grows one subtree over a code buffer. Rows are addressed
@@ -78,6 +81,7 @@ type codeFinisher struct {
 	schema *dataset.Schema
 	cfg    finishConfig
 	nc     int
+	mdl    prune.MDL
 
 	// cols[a][i] is record i's code for attribute a, less base[a] for a
 	// numeric attribute (categorical codes stay category indices). nil for
@@ -92,6 +96,9 @@ type codeFinisher struct {
 	occ      []int   // numeric scratch: the occupied codes
 	cum      []int
 	cat      [][][]int // per categorical attribute: a [value][class] table, zero between uses
+	// left holds the class counts of bestSplit's left side; right is
+	// build's scratch for the other side.
+	left, right []int
 }
 
 // finishCodes grows the subtree over buf's records and returns its root.
@@ -101,6 +108,7 @@ func finishCodes(buf *codeBuffer, schema *dataset.Schema, cfg finishConfig) *tre
 		schema: schema,
 		cfg:    cfg,
 		nc:     nc,
+		mdl:    prune.MDL{NumAttrs: schema.NumAttrs(), NumClasses: nc},
 		cols:   make([][]uint16, k),
 		base:   make([]int, k),
 		labels: buf.labels,
@@ -108,9 +116,13 @@ func finishCodes(buf *codeBuffer, schema *dataset.Schema, cfg finishConfig) *tre
 		tmp:    make([]int32, n),
 		cum:    make([]int, nc),
 		cat:    make([][][]int, k),
+		left:   make([]int, nc),
+		right:  make([]int, nc),
 	}
+	counts := make([]int, nc)
 	for i := range f.idx {
 		f.idx[i] = int32(i)
+		counts[f.labels[i]]++
 	}
 	width := 0
 	for a := 0; a < k; a++ {
@@ -147,38 +159,76 @@ func finishCodes(buf *codeBuffer, schema *dataset.Schema, cfg finishConfig) *tre
 	}
 	f.hist = make([]int, width*nc)
 	f.cnt = make([]int32, width)
-	return f.build(f.idx, 0)
+	root, _ := f.build(f.idx, counts, 0)
+	return root
 }
 
-func (f *codeFinisher) build(idx []int32, depth int) *tree.Node {
-	counts := make([]int, f.nc)
-	for _, i := range idx {
-		counts[f.labels[i]]++
-	}
+// build grows the subtree over the rows in idx, whose class counts are
+// counts, and returns its root with the root's MDL cost when Prune is set.
+// With Prune the subtree is the one prune.PUBLIC1 would leave of the full
+// grown subtree, reached without growing what PUBLIC1 would delete, by the
+// three cuts prune.MDL describes: with lc the node's leaf cost,
+//
+//  1. lc <= Bound: stay a leaf without searching for a split;
+//  2. lc <= Internal(split, Floor(left), Floor(right)): stay a leaf without
+//     recursing; after the left child is built, the test repeats with its
+//     actual cost in place of its floor;
+//  3. lc <= Internal(split, cost(left), cost(right)): PUBLIC1's own test.
+func (f *codeFinisher) build(idx []int32, counts []int, depth int) (*tree.Node, float64) {
 	node := &tree.Node{}
 	node.SetCounts(counts)
+	var lc float64
+	if f.cfg.Prune {
+		lc = f.mdl.Leaf(node.Errors())
+	}
 	if node.Gini == 0 || node.N < f.cfg.MinSplitRecords || depth >= f.cfg.MaxDepth {
-		return node
+		return node, lc
 	}
 	if f.cfg.PurityStop > 0 && float64(node.ClassCounts[node.Class]) >= f.cfg.PurityStop*float64(node.N) {
-		return node
+		return node, lc
+	}
+	if f.cfg.Prune && lc <= f.mdl.Bound(counts, node.N) {
+		return node, lc // cut 1
 	}
 	split, boundary, g, ok := f.bestSplit(idx, counts)
 	if !ok || node.Gini-g < f.cfg.MinGiniGain {
-		return node
+		return node, lc
 	}
-	nl := f.partition(idx, &split, boundary)
+	nl := 0
+	for c, k := range f.left {
+		nl += k
+		f.right[c] = counts[c] - k
+	}
 	if nl == 0 || nl == len(idx) {
-		return node
+		return node, lc
 	}
-	node.Split = &split
-	node.Left = f.build(idx[:nl], depth+1)
-	node.Right = f.build(idx[nl:], depth+1)
-	return node
+	var floorR float64
+	if f.cfg.Prune {
+		floorR = f.mdl.Floor(f.right, node.N-nl)
+		if lc <= f.mdl.Internal(&split, node.N, f.mdl.Floor(f.left, nl), floorR) {
+			return node, lc // cut 2
+		}
+	}
+	f.partition(idx, &split, boundary)
+	cc := make([]int, 2*f.nc)
+	copy(cc, f.left)
+	copy(cc[f.nc:], f.right)
+	left, costL := f.build(idx[:nl], cc[:f.nc:f.nc], depth+1)
+	if f.cfg.Prune && lc <= f.mdl.Internal(&split, node.N, costL, floorR) {
+		return node, lc // cut 2, with the left child's actual cost
+	}
+	right, costR := f.build(idx[nl:], cc[f.nc:], depth+1)
+	cost := f.mdl.Internal(&split, node.N, costL, costR)
+	if f.cfg.Prune && lc <= cost {
+		return node, lc // cut 3
+	}
+	node.Split, node.Left, node.Right = &split, left, right
+	return node, cost
 }
 
-// bestSplit returns the best split of the rows in idx with its gini index.
-// For a numeric split, boundary is the largest column code going left.
+// bestSplit returns the best split of the rows in idx with its gini index,
+// and leaves the class counts of its left side in f.left. For a numeric
+// split, boundary is the largest column code going left.
 func (f *codeFinisher) bestSplit(idx []int32, total []int) (best tree.Split, boundary int, bestG float64, found bool) {
 	bestG = 2.0
 	for a, col := range f.cols {
@@ -193,6 +243,14 @@ func (f *codeFinisher) bestSplit(idx []int32, total []int) (best tree.Split, bou
 			if ok && g < bestG {
 				bestG, found = g, true
 				best = tree.Split{Kind: tree.SplitCategorical, Attr: a, Subset: mask}
+				clear(f.left)
+				for v, row := range tab {
+					if mask&(1<<uint(v)) != 0 {
+						for k, n := range row {
+							f.left[k] += n
+						}
+					}
+				}
 			}
 			for _, row := range tab {
 				clear(row)
@@ -207,6 +265,7 @@ func (f *codeFinisher) bestSplit(idx []int32, total []int) (best tree.Split, bou
 					lo, hi := float64(f.base[a]+f.occ[j-1]), float64(f.base[a]+c)
 					bestG, found, boundary = g, true, f.occ[j-1]
 					best = tree.Split{Kind: tree.SplitNumeric, Attr: a, Threshold: lo + (hi-lo)/2}
+					copy(f.left, cum)
 				}
 			}
 			h := f.hist[c*f.nc : (c+1)*f.nc]
@@ -251,9 +310,8 @@ func (f *codeFinisher) occupied(col []uint16, idx []int32) []int {
 	return occ
 }
 
-// partition reorders idx stably so the rows going left come first and
-// returns how many there are.
-func (f *codeFinisher) partition(idx []int32, s *tree.Split, boundary int) int {
+// partition reorders idx stably so the rows going left come first.
+func (f *codeFinisher) partition(idx []int32, s *tree.Split, boundary int) {
 	col := f.cols[s.Attr]
 	nl, nr := 0, 0
 	for _, i := range idx {
@@ -273,5 +331,4 @@ func (f *codeFinisher) partition(idx []int32, s *tree.Split, boundary int) int {
 		}
 	}
 	copy(idx[nl:], f.tmp[:nr])
-	return nl
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -8,6 +9,8 @@ import (
 
 	"cmpdt/internal/dataset"
 	"cmpdt/internal/exact"
+	"cmpdt/internal/prune"
+	"cmpdt/internal/synth"
 	"cmpdt/internal/tree"
 )
 
@@ -173,23 +176,115 @@ func diffTrees(got, want *tree.Node, path string) string {
 	return diffTrees(got.Right, want.Right, path+"R")
 }
 
+// exactConfig is cfg's stopping rules as an exact.Config.
+func exactConfig(cfg finishConfig) exact.Config {
+	return exact.Config{
+		MinSplitRecords: cfg.MinSplitRecords,
+		MaxDepth:        cfg.MaxDepth,
+		MinGiniGain:     cfg.MinGiniGain,
+		PurityStop:      cfg.PurityStop,
+		AllowedAttrs:    cfg.AllowedAttrs,
+		Prune:           cfg.Prune,
+	}
+}
+
 // checkFinisher builds c with the code finisher and with the exact builder
-// over the widened codes, and reports the first difference.
+// over the widened codes, and reports the first difference. Then it holds
+// both finishers, growing under the PUBLIC bound, to post-pruning.
 func checkFinisher(t *testing.T, c finishCase) {
 	t.Helper()
-	want := exact.BuildSubtree(widen(c.buf), c.schema, exact.Config{
-		MinSplitRecords: c.cfg.MinSplitRecords,
-		MaxDepth:        c.cfg.MaxDepth,
-		MinGiniGain:     c.cfg.MinGiniGain,
-		PurityStop:      c.cfg.PurityStop,
-		AllowedAttrs:    c.cfg.AllowedAttrs,
-	})
+	want := exact.BuildSubtree(widen(c.buf), c.schema, exactConfig(c.cfg))
 	got := finishCodes(c.buf, c.schema, c.cfg)
 	if d := diffTrees(got, want, "root"); d != "" {
 		t.Fatalf("%d records, %d classes, attrs %+v, cfg %+v: %s",
 			c.buf.Len(), c.schema.NumClasses(), c.schema.Attrs, c.cfg, d)
 	}
+	checkPrunedFinishers(t, c, widen(c.buf))
 }
+
+// checkPrunedFinishers requires each finisher, growing with Prune, to build
+// byte for byte the subtree it builds without Prune and then prunes with
+// prune.PUBLIC1: the code finisher over c, the exact builder over rows.
+func checkPrunedFinishers(t *testing.T, c finishCase, rows exact.Rows) {
+	t.Helper()
+	finishers := []struct {
+		name string
+		grow func(cfg finishConfig) *tree.Node
+	}{
+		{"code finisher", func(cfg finishConfig) *tree.Node { return finishCodes(c.buf, c.schema, cfg) }},
+		{"exact builder", func(cfg finishConfig) *tree.Node { return exact.BuildSubtree(rows, c.schema, exactConfig(cfg)) }},
+	}
+	for _, fin := range finishers {
+		cfg := c.cfg
+		cfg.Prune = false
+		want := &tree.Tree{Root: fin.grow(cfg), Schema: c.schema}
+		prune.PUBLIC1(want, nil)
+		cfg.Prune = true
+		got := &tree.Tree{Root: fin.grow(cfg), Schema: c.schema}
+		if g, w := serializeTree(t, got), serializeTree(t, want); !bytes.Equal(g, w) {
+			t.Fatalf("%s, %d records, %d classes, attrs %+v, cfg %+v: pruned growth differs from post-pruning at %s",
+				fin.name, c.buf.Len(), c.schema.NumClasses(), c.schema.Attrs, c.cfg, diffTrees(got.Root, want.Root, "root"))
+		}
+	}
+}
+
+func serializeTree(t *testing.T, tr *tree.Tree) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestPrunedFinishersMatchPostPruning holds both finishers, growing with
+// Prune, to post-pruning on whole-store collect buffers of every Agrawal
+// function and of a 7-class Statlog stand-in, where the bound minimizes
+// over more than one split (PUBLIC(S)). The exact builder grows over the
+// raw records, as the raw builder's finisher does.
+func TestPrunedFinishersMatchPostPruning(t *testing.T) {
+	type input struct {
+		name string
+		tbl  *dataset.Table
+	}
+	var inputs []input
+	for fn := synth.F1; fn <= synth.F10; fn++ {
+		inputs = append(inputs, input{fn.String(), synth.Generate(fn, 3000, int64(fn))})
+	}
+	seg, err := synth.Statlog("segment", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs = append(inputs, input{"segment", seg})
+	def := Default(CMPB)
+	cfg := finishConfig{
+		MinSplitRecords: def.MinSplitRecords,
+		MaxDepth:        def.MaxDepth,
+		MinGiniGain:     def.MinGiniGain,
+		PurityStop:      def.PurityStop,
+	}
+	for _, in := range inputs {
+		tbl := in.tbl
+		t.Run(in.name, func(t *testing.T) {
+			q := tableQuantizer(t, tbl, 64)
+			buf := &codeBuffer{}
+			buf.init(q.NumAttrs())
+			codes := make([]uint16, q.NumAttrs())
+			for i := 0; i < tbl.NumRecords(); i++ {
+				q.Encode(tbl.Row(i), codes)
+				buf.add(codes, tbl.Label(i))
+			}
+			checkPrunedFinishers(t, finishCase{buf: buf, schema: tbl.Schema(), cfg: cfg}, tableRows{tbl})
+		})
+	}
+}
+
+// tableRows presents a table to the exact builder.
+type tableRows struct{ t *dataset.Table }
+
+func (r tableRows) Len() int            { return r.t.NumRecords() }
+func (r tableRows) Row(i int) []float64 { return r.t.Row(i) }
+func (r tableRows) Label(i int) int     { return r.t.Label(i) }
 
 // TestCodeFinisherMatchesExact is the differential test: the code finisher
 // must grow, node for node, the tree the exact builder grows over the same

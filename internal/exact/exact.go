@@ -13,6 +13,7 @@ import (
 
 	"cmpdt/internal/dataset"
 	"cmpdt/internal/gini"
+	"cmpdt/internal/prune"
 	"cmpdt/internal/tree"
 )
 
@@ -31,6 +32,9 @@ type Config struct {
 	// entry is true — the in-memory leg of the CMP builder's feature
 	// subsampling. Indexed by attribute; nil allows everything.
 	AllowedAttrs []bool
+	// Prune grows only the subtree prune.PUBLIC1 would leave of the full
+	// one, cutting growth with the MDL terms of prune.MDL.
+	Prune bool
 }
 
 // DefaultConfig mirrors the CMP builder's stopping rules.
@@ -67,8 +71,9 @@ func BuildSubtree(rows Rows, schema *dataset.Schema, cfg Config) *tree.Node {
 	for i := range idx {
 		idx[i] = i
 	}
-	b := &builder{rows: rows, schema: schema, cfg: cfg}
-	return b.build(idx, 0)
+	b := newBuilder(rows, schema, cfg)
+	root, _ := b.build(idx, b.classCounts(idx), 0)
+	return root
 }
 
 // BestSplit evaluates every attribute of the rows exactly and returns the
@@ -81,14 +86,20 @@ func BestSplit(rows Rows, schema *dataset.Schema) (tree.Split, float64, bool) {
 	for i := range idx {
 		idx[i] = i
 	}
-	b := &builder{rows: rows, schema: schema, cfg: DefaultConfig()}
-	return b.bestSplit(idx)
+	b := newBuilder(rows, schema, DefaultConfig())
+	return b.bestSplit(idx, b.classCounts(idx))
 }
 
 type builder struct {
 	rows   Rows
 	schema *dataset.Schema
 	cfg    Config
+	mdl    prune.MDL
+}
+
+func newBuilder(rows Rows, schema *dataset.Schema, cfg Config) *builder {
+	mdl := prune.MDL{NumAttrs: schema.NumAttrs(), NumClasses: schema.NumClasses()}
+	return &builder{rows: rows, schema: schema, cfg: cfg, mdl: mdl}
 }
 
 func (b *builder) classCounts(idx []int) []int {
@@ -99,43 +110,74 @@ func (b *builder) classCounts(idx []int) []int {
 	return counts
 }
 
-func (b *builder) build(idx []int, depth int) *tree.Node {
+// build grows the subtree over the rows in idx, whose class counts are
+// counts, and returns its root with the root's MDL cost when Prune is set.
+// With Prune it makes prune.MDL's three cuts: a node whose leaf cost lc is no
+// worse than the bound stays a leaf; so does one whose split cannot beat lc
+// even if each child reaches its floor (tested again with the left child's
+// actual cost); and a grown node collapses when PUBLIC1 would collapse it.
+func (b *builder) build(idx, counts []int, depth int) (*tree.Node, float64) {
 	node := &tree.Node{}
-	node.SetCounts(b.classCounts(idx))
+	node.SetCounts(counts)
+	var lc float64
+	if b.cfg.Prune {
+		lc = b.mdl.Leaf(node.Errors())
+	}
 	if node.Gini == 0 || node.N < b.cfg.MinSplitRecords || depth >= b.cfg.MaxDepth {
-		return node
+		return node, lc
 	}
 	if b.cfg.PurityStop > 0 && float64(node.ClassCounts[node.Class]) >= b.cfg.PurityStop*float64(node.N) {
-		return node
+		return node, lc
 	}
-	split, g, ok := b.bestSplit(idx)
+	if b.cfg.Prune && lc <= b.mdl.Bound(counts, node.N) {
+		return node, lc
+	}
+	split, g, ok := b.bestSplit(idx, counts)
 	if !ok || node.Gini-g < b.cfg.MinGiniGain {
-		return node
+		return node, lc
 	}
+	nc := len(counts)
+	cc := make([]int, 2*nc)
+	leftCounts, rightCounts := cc[:nc:nc], cc[nc:]
 	var left, right []int
 	for _, i := range idx {
 		if split.GoesLeft(b.rows.Row(i)) {
 			left = append(left, i)
+			leftCounts[b.rows.Label(i)]++
 		} else {
 			right = append(right, i)
+			rightCounts[b.rows.Label(i)]++
 		}
 	}
 	if len(left) == 0 || len(right) == 0 {
-		return node
+		return node, lc
 	}
-	node.Split = &split
-	node.Left = b.build(left, depth+1)
-	node.Right = b.build(right, depth+1)
-	return node
+	var floorR float64
+	if b.cfg.Prune {
+		floorR = b.mdl.Floor(rightCounts, len(right))
+		if lc <= b.mdl.Internal(&split, node.N, b.mdl.Floor(leftCounts, len(left)), floorR) {
+			return node, lc
+		}
+	}
+	l, costL := b.build(left, leftCounts, depth+1)
+	if b.cfg.Prune && lc <= b.mdl.Internal(&split, node.N, costL, floorR) {
+		return node, lc
+	}
+	r, costR := b.build(right, rightCounts, depth+1)
+	cost := b.mdl.Internal(&split, node.N, costL, costR)
+	if b.cfg.Prune && lc <= cost {
+		return node, lc
+	}
+	node.Split, node.Left, node.Right = &split, l, r
+	return node, cost
 }
 
 // bestSplit scans every attribute for the best exact split of the rows in
-// idx.
-func (b *builder) bestSplit(idx []int) (tree.Split, float64, bool) {
+// idx, whose class counts are total.
+func (b *builder) bestSplit(idx, total []int) (tree.Split, float64, bool) {
 	var best tree.Split
 	bestG := 2.0
 	found := false
-	total := b.classCounts(idx)
 	zeros := make([]int, len(total))
 
 	vals := make([]float64, len(idx))

@@ -65,6 +65,10 @@ func TestComparisonShape(t *testing.T) {
 	}
 }
 
+// TestFunctionFShape pins EXPERIMENTS.md's Figure 18 verdict: on Function
+// f, CMP finishes in at most 3 scans with a depth-2, 3-leaf tree holding an
+// oblique split, every univariate baseline staircases into a deeper tree,
+// and CMP is faster than the slowest of them.
 func TestFunctionFShape(t *testing.T) {
 	o := miniOpts()
 	o.Sizes = []int{20_000}
@@ -73,18 +77,31 @@ func TestFunctionFShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cmp, worst Row
+	var baselines []Row
 	for _, r := range rows {
 		if r.Algorithm == eval.AlgoCMP {
 			cmp = r
-		} else if r.SimSeconds > worst.SimSeconds {
+			continue
+		}
+		baselines = append(baselines, r)
+		if r.SimSeconds > worst.SimSeconds {
 			worst = r
 		}
 	}
-	if cmp.Oblique == 0 {
+	if cmp.Oblique < 1 {
 		t.Error("CMP found no oblique split on Function f")
 	}
-	if cmp.Depth > 4 {
-		t.Errorf("CMP tree depth %d on Function f, expected a shallow multivariate tree", cmp.Depth)
+	if cmp.Scans > 3 || cmp.Depth != 2 || cmp.Leaves != 3 {
+		t.Errorf("CMP: %d scans, depth %d, %d leaves; want <= 3 scans and a depth-2, 3-leaf tree",
+			cmp.Scans, cmp.Depth, cmp.Leaves)
+	}
+	if len(baselines) != 3 {
+		t.Fatalf("%d baseline rows, want 3", len(baselines))
+	}
+	for _, r := range baselines {
+		if r.Depth <= cmp.Depth {
+			t.Errorf("%s tree depth %d, not deeper than CMP's %d", r.Algorithm, r.Depth, cmp.Depth)
+		}
 	}
 	if cmp.SimSeconds >= worst.SimSeconds {
 		t.Errorf("CMP (%v) not faster than the slowest baseline (%v)", cmp.SimSeconds, worst.SimSeconds)

@@ -206,7 +206,9 @@ func TrainContext(ctx context.Context, src storage.RangeSource, cfg Config) (*Re
 			defer wg.Done()
 			defer func() { <-sem }()
 			if err := ctx.Err(); err != nil {
-				errs[i] = err
+				// Named like a failed build: which tree sees the
+				// cancellation first depends on scheduling.
+				errs[i] = fmt.Errorf("forest: tree %d: %w", i, err)
 				return
 			}
 			trees[i], viewIO[i], reports[i], errs[i] = buildOne(ctx, src, idx, masks[i], cfg, target, i)

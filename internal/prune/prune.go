@@ -9,12 +9,16 @@
 // Encoding costs follow the usual MDL scheme: a node costs one bit to mark
 // leaf/internal; a leaf additionally encodes its class label and its
 // misclassified records (log2(classes) bits each); an internal node encodes
-// which attribute it tests and the test's value.
+// which attribute it tests and the test's value. The terms are exported as
+// MDL's methods so the in-memory finishers (internal/core's code finisher and
+// internal/exact) can apply the same rule while they grow a subtree: a node
+// whose leaf cost is no worse than any subtree could reach is never split,
+// and a split whose subtree is certain to collapse is never recursed into.
 package prune
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"cmpdt/internal/tree"
 )
@@ -41,20 +45,19 @@ func PUBLIC1(t *tree.Tree, expandable map[*tree.Node]bool) Result {
 		Collapsed: make(map[*tree.Node]bool),
 		Finalized: make(map[*tree.Node]bool),
 	}
-	numAttrs := t.Schema.NumAttrs()
-	numClasses := t.Schema.NumClasses()
-	res.Cost = pruneNode(t.Root, numAttrs, numClasses, expandable, &res)
+	m := MDL{NumAttrs: t.Schema.NumAttrs(), NumClasses: t.Schema.NumClasses()}
+	res.Cost = m.pruneNode(t.Root, expandable, &res)
 	return res
 }
 
-func pruneNode(n *tree.Node, numAttrs, numClasses int, expandable map[*tree.Node]bool, res *Result) float64 {
+func (m MDL) pruneNode(n *tree.Node, expandable map[*tree.Node]bool, res *Result) float64 {
 	if n == nil {
 		return 0
 	}
-	lc := leafCost(n, numClasses)
+	lc := m.Leaf(n.Errors())
 	if n.IsLeaf() {
 		if expandable != nil && expandable[n] {
-			bound := subtreeLowerBound(n, numAttrs, numClasses)
+			bound := m.Bound(n.ClassCounts, n.N)
 			if lc <= bound {
 				res.Finalized[n] = true
 				return lc
@@ -63,9 +66,7 @@ func pruneNode(n *tree.Node, numAttrs, numClasses int, expandable map[*tree.Node
 		}
 		return lc
 	}
-	sub := 1 + splitCost(n, numAttrs) +
-		pruneNode(n.Left, numAttrs, numClasses, expandable, res) +
-		pruneNode(n.Right, numAttrs, numClasses, expandable, res)
+	sub := m.Internal(n.Split, n.N, m.pruneNode(n.Left, expandable, res), m.pruneNode(n.Right, expandable, res))
 	if lc <= sub {
 		collapse(n, res)
 		return lc
@@ -92,29 +93,82 @@ func collapse(n *tree.Node, res *Result) {
 	n.Left, n.Right = nil, nil
 }
 
-// leafCost is 1 bit for the node type, log2(c) to name the class, and
-// log2(c) per misclassified record.
-func leafCost(n *tree.Node, numClasses int) float64 {
-	lc := math.Log2(float64(numClasses))
-	return 1 + lc + float64(n.Errors())*lc
+// MDL evaluates the encoding costs of nodes in a tree over a schema with
+// NumAttrs attributes and NumClasses classes.
+//
+// An in-memory builder can apply PUBLIC1's rule while it grows a subtree,
+// and produce exactly the tree PUBLIC1 would leave of the fully grown one.
+// With lc a node's leaf cost, it makes three cuts:
+//
+//  1. lc <= Bound: the node stays a leaf; no split is searched for.
+//  2. lc <= Internal(split, Floor(left), Floor(right)): the node stays a leaf
+//     without growing its children. Once the left child is grown the test
+//     repeats with the left child's actual cost.
+//  3. lc <= Internal(split, cost(left), cost(right)) once both children are
+//     grown: PUBLIC1's own test, evaluated the same way.
+//
+// Cuts 1 and 2 never disagree with post-pruning. Every subtree with at
+// least one split costs at least Bound plus 1 bit per split, because Split
+// charges every test at least one bit beyond the attribute choice Bound
+// charges (a numeric value log2(max(n,2)) >= 1 bit, a categorical subset >=
+// 2 bits, a linear test a second attribute and two values). So a pruned
+// child costs no less than its Floor, and a node whose leaf cost beats the
+// bound would collapse under any subtree; the 1-bit margin dwarfs float
+// rounding, and float addition is monotone, so evaluating Internal over the
+// floors in PUBLIC1's order cannot tip a comparison the other way. A pruned
+// subtree is a fixed point of PUBLIC1, so later pruning passes over a tree
+// holding it see the same costs and collapse nothing in it.
+type MDL struct {
+	NumAttrs, NumClasses int
 }
 
-// splitCost encodes the test: the attribute choice plus its value. Numeric
-// thresholds are charged log2(N) bits (one of up to N candidate positions);
-// categorical subsets one bit per category value; linear splits the
-// attribute pair plus two numeric values.
-func splitCost(n *tree.Node, numAttrs int) float64 {
-	attrBits := math.Log2(float64(numAttrs))
-	valueBits := math.Log2(math.Max(float64(n.N), 2))
-	switch n.Split.Kind {
+// Leaf is the cost of a leaf with errs misclassified records: 1 bit for the
+// node type, log2(c) to name the class, and log2(c) per misclassified
+// record.
+func (m MDL) Leaf(errs int) float64 {
+	lc := math.Log2(float64(m.NumClasses))
+	return 1 + lc + float64(errs)*lc
+}
+
+// Split encodes the test s at a node of n records: the attribute choice
+// plus its value. Numeric thresholds are charged log2(n) bits (one of up to
+// n candidate positions); categorical subsets one bit per category value;
+// linear splits the attribute pair plus two numeric values. Every kind
+// costs at least one bit more than the attribute choice Bound charges.
+func (m MDL) Split(s *tree.Split, n int) float64 {
+	attrBits := math.Log2(float64(m.NumAttrs))
+	valueBits := math.Log2(math.Max(float64(n), 2))
+	switch s.Kind {
 	case tree.SplitCategorical:
-		card := bitsUpTo(n.Split.Subset)
+		card := bitsUpTo(s.Subset)
 		return attrBits + float64(card)
 	case tree.SplitLinear:
 		return 2*attrBits + 2*valueBits
 	default:
 		return attrBits + valueBits
 	}
+}
+
+// Internal is the cost of an internal node of n records split by s whose
+// children cost costL and costR: 1 bit for the node type plus the test.
+// pruneNode collapses the node when its leaf cost is no greater.
+func (m MDL) Internal(s *tree.Split, n int, costL, costR float64) float64 {
+	return 1 + m.Split(s, n) + costL + costR
+}
+
+// Floor is the least cost a node with the given class counts (n records)
+// can reach, as a leaf or through any subtree: min(Leaf, Bound).
+func (m MDL) Floor(counts []int, n int) float64 {
+	return math.Min(m.Leaf(misclassified(counts, n)), m.Bound(counts, n))
+}
+
+// misclassified is tree.Node.Errors over bare class counts: the records
+// outside the majority class.
+func misclassified(counts []int, n int) int {
+	if len(counts) == 0 {
+		return 0
+	}
+	return n - slices.Max(counts)
 }
 
 // bitsUpTo returns the position of the highest set bit plus one, i.e. the
@@ -131,38 +185,52 @@ func bitsUpTo(mask uint64) int {
 	return b
 }
 
-// subtreeLowerBound is the PUBLIC(S) bound, generalized from the paper's
-// PUBLIC(1): a subtree with s splits has s internal nodes (one bit and an
-// attribute choice each) and s+1 leaves (one bit and a label each), and at
-// best its leaves absorb the s+1 largest classes — every record outside
-// them is an error. The bound minimizes over s = 1..numClasses-1 (beyond
-// that, extra splits cannot reduce the error term). With two classes this
-// reduces exactly to PUBLIC(1).
-func subtreeLowerBound(n *tree.Node, numAttrs, numClasses int) float64 {
-	lc := math.Log2(float64(numClasses))
-	attrBits := math.Log2(float64(numAttrs))
+// maxStackClasses is how many classes Bound sorts without allocating.
+const maxStackClasses = 64
 
-	counts := append([]int(nil), n.ClassCounts...)
-	sort.Sort(sort.Reverse(sort.IntSlice(counts)))
+// Bound is the PUBLIC(S) lower bound on the cost of any subtree with at
+// least one split over a node with the given class counts (n records),
+// generalized from the paper's PUBLIC(1): a subtree with s splits has s
+// internal nodes (one bit and an attribute choice each) and s+1 leaves (one
+// bit and a label each), and at best its leaves absorb the s+1 largest
+// classes — every record outside them is an error. The bound minimizes over
+// s = 1..NumClasses-1 (beyond that, extra splits cannot reduce the error
+// term). With two classes this reduces exactly to PUBLIC(1).
+//
+// Every real subtree costs at least Bound+1: Split charges each test at
+// least one bit beyond its attribute choice. Bound does not allocate for up
+// to maxStackClasses classes.
+func (m MDL) Bound(counts []int, n int) float64 {
+	lc := math.Log2(float64(m.NumClasses))
+	attrBits := math.Log2(float64(m.NumAttrs))
 
-	prefix := make([]int, len(counts)+1)
-	for i, c := range counts {
-		prefix[i+1] = prefix[i] + c
+	var stack [maxStackClasses]int
+	sorted := stack[:0]
+	if len(counts) > len(stack) {
+		sorted = make([]int, 0, len(counts))
 	}
+	// Descending insertion sort: class counts are few.
+	for _, c := range counts {
+		i := len(sorted)
+		sorted = append(sorted, c)
+		for ; i > 0 && sorted[i-1] < c; i-- {
+			sorted[i] = sorted[i-1]
+		}
+		sorted[i] = c
+	}
+
 	best := math.Inf(1)
-	maxSplits := numClasses - 1
+	maxSplits := m.NumClasses - 1
 	if maxSplits < 1 {
 		maxSplits = 1
 	}
+	top, covered := 0, 0 // top = sum of the largest `covered` counts
 	for s := 1; s <= maxSplits; s++ {
-		leaves := s + 1
-		if leaves > len(counts) {
-			leaves = len(counts)
+		leaves := min(s+1, len(sorted))
+		for ; covered < leaves; covered++ {
+			top += sorted[covered]
 		}
-		minErrs := n.N - prefix[leaves]
-		if minErrs < 0 {
-			minErrs = 0
-		}
+		minErrs := max(n-top, 0)
 		cost := float64(s)*(1+attrBits) + // internal nodes + attribute choices
 			float64(s+1)*(1+lc) + // leaves with labels
 			float64(minErrs)*lc

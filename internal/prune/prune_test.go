@@ -2,11 +2,9 @@ package prune
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"cmpdt/internal/dataset"
-	"cmpdt/internal/exact"
 	"cmpdt/internal/tree"
 )
 
@@ -107,53 +105,6 @@ func TestExpandableImpureKeptOpen(t *testing.T) {
 	}
 }
 
-func TestPruneMatchesMDLCostMonotonicity(t *testing.T) {
-	// Pruned trees never classify the training set worse than the cost
-	// model justifies: check that total errors after pruning don't explode
-	// relative to before on real built trees.
-	rng := rand.New(rand.NewSource(8))
-	schema := &dataset.Schema{
-		Attrs: []dataset.Attribute{
-			{Name: "x", Kind: dataset.Numeric},
-			{Name: "y", Kind: dataset.Numeric},
-		},
-		Classes: []string{"a", "b"},
-	}
-	tbl := dataset.MustNew(schema)
-	for i := 0; i < 2000; i++ {
-		x, y := rng.Float64()*10, rng.Float64()*10
-		label := 0
-		if x > 5 && y > 5 {
-			label = 1
-		}
-		if rng.Float64() < 0.05 {
-			label = 1 - label
-		}
-		tbl.Append([]float64{x, y}, label)
-	}
-	tr := exact.BuildTable(tbl, exact.DefaultConfig())
-	before := countErrors(tr, tbl)
-	PUBLIC1(tr, nil)
-	after := countErrors(tr, tbl)
-	// The structure (two splits) must survive; only noise chasing goes.
-	if tr.Depth() < 2 {
-		t.Errorf("pruning destroyed real structure: depth %d", tr.Depth())
-	}
-	if after > before+200 {
-		t.Errorf("errors grew from %d to %d", before, after)
-	}
-}
-
-func countErrors(tr *tree.Tree, tbl *dataset.Table) int {
-	errs := 0
-	for i := 0; i < tbl.NumRecords(); i++ {
-		if tr.Predict(tbl.Row(i)) != tbl.Label(i) {
-			errs++
-		}
-	}
-	return errs
-}
-
 func TestCostPositive(t *testing.T) {
 	root := internal(5, leaf(10, 2), leaf(1, 9))
 	tr := &tree.Tree{Root: root, Schema: schema2()}
@@ -170,7 +121,7 @@ func TestSubtreeLowerBoundMultiClass(t *testing.T) {
 	// it cannot exceed the two-split cost, and a pure-ish expandable node
 	// must still be finalizable.
 	n := leaf(100, 100, 100)
-	bound := subtreeLowerBound(n, 4, 3)
+	bound := MDL{NumAttrs: 4, NumClasses: 3}.Bound(n.ClassCounts, n.N)
 	lc := math.Log2(3.0)
 	oneSplit := 1*(1+2) + 2*(1+lc) + 100*lc
 	twoSplit := 2*(1+2) + 3*(1+lc) + 0*lc
@@ -190,7 +141,7 @@ func TestSubtreeLowerBoundMultiClass(t *testing.T) {
 
 func TestSubtreeLowerBoundTwoClassesReducesToPUBLIC1(t *testing.T) {
 	n := leaf(70, 30)
-	got := subtreeLowerBound(n, 9, 2)
+	got := MDL{NumAttrs: 9, NumClasses: 2}.Bound(n.ClassCounts, n.N)
 	lc := math.Log2(2.0)
 	want := 1*(1+math.Log2(9.0)) + 2*(1+lc) + 0*lc // two leaves cover both classes
 	if math.Abs(got-want) > 1e-9 {

@@ -2,6 +2,7 @@ package cmpdt
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"testing"
 
 	"cmpdt/internal/storage"
+	"cmpdt/internal/stream"
+	"cmpdt/internal/synth"
 )
 
 // errTestModel trains a tiny tree and returns its serialized model bytes.
@@ -159,10 +162,42 @@ func TestReadPredictorRegressionForestBadModel(t *testing.T) {
 	}
 }
 
+// streamSnapshot returns the snapshot bytes cmpstream publishes as
+// latest.json for a small Agrawal stream.
+func streamSnapshot(t testing.TB) []byte {
+	t.Helper()
+	b, err := stream.New(stream.Config{Schema: synth.Schema(), Warmup: 100, Grace: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := synth.Generate(synth.F2, 3000, 1)
+	ctx := context.Background()
+	for i := 0; i < tbl.NumRecords(); i++ {
+		if err := b.Ingest(ctx, tbl.Row(i), tbl.Label(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if b.Snapshot().Root.IsLeaf() {
+		t.Fatal("stream snapshot has no split")
+	}
+	var buf bytes.Buffer
+	if err := b.Snapshot().WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadPredictor(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("stream snapshot does not load: %v", err)
+	}
+	return buf.Bytes()
+}
+
 // FuzzReadPredictor holds ReadPredictor to its contract on arbitrary
 // bytes: the only failure is ErrBadModel (never a panic), and a model it
 // returns scores a zero record to an in-range class through both Predict
-// and PredictBatchWorkers.
+// and PredictBatchWorkers. cmpserve loads cmpstream's latest.json through
+// the same decoder, so a stream snapshot is one of the seeds.
 func FuzzReadPredictor(f *testing.F) {
 	f.Add(errTestModel(f))
 	forest, err := TrainForest(smallDataset(f), ForestConfig{Trees: 3, Seed: 1})
@@ -174,6 +209,7 @@ func FuzzReadPredictor(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	f.Add(streamSnapshot(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ReadPredictor(bytes.NewReader(data))
 		if err != nil {
