@@ -77,19 +77,27 @@ func goldenModels(t *testing.T) (names []string, models map[string][]byte) {
 
 	// 8-tree quantized CMP-B forests with per-tree feature subsets. F2 is
 	// the benchmark's forest workload; F3's forest also changes if the
-	// X-axis stickiness changes.
-	for _, fn := range []synth.Func{synth.F2, synth.F3} {
-		res, err := forest.Train(goldenStore(fn, int64(fn)), forest.Config{
+	// X-axis stickiness changes. At FeatureFrac 0.3 a tree may split on
+	// three of nine attributes, often on one numeric attribute only, whose
+	// marginal then comes from matrices whose Y axes it may not split on:
+	// seed 44 gives both forests such trees that split on that attribute
+	// below the root.
+	for _, row := range []struct {
+		fn   synth.Func
+		frac float64
+		seed int64
+	}{{synth.F2, 0.7, 42}, {synth.F3, 0.7, 42}, {synth.F3, 0.3, 44}, {synth.F5, 0.3, 44}} {
+		res, err := forest.Train(goldenStore(row.fn, int64(row.fn)), forest.Config{
 			Trees:       8,
-			FeatureFrac: 0.7,
-			Seed:        42,
+			FeatureFrac: row.frac,
+			Seed:        row.seed,
 			Parallel:    2,
 			Tree:        goldenTreeConfig(core.CMPB, true),
 		})
 		if err != nil {
 			t.Fatalf("forest: %v", err)
 		}
-		add(fmt.Sprintf("F%d/forest8/featurefrac=0.7", int(fn)), res.Forest.WriteJSON)
+		add(fmt.Sprintf("F%d/forest8/featurefrac=%g", int(row.fn), row.frac), res.Forest.WriteJSON)
 	}
 	return names, models
 }
