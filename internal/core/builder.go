@@ -83,20 +83,8 @@ func BuildContext(ctx context.Context, src storage.Source, cfg Config) (res *Res
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		obs:    cfg.Obs,
 	}
-	if cfg.SplitAttrs != nil {
-		b.allowed = make([]bool, b.na)
-		for _, a := range cfg.SplitAttrs {
-			if a < 0 || a >= b.na {
-				return nil, fmt.Errorf("core: SplitAttrs index %d outside [0,%d)", a, b.na)
-			}
-			if b.allowed[a] {
-				return nil, fmt.Errorf("core: SplitAttrs lists attribute %d twice", a)
-			}
-			b.allowed[a] = true
-		}
-		if len(cfg.SplitAttrs) == 0 {
-			return nil, errors.New("core: SplitAttrs allows no attribute")
-		}
+	if b.allowed, err = splitAttrMask(cfg.SplitAttrs, b.na); err != nil {
+		return nil, err
 	}
 	for a := 0; a < b.na; a++ {
 		if b.schema.Attrs[a].Kind == dataset.Numeric {

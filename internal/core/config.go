@@ -20,6 +20,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 
@@ -146,9 +147,11 @@ type Config struct {
 	// SplitAttrs, when non-nil, restricts split selection to the listed
 	// attribute indices: numeric thresholds, categorical subsets, the
 	// in-memory subtree finishers, and both ends of a linear combination all
-	// draw only from this set. Attributes outside it still feed
-	// discretization and histogram axes but never appear in a split test —
-	// the per-tree feature-subsampling hook the forest layer builds on.
+	// draw only from this set. Attributes outside it never appear in a
+	// split test — the per-tree feature-subsampling hook the forest layer
+	// builds on. Raw builds still discretize them and keep their histogram
+	// axes; quantized builds give each numeric one a single bin, since no
+	// decision reads its codes.
 	// Nil (the default) allows every attribute; duplicate or out-of-range
 	// indices are rejected, as is a set with no usable attribute.
 	SplitAttrs []int
@@ -323,7 +326,8 @@ type Stats struct {
 	Quantized bool
 	// QuantBinsPerAttr records each attribute's code-table size for
 	// quantized builds (numeric: cut points + 1; categorical: the
-	// cardinality). Nil for raw builds.
+	// cardinality). A numeric attribute outside Config.SplitAttrs reports
+	// 1: it gets no cut points. Nil for raw builds.
 	QuantBinsPerAttr []int
 	// QuantizeNs is the wall time of the quantization step — discretizer
 	// construction plus the encode pass, or BuildIndexed's index walk. Zero
@@ -381,4 +385,26 @@ type Result struct {
 	Stats Stats
 	// IO is the source's cumulative scan accounting for this build.
 	IO storage.Stats
+}
+
+// splitAttrMask turns Config.SplitAttrs into a per-attribute mask over na
+// attributes: nil when every attribute may split.
+func splitAttrMask(splitAttrs []int, na int) ([]bool, error) {
+	if splitAttrs == nil {
+		return nil, nil
+	}
+	if len(splitAttrs) == 0 {
+		return nil, errors.New("core: SplitAttrs allows no attribute")
+	}
+	allowed := make([]bool, na)
+	for _, a := range splitAttrs {
+		if a < 0 || a >= na {
+			return nil, fmt.Errorf("core: SplitAttrs index %d outside [0,%d)", a, na)
+		}
+		if allowed[a] {
+			return nil, fmt.Errorf("core: SplitAttrs lists attribute %d twice", a)
+		}
+		allowed[a] = true
+	}
+	return allowed, nil
 }

@@ -22,7 +22,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -129,7 +128,15 @@ type qbuilder struct {
 
 	numeric []int
 	allowed []bool
-	useMats bool
+	// cutAttrs are the numeric attributes that may split. Only they get cut
+	// points: every other numeric attribute is quantized to one bin, so its
+	// matrix axes collapse to width 1. No decision reads such an axis — its
+	// own marginal is never scored, and a matrix's X marginal and class
+	// totals sum over its Y axis — so trees are unchanged. The matrices
+	// stay built: when the X axis is the only numeric attribute that may
+	// split, its marginal comes from them.
+	cutAttrs []int
+	useMats  bool
 	// inheritX: children of on-axis second splits may inherit the axis
 	// (predictChildXOnAxis). Enabled only when no allowed attribute is
 	// categorical — see that function for why.
@@ -155,46 +162,9 @@ type qbuilder struct {
 // validated by the caller; panics unwind into the caller's recover.
 // Result.IO covers the code store only: callers add their raw source's.
 func buildQuantized(ctx context.Context, schema *dataset.Schema, cfg Config, quantize func(b *qbuilder) (cleanup func(), err error)) (*Result, error) {
-	b := &qbuilder{
-		ctx:    ctx,
-		cfg:    cfg,
-		schema: schema,
-		na:     schema.NumAttrs(),
-		nc:     schema.NumClasses(),
-		byTN:   make(map[*tree.Node]*qnode),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		obs:    cfg.Obs,
-	}
-	if cfg.SplitAttrs != nil {
-		b.allowed = make([]bool, b.na)
-		for _, a := range cfg.SplitAttrs {
-			if a < 0 || a >= b.na {
-				return nil, fmt.Errorf("core: SplitAttrs index %d outside [0,%d)", a, b.na)
-			}
-			if b.allowed[a] {
-				return nil, fmt.Errorf("core: SplitAttrs lists attribute %d twice", a)
-			}
-			b.allowed[a] = true
-		}
-		if len(cfg.SplitAttrs) == 0 {
-			return nil, errors.New("core: SplitAttrs allows no attribute")
-		}
-	}
-	for a := 0; a < b.na; a++ {
-		if schema.Attrs[a].Kind == dataset.Numeric {
-			b.numeric = append(b.numeric, a)
-		}
-	}
-	b.stats.RootSplitAttr = -1
-	b.stats.Quantized = true
-	// Linear-combination splits are not searched in code space; CMPFull
-	// quantized builds behave as CMP-B (see Config.Quantize).
-	b.useMats = cfg.Algorithm != CMPS && len(b.numeric) >= 2
-	b.inheritX = true
-	for a := 0; a < b.na; a++ {
-		if schema.Attrs[a].Kind == dataset.Categorical && b.attrAllowed(a) {
-			b.inheritX = false
-		}
+	b, err := newQBuilder(ctx, schema, cfg)
+	if err != nil {
+		return nil, err
 	}
 	b.obs.StartRound(0) // round 0: quantization (discretize + encode)
 	initSpan := b.obs.StartSpan(obs.PhaseInit)
@@ -249,6 +219,42 @@ func buildQuantized(ctx context.Context, schema *dataset.Schema, cfg Config, qua
 	return &Result{Tree: t, Stats: b.stats, IO: b.qsrc.Stats()}, nil
 }
 
+// newQBuilder is a quantized builder ready for its quantize step.
+func newQBuilder(ctx context.Context, schema *dataset.Schema, cfg Config) (*qbuilder, error) {
+	b := &qbuilder{
+		ctx:     ctx,
+		cfg:     cfg,
+		schema:  schema,
+		na:      schema.NumAttrs(),
+		nc:      schema.NumClasses(),
+		numeric: schema.NumericAttrs(),
+		byTN:    make(map[*tree.Node]*qnode),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		obs:     cfg.Obs,
+	}
+	var err error
+	if b.allowed, err = splitAttrMask(cfg.SplitAttrs, b.na); err != nil {
+		return nil, err
+	}
+	for _, a := range b.numeric {
+		if b.attrAllowed(a) {
+			b.cutAttrs = append(b.cutAttrs, a)
+		}
+	}
+	b.stats.RootSplitAttr = -1
+	b.stats.Quantized = true
+	// Linear-combination splits are not searched in code space; CMPFull
+	// quantized builds behave as CMP-B (see Config.Quantize).
+	b.useMats = cfg.Algorithm != CMPS && len(b.numeric) >= 2
+	b.inheritX = true
+	for a := 0; a < b.na; a++ {
+		if schema.Attrs[a].Kind == dataset.Categorical && b.attrAllowed(a) {
+			b.inheritX = false
+		}
+	}
+	return b, nil
+}
+
 // quantizeSource obtains the bin-coded training set: pre-quantized sources
 // (CMPDQ1 stores) are used directly; raw sources are discretized and encoded
 // in one extra pass each — to a temporary CMPDQ1 file when the raw records
@@ -279,6 +285,8 @@ func (b *qbuilder) quantizeSource(src storage.Source) (cleanup func(), err error
 // resolution and returns the per-attribute code tables: equal-depth cut
 // points over a record-prefix sample (or GK sketches over a full pass when
 // DiscretizeSample is negative) plus a representative for the top bin.
+// Only cutAttrs are sampled; quantTables gives the other numeric
+// attributes one bin. Validation still checks every attribute.
 func (b *qbuilder) discretize(src storage.Source) ([]storage.QuantAttr, error) {
 	n := src.NumRecords()
 	attrMax := make([]float64, b.na)
@@ -288,7 +296,7 @@ func (b *qbuilder) discretize(src storage.Source) ([]storage.QuantAttr, error) {
 	disc := make([]*quantile.Discretizer, b.na)
 	if b.cfg.DiscretizeSample < 0 {
 		sketches := make([]*quantile.GK, b.na)
-		for _, a := range b.numeric {
+		for _, a := range b.cutAttrs {
 			gk, err := quantile.NewGK(b.gkEpsilon())
 			if err != nil {
 				return nil, err
@@ -309,7 +317,7 @@ func (b *qbuilder) discretize(src storage.Source) ([]storage.QuantAttr, error) {
 				}
 				return nil
 			}
-			for _, a := range b.numeric {
+			for _, a := range b.cutAttrs {
 				if v := vals[a]; v > attrMax[a] {
 					attrMax[a] = v
 				}
@@ -322,7 +330,7 @@ func (b *qbuilder) discretize(src storage.Source) ([]storage.QuantAttr, error) {
 		}
 		b.obs.IncScans() // the sketch pass completed a full storage scan
 		b.stats.Scans++
-		for _, a := range b.numeric {
+		for _, a := range b.cutAttrs {
 			d, err := sketches[a].Discretizer(b.cfg.QuantizeBins)
 			if err != nil {
 				return nil, fmt.Errorf("core: discretizing %s: %w", b.schema.Attrs[a].Name, err)
@@ -336,7 +344,7 @@ func (b *qbuilder) discretize(src storage.Source) ([]storage.QuantAttr, error) {
 		sampleCap = n
 	}
 	samples := make([][]float64, b.na)
-	for _, a := range b.numeric {
+	for _, a := range b.cutAttrs {
 		samples[a] = make([]float64, 0, sampleCap)
 	}
 	seen := 0
@@ -354,7 +362,7 @@ func (b *qbuilder) discretize(src storage.Source) ([]storage.QuantAttr, error) {
 			}
 			return nil // skipped: only valid records feed the sample
 		}
-		for _, a := range b.numeric {
+		for _, a := range b.cutAttrs {
 			if v := vals[a]; v > attrMax[a] {
 				attrMax[a] = v
 			}
@@ -377,7 +385,7 @@ func (b *qbuilder) discretize(src storage.Source) ([]storage.QuantAttr, error) {
 	if sampleCap >= n {
 		b.stats.Scans++
 	}
-	for _, a := range b.numeric {
+	for _, a := range b.cutAttrs {
 		d, err := quantile.EqualDepth(samples[a], b.cfg.QuantizeBins)
 		if err != nil {
 			return nil, fmt.Errorf("core: discretizing %s: %w", b.schema.Attrs[a].Name, err)
@@ -393,12 +401,14 @@ func (b *qbuilder) gkEpsilon() float64 {
 	return math.Min(1/(8*float64(b.cfg.QuantizeBins)), 0.01)
 }
 
-// quantTables assembles the code tables: the discretizer cut points plus the
-// observed maximum as the top bin's representative (nudged above the last
-// cut if the sample maximum coincided with it).
+// quantTables assembles the code tables: for each of cutAttrs, the
+// discretizer cut points plus the observed maximum as the top bin's
+// representative (nudged above the last cut if the sample maximum
+// coincided with it). Every other numeric attribute gets a cut-less table
+// with representative 0: one bin, code 0 for every value.
 func (b *qbuilder) quantTables(disc []*quantile.Discretizer, attrMax []float64) []storage.QuantAttr {
 	attrs := make([]storage.QuantAttr, b.na)
-	for _, a := range b.numeric {
+	for _, a := range b.cutAttrs {
 		cuts := disc[a].Cuts()
 		max := attrMax[a]
 		if math.IsInf(max, -1) {
@@ -487,10 +497,8 @@ func (b *qbuilder) attrAllowed(a int) bool {
 }
 
 func (b *qbuilder) xDefault() int {
-	for _, a := range b.numeric {
-		if b.attrAllowed(a) {
-			return a
-		}
+	if len(b.cutAttrs) > 0 {
+		return b.cutAttrs[0]
 	}
 	return b.numeric[0]
 }
@@ -778,6 +786,11 @@ type qview struct {
 	xAttr  int
 	totals []int
 	n      int
+	// evals[a] memoizes qEvalNumeric over marg[a] and totals: a node's
+	// decision and both children's X-axis predictions score the same
+	// marginals, and a sliced view is scored by predictX and then by the
+	// decideNode that follows it. Filled by evalOf.
+	evals []*qEval
 }
 
 func (v *qview) finish(nc int) {
@@ -956,25 +969,35 @@ func (b *qbuilder) estGroup(a int) int {
 	return k
 }
 
+// evalOf returns qEvalNumeric over v's own marginal of a and v's totals,
+// computed on the first call per view. The result is shared: callers must
+// not modify it.
+func (b *qbuilder) evalOf(v *qview, a int) *qEval {
+	if v.evals == nil {
+		v.evals = make([]*qEval, b.na)
+	}
+	if e := v.evals[a]; e != nil {
+		return e
+	}
+	e := qEvalNumeric(a, v.marg[a], v.totals, b.estGroup(a))
+	v.evals[a] = &e
+	return &e
+}
+
 func (b *qbuilder) evalNumericAttrs(v *qview) (best, evalX *qEval) {
-	for _, a := range b.numeric {
-		if !b.attrAllowed(a) {
-			continue
-		}
+	for _, a := range b.cutAttrs {
 		if v.marg[a] == nil || v.marg[a].Bins() < 2 {
 			continue
 		}
-		e := qEvalNumeric(a, v.marg[a], v.totals, b.estGroup(a))
+		e := b.evalOf(v, a)
 		if !e.ok {
 			continue
 		}
 		if a == v.xAttr {
-			cp := e
-			evalX = &cp
+			evalX = e
 		}
 		if best == nil || e.score < best.score {
-			cp := e
-			best = &cp
+			best = e
 		}
 	}
 	return best, evalX
@@ -1118,15 +1141,15 @@ func (b *qbuilder) predictX(v *qview, exclude int) int {
 	bestA := -1
 	bestG := math.Inf(1)
 	axisG := math.Inf(1)
-	for _, a := range b.numeric {
-		if a == exclude || !b.attrAllowed(a) {
+	for _, a := range b.cutAttrs {
+		if a == exclude {
 			continue
 		}
 		h := v.marg[a]
 		if h == nil || occupiedBins(h) < 2 {
 			continue
 		}
-		if e := qEvalNumeric(a, h, v.totals, b.estGroup(a)); e.ok {
+		if e := b.evalOf(v, a); e.ok {
 			if a == v.xAttr {
 				axisG = e.score
 			}
@@ -1147,7 +1170,8 @@ func (b *qbuilder) predictX(v *qview, exclude int) int {
 // predictChildX predicts the X-axis for a child of a Y-attribute split: the
 // (X, attr) matrix sliced along Y gives exact child marginals for X and the
 // split attribute; every other attribute is scored from the parent's
-// pre-split marginals — the paper's "crude estimate".
+// pre-split marginals — the paper's "crude estimate", which the parent's
+// decision has already scored.
 func (b *qbuilder) predictChildX(v *qview, attr, binLo, binHi int) int {
 	if !b.useMats {
 		return -1
@@ -1160,25 +1184,26 @@ func (b *qbuilder) predictChildX(v *qview, attr, binLo, binHi int) int {
 	childTotals := s.ClassTotals()
 	bestA := -1
 	bestG := math.Inf(1)
-	score := func(a int, h *histogram.Hist1D, totals []int) {
-		if h == nil || occupiedBins(h) < 2 {
-			return
+	sliced := func(a int, h *histogram.Hist1D) qEval {
+		if occupiedBins(h) < 2 {
+			return qEval{}
 		}
-		if e := qEvalNumeric(a, h, totals, b.estGroup(a)); e.ok && e.score < bestG {
-			bestG, bestA = e.score, a
-		}
+		return qEvalNumeric(a, h, childTotals, b.estGroup(a))
 	}
-	for _, a := range b.numeric {
-		if !b.attrAllowed(a) {
-			continue
-		}
+	for _, a := range b.cutAttrs {
+		var e qEval
 		switch a {
 		case v.xAttr:
-			score(a, s.MarginalX(), childTotals)
+			e = sliced(a, s.MarginalX())
 		case attr:
-			score(a, s.MarginalY(), childTotals)
+			e = sliced(a, s.MarginalY())
 		default:
-			score(a, v.marg[a], v.totals)
+			if h := v.marg[a]; h != nil && occupiedBins(h) >= 2 {
+				e = *b.evalOf(v, a)
+			}
+		}
+		if e.ok && e.score < bestG {
+			bestG, bestA = e.score, a
 		}
 	}
 	if bestA < 0 {

@@ -59,8 +59,10 @@ type Index struct {
 // own Stats (src's counters are untouched, so concurrent readers of src are
 // unaffected) and cancellable through ctx. Invalid records do not fail the
 // build: they are recorded, and each BuildIndexed call applies its own
-// validation policy to the ones its mask draws. The numeric attributes are
-// sorted concurrently, at most parallel at a time (<= 0 means one).
+// validation policy to the ones its mask draws. The scan reads parallel
+// contiguous record ranges concurrently, and the numeric attributes are
+// then sorted concurrently, at most parallel at a time (<= 0 means one).
+// The index does not depend on parallel.
 func NewIndex(ctx context.Context, src storage.RangeSource, parallel int) (*Index, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -76,6 +78,9 @@ func NewIndex(ctx context.Context, src storage.RangeSource, parallel int) (*Inde
 	if n > math.MaxInt32 {
 		return nil, fmt.Errorf("core: %d records exceed the index's record ids", n)
 	}
+	if parallel < 1 {
+		parallel = 1
+	}
 	na := schema.NumAttrs()
 	ix := &Index{
 		schema: schema,
@@ -85,31 +90,37 @@ func NewIndex(ctx context.Context, src storage.RangeSource, parallel int) (*Inde
 		sorted: make([][]float64, na),
 		cat:    make([][]uint16, na),
 	}
+	// A valid record's entry lands in slot u of each numeric column, so
+	// ranges write disjoint slots; the invalid records' slots are squeezed
+	// out before the sort.
 	numeric := schema.NumericAttrs()
 	cols := make([][]indexEntry, na)
 	for _, a := range numeric {
-		cols[a] = make([]indexEntry, 0, n)
+		cols[a] = make([]indexEntry, n)
 	}
 	for a := range schema.Attrs {
 		if schema.Attrs[a].Kind == dataset.Categorical {
 			ix.cat[a] = make([]uint16, n)
 		}
 	}
-	err := src.ScanRange(0, n, &ix.stats, func(u int, vals []float64, label int) error {
-		if u&ctxCheckMask == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
+	// Each range lists its own invalid records; ranges are contiguous and
+	// in worker order, so concatenating the lists keeps invalid ascending.
+	type rangeInvalid struct {
+		ids     []int32
+		defects []string
+	}
+	invalid := make([]rangeInvalid, parallel)
+	err := storage.ParallelScan(ctx, meteredRanges{src, &ix.stats}, parallel, func(w, u int, vals []float64, label int) error {
 		if d := schema.RecordDefect(vals, label); d != "" {
-			ix.invalid = append(ix.invalid, int32(u))
-			ix.defects = append(ix.defects, d)
+			inv := &invalid[w]
+			inv.ids = append(inv.ids, int32(u))
+			inv.defects = append(inv.defects, d)
 			return nil
 		}
 		ix.labels[u] = uint16(label)
 		for a, v := range vals {
 			if col := cols[a]; col != nil {
-				cols[a] = append(col, indexEntry{v, int32(u)})
+				col[u] = indexEntry{v, int32(u)}
 			} else {
 				ix.cat[a][u] = uint16(v)
 			}
@@ -119,11 +130,11 @@ func NewIndex(ctx context.Context, src storage.RangeSource, parallel int) (*Inde
 	if err != nil {
 		return nil, err
 	}
-	ix.stats.Scans++
-
-	if parallel < 1 {
-		parallel = 1
+	for _, inv := range invalid {
+		ix.invalid = append(ix.invalid, inv.ids...)
+		ix.defects = append(ix.defects, inv.defects...)
 	}
+
 	sem := make(chan struct{}, parallel)
 	var wg sync.WaitGroup
 	for _, a := range numeric {
@@ -136,7 +147,7 @@ func NewIndex(ctx context.Context, src storage.RangeSource, parallel int) (*Inde
 		go func(a int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			col := sortEntries(cols[a])
+			col := sortEntries(dropSlots(cols[a], ix.invalid))
 			rank := make([]int32, n)
 			for u := range rank {
 				rank[u] = -1
@@ -155,6 +166,32 @@ func NewIndex(ctx context.Context, src storage.RangeSource, parallel int) (*Inde
 		return nil, err
 	}
 	return ix, nil
+}
+
+// meteredRanges is a RangeSource whose completed parallel passes are
+// metered into stats instead of the source's own counters.
+type meteredRanges struct {
+	storage.RangeSource
+	stats *storage.Stats
+}
+
+func (m meteredRanges) AddStats(s storage.Stats) { m.stats.Add(s) }
+
+// dropSlots removes from col, in place, the entries at the ascending
+// positions skip, keeping the others in order.
+func dropSlots(col []indexEntry, skip []int32) []indexEntry {
+	if len(skip) == 0 {
+		return col
+	}
+	w := int(skip[0])
+	for i, s := range skip {
+		end := len(col)
+		if i+1 < len(skip) {
+			end = int(skip[i+1])
+		}
+		w += copy(col[w:], col[s+1:end])
+	}
+	return col[:w]
 }
 
 // indexEntry is one valid value of a numeric attribute and its record.
@@ -317,9 +354,10 @@ func (b *qbuilder) quantizeIndexed(ix *Index, mask *storage.Mask) error {
 
 	// rank→code tables: one merge of each attribute's sorted values
 	// against its cuts (code = the number of cuts below the value, as
-	// Quantizer.Encode's binary search computes).
+	// Quantizer.Encode's binary search computes). The numeric attributes
+	// outside cutAttrs have one bin and need none: their codes stay 0.
 	codeOf := make([][]uint16, b.na)
-	for _, a := range b.numeric {
+	for _, a := range b.cutAttrs {
 		cuts := attrs[a].Cuts
 		sorted := ix.sorted[a]
 		tab := make([]uint16, len(sorted))
@@ -333,6 +371,12 @@ func (b *qbuilder) quantizeIndexed(ix *Index, mask *storage.Mask) error {
 		codeOf[a] = tab
 	}
 
+	var cats []int
+	for a := range ix.cat {
+		if ix.cat[a] != nil {
+			cats = append(cats, a)
+		}
+	}
 	qm := storage.NewQuantMemCap(q, int(valid))
 	row := make([]uint16, b.na)
 	for u, m := range mult {
@@ -344,12 +388,11 @@ func (b *qbuilder) quantizeIndexed(ix *Index, mask *storage.Mask) error {
 		if m == 0 {
 			continue
 		}
-		for a := range row {
-			if tab := codeOf[a]; tab != nil {
-				row[a] = tab[ix.rank[a][u]]
-			} else {
-				row[a] = ix.cat[a][u]
-			}
+		for _, a := range b.cutAttrs {
+			row[a] = codeOf[a][ix.rank[a][u]]
+		}
+		for _, a := range cats {
+			row[a] = ix.cat[a][u]
 		}
 		label := int(ix.labels[u])
 		for ; m > 0; m-- {
@@ -391,7 +434,7 @@ func (b *qbuilder) sampleIndexed(ix *Index, mult []uint32, total int) ([]storage
 	attrMax := make([]float64, b.na)
 	disc := make([]*quantile.Discretizer, b.na)
 	var counts []uint32
-	for _, a := range b.numeric {
+	for _, a := range b.cutAttrs {
 		if err := b.ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -435,7 +478,7 @@ func (b *qbuilder) sampleIndexed(ix *Index, mult []uint32, total int) ([]storage
 func (b *qbuilder) sketchIndexed(ix *Index, mult []uint32) ([]storage.QuantAttr, error) {
 	attrMax := make([]float64, b.na)
 	disc := make([]*quantile.Discretizer, b.na)
-	for _, a := range b.numeric {
+	for _, a := range b.cutAttrs {
 		if err := b.ctx.Err(); err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -105,14 +106,11 @@ func newTestQBuilder(t testing.TB, schema *dataset.Schema, cfg Config) *qbuilder
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &qbuilder{
-		ctx:     context.Background(),
-		cfg:     cfg,
-		schema:  schema,
-		na:      schema.NumAttrs(),
-		nc:      schema.NumClasses(),
-		numeric: schema.NumericAttrs(),
+	b, err := newQBuilder(context.Background(), schema, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b
 }
 
 func outcomeOf(t testing.TB, b *qbuilder, err error) quantOutcome {
@@ -156,6 +154,46 @@ func quantizeBoth(t testing.TB, in indexInput, cfg Config) (want, got quantOutco
 	return want, got
 }
 
+// subsetOf returns the attributes of na whose bit is set in bits, or nil
+// (every attribute may split) when none is.
+func subsetOf(bits uint, na int) []int {
+	var attrs []int
+	for a := 0; a < na; a++ {
+		if bits&(1<<uint(a)) != 0 {
+			attrs = append(attrs, a)
+		}
+	}
+	return attrs
+}
+
+// oneCodeDefect checks the one-code rule on a successful outcome: a numeric
+// attribute outside cfg.SplitAttrs has a cut-less table and code 0 in every
+// record. It describes the first violation, or returns "".
+func oneCodeDefect(schema *dataset.Schema, cfg Config, o quantOutcome) string {
+	na := schema.NumAttrs()
+	allowed, err := splitAttrMask(cfg.SplitAttrs, na)
+	if err != nil {
+		return err.Error()
+	}
+	if o.err != "" || allowed == nil {
+		return ""
+	}
+	for _, a := range schema.NumericAttrs() {
+		if allowed[a] {
+			continue
+		}
+		if len(o.tables[a].Cuts) != 0 {
+			return fmt.Sprintf("attribute %d may not split but has %d cuts", a, len(o.tables[a].Cuts))
+		}
+		for i := a; i < len(o.codes); i += na {
+			if o.codes[i] != 0 {
+				return fmt.Sprintf("attribute %d may not split but record %d has code %d", a, i/na, o.codes[i])
+			}
+		}
+	}
+	return ""
+}
+
 // diffOutcomes describes the first difference, or returns "".
 func diffOutcomes(want, got quantOutcome) string {
 	if want.err != got.err {
@@ -196,16 +234,20 @@ func diffOutcomes(want, got quantOutcome) string {
 
 // TestIndexWalkMatchesDiscretizeEncode holds the forest quantize path to
 // the streaming one: over random masks with zero and heavy multiplicities,
-// heavily tied values, invalid records under both validation modes, and
-// samples below, above and without a cap (GK sketches), the index walk
-// yields the same Quantizer tables, code records, labels, skip count and
-// strict-mode error text as discretize+encode over the masked view.
+// heavily tied values, invalid records under both validation modes,
+// samples below, above and without a cap (GK sketches), and random
+// SplitAttrs subsets, the index walk yields the same Quantizer tables, code
+// records, labels, skip count and strict-mode error text as
+// discretize+encode over the masked view, and both give every numeric
+// attribute outside the subset one bin.
 func TestIndexWalkMatchesDiscretizeEncode(t *testing.T) {
 	strictOK, strictErr := 0, 0
+	rng := rand.New(rand.NewSource(20))
 	for seed := int64(1); seed <= 12; seed++ {
 		n := 50 + int(seed)*37
 		invalidPct := []int{0, 1, 5}[seed%3]
 		in := genIndexInput(seed, n, invalidPct, 35, 25)
+		schema := in.src.Schema()
 		total := in.mask.Len()
 		for _, sample := range []int{total / 3, total, 2*total + 1, -1} {
 			for _, bins := range []int{2, 7, 40} {
@@ -215,9 +257,13 @@ func TestIndexWalkMatchesDiscretizeEncode(t *testing.T) {
 					cfg.QuantizeBins = bins
 					cfg.DiscretizeSample = sample
 					cfg.Validation = v
+					cfg.SplitAttrs = subsetOf(uint(rng.Intn(1<<schema.NumAttrs())), schema.NumAttrs())
 					want, got := quantizeBoth(t, in, cfg)
 					if d := diffOutcomes(want, got); d != "" {
-						t.Fatalf("seed %d n=%d sample=%d bins=%d validation=%d: %s", seed, n, sample, bins, v, d)
+						t.Fatalf("seed %d n=%d sample=%d bins=%d validation=%d split attrs %v: %s", seed, n, sample, bins, v, cfg.SplitAttrs, d)
+					}
+					if d := oneCodeDefect(schema, cfg, got); d != "" {
+						t.Fatalf("seed %d n=%d sample=%d bins=%d validation=%d split attrs %v: %s", seed, n, sample, bins, v, cfg.SplitAttrs, d)
 					}
 					if v == ValidateStrict {
 						if want.err != "" {
@@ -267,6 +313,58 @@ func TestIndexedStrictErrorNamesVirtualRecord(t *testing.T) {
 	}
 }
 
+// TestDisallowedAttrStillValidated pins validation to every attribute: a
+// NaN in a numeric attribute the tree may not split on, which gets no cut
+// points, still fails a strict build and is still skipped under
+// ValidateSkip, on both quantize paths.
+func TestDisallowedAttrStillValidated(t *testing.T) {
+	in := genIndexInput(4, 60, 0, 0, 0)
+	in.src.bad = map[int]func([]float64, int) ([]float64, int){
+		5: func(v []float64, l int) ([]float64, int) { v[3] = math.NaN(); return v, l },
+	}
+	in.mask = storage.FullMask(60)
+	cfg := Default(CMPB)
+	cfg.Quantize = true
+	cfg.Workers = 1
+	cfg.SplitAttrs = []int{0, 2} // not "flat", attribute 3
+	want, got := quantizeBoth(t, in, cfg)
+	if d := diffOutcomes(want, got); d != "" {
+		t.Fatal(d)
+	}
+	if !strings.Contains(got.err, "record 5 invalid: attribute \"flat\" is NaN") {
+		t.Fatalf("strict quantize error %q, want record 5's NaN", got.err)
+	}
+	ix, err := NewIndex(context.Background(), in.src, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildIndexed(context.Background(), ix, in.mask, cfg); err == nil {
+		t.Fatal("strict BuildIndexed built over a NaN in an attribute it may not split on")
+	}
+
+	cfg.Validation = ValidateSkip
+	want, got = quantizeBoth(t, in, cfg)
+	if d := diffOutcomes(want, got); d != "" {
+		t.Fatal(d)
+	}
+	if d := oneCodeDefect(in.src.Schema(), cfg, got); d != "" {
+		t.Fatal(d)
+	}
+	if got.skipped != 1 || len(got.labels) != 59 {
+		t.Fatalf("skipped %d records, kept %d; want 1 and 59", got.skipped, len(got.labels))
+	}
+	res, err := BuildIndexed(context.Background(), ix, in.mask, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.SkippedRecords != 1 {
+		t.Errorf("BuildIndexed skipped %d records, want 1", res.Stats.SkippedRecords)
+	}
+	if bins := res.Stats.QuantBinsPerAttr; bins[3] != 1 || bins[1] != 1 || bins[0] < 2 {
+		t.Errorf("bins per attribute %v: want 1 for the numeric attributes outside SplitAttrs", bins)
+	}
+}
+
 // TestIndexMemory pins the index's footprint: 12 bytes per numeric value,
 // 2 per categorical value and 2 per label, plus the invalid-record list.
 func TestIndexMemory(t *testing.T) {
@@ -283,6 +381,109 @@ func TestIndexMemory(t *testing.T) {
 	}
 	if s := in.src.Stats(); s.Scans != 0 || s.RecordsRead != 0 {
 		t.Errorf("index build metered into the source's own counters: %+v", s)
+	}
+}
+
+// serialIndex is NewIndex written plainly: one serial ScanRange over src
+// and a comparison sort of each numeric attribute by (value, record id).
+func serialIndex(t *testing.T, src storage.RangeSource) *Index {
+	t.Helper()
+	schema := src.Schema()
+	n, na := src.NumRecords(), schema.NumAttrs()
+	ix := &Index{schema: schema, n: n, labels: make([]uint16, n),
+		rank: make([][]int32, na), sorted: make([][]float64, na), cat: make([][]uint16, na)}
+	cols := make([][]indexEntry, na)
+	for a := range schema.Attrs {
+		if schema.Attrs[a].Kind == dataset.Categorical {
+			ix.cat[a] = make([]uint16, n)
+		}
+	}
+	err := src.ScanRange(0, n, &ix.stats, func(u int, vals []float64, label int) error {
+		if d := schema.RecordDefect(vals, label); d != "" {
+			ix.invalid = append(ix.invalid, int32(u))
+			ix.defects = append(ix.defects, d)
+			return nil
+		}
+		ix.labels[u] = uint16(label)
+		for a, v := range vals {
+			if ix.cat[a] != nil {
+				ix.cat[a][u] = uint16(v)
+			} else {
+				cols[a] = append(cols[a], indexEntry{v, int32(u)})
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.stats.Scans++
+	for _, a := range schema.NumericAttrs() {
+		col := cols[a]
+		sort.Slice(col, func(i, j int) bool {
+			if col[i].v != col[j].v {
+				return col[i].v < col[j].v
+			}
+			return col[i].u < col[j].u
+		})
+		ix.rank[a] = make([]int32, n)
+		for u := range ix.rank[a] {
+			ix.rank[a][u] = -1
+		}
+		ix.sorted[a] = make([]float64, len(col))
+		for r, e := range col {
+			ix.sorted[a][r] = e.v
+			ix.rank[a][e.u] = int32(r)
+		}
+	}
+	return ix
+}
+
+// TestNewIndexParallelMatchesSerial holds the parallel index scan to a
+// plain serial one: at 1, 2, 3 and 7 ranges, with invalid records at the
+// first and last record of ranges and scattered between them, the labels,
+// ranks, sorted values, categories, invalid list, defects and I/O Stats
+// are identical.
+func TestNewIndexParallelMatchesSerial(t *testing.T) {
+	const n = 1000
+	for _, invalidPct := range []int{0, 4} {
+		in := genIndexInput(17, n, invalidPct, 0, 0)
+		nan := func(v []float64, l int) ([]float64, int) { v[0] = math.NaN(); return v, l }
+		for _, parallel := range []int{2, 3, 7} {
+			for w := 0; w < parallel; w++ {
+				in.src.bad[w*n/parallel] = nan
+				in.src.bad[(w+1)*n/parallel-1] = nan
+			}
+		}
+		want := serialIndex(t, in.src)
+		if s := in.src.Stats(); s != (storage.Stats{}) {
+			t.Fatalf("serial reference metered into the source: %+v", s)
+		}
+		for _, parallel := range []int{1, 2, 3, 7} {
+			got, err := NewIndex(context.Background(), in.src, parallel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("invalid %d%%, parallel %d", invalidPct, parallel)
+			if !reflect.DeepEqual(got.labels, want.labels) {
+				t.Errorf("%s: labels differ", name)
+			}
+			if !reflect.DeepEqual(got.rank, want.rank) || !reflect.DeepEqual(got.sorted, want.sorted) {
+				t.Errorf("%s: ranks or sorted values differ", name)
+			}
+			if !reflect.DeepEqual(got.cat, want.cat) {
+				t.Errorf("%s: categories differ", name)
+			}
+			if !reflect.DeepEqual(got.invalid, want.invalid) || !reflect.DeepEqual(got.defects, want.defects) {
+				t.Errorf("%s: invalid records %v (%q), want %v (%q)", name, got.invalid, got.defects, want.invalid, want.defects)
+			}
+			if got.Stats() != want.Stats() {
+				t.Errorf("%s: Stats %+v, want %+v", name, got.Stats(), want.Stats())
+			}
+			if s := in.src.Stats(); s != (storage.Stats{}) {
+				t.Fatalf("%s: index build metered into the source: %+v", name, s)
+			}
+		}
 	}
 }
 
@@ -319,13 +520,13 @@ func TestSortEntries(t *testing.T) {
 }
 
 // FuzzIndexWalk is TestIndexWalkMatchesDiscretizeEncode over fuzzed
-// inputs.
+// inputs; splitBits selects the SplitAttrs subset (0: every attribute).
 func FuzzIndexWalk(f *testing.F) {
-	f.Add(int64(1), uint16(200), uint8(5), uint8(30), uint8(20), uint8(8), int16(50), false)
-	f.Add(int64(2), uint16(90), uint8(0), uint8(0), uint8(0), uint8(2), int16(-1), true)
-	f.Add(int64(3), uint16(400), uint8(20), uint8(60), uint8(40), uint8(64), int16(0), false)
-	f.Add(int64(4), uint16(1), uint8(0), uint8(0), uint8(0), uint8(3), int16(1), true)
-	f.Fuzz(func(t *testing.T, seed int64, n uint16, invalidPct, zeroPct, heavy, bins uint8, sample int16, skip bool) {
+	f.Add(int64(1), uint16(200), uint8(5), uint8(30), uint8(20), uint8(8), int16(50), false, uint8(0))
+	f.Add(int64(2), uint16(90), uint8(0), uint8(0), uint8(0), uint8(2), int16(-1), true, uint8(0b10101))
+	f.Add(int64(3), uint16(400), uint8(20), uint8(60), uint8(40), uint8(64), int16(0), false, uint8(0b00100))
+	f.Add(int64(4), uint16(1), uint8(0), uint8(0), uint8(0), uint8(3), int16(1), true, uint8(0b01010))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, invalidPct, zeroPct, heavy, bins uint8, sample int16, skip bool, splitBits uint8) {
 		if n == 0 || n > 2000 || bins < 2 || zeroPct > 95 {
 			return
 		}
@@ -340,8 +541,13 @@ func FuzzIndexWalk(f *testing.F) {
 		if skip {
 			cfg.Validation = ValidateSkip
 		}
+		schema := in.src.Schema()
+		cfg.SplitAttrs = subsetOf(uint(splitBits), schema.NumAttrs())
 		want, got := quantizeBoth(t, in, cfg)
 		if d := diffOutcomes(want, got); d != "" {
+			t.Fatal(d)
+		}
+		if d := oneCodeDefect(schema, cfg, got); d != "" {
 			t.Fatal(d)
 		}
 	})

@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"math"
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -16,19 +18,19 @@ func TestTable1Small(t *testing.T) {
 		t.Fatal(err)
 	}
 	PrintTable1(os.Stdout, rows)
-	attrMatches := 0
+	// EXPERIMENTS.md's verdict: with >= 15 intervals CMP picks the exact
+	// split attribute in every case, and on the Agrawal functions its gini
+	// is within 4e-4 of exact (the largest gap measured is 3.5e-4).
 	for _, r := range rows {
-		if r.AttrMatch {
-			attrMatches++
-		}
 		if r.Alive > 2 {
 			t.Errorf("%s q=%d: %d alive intervals, expected <= 2", r.Dataset, r.Intervals, r.Alive)
 		}
-	}
-	// The paper's claim: with enough intervals CMP finds the same split
-	// attribute as the exact algorithm in (nearly) every case.
-	if attrMatches < len(rows)*2/3 {
-		t.Errorf("only %d/%d attribute matches", attrMatches, len(rows))
+		if r.Intervals >= 15 && !r.AttrMatch {
+			t.Errorf("%s q=%d: split attribute %d, exact %d", r.Dataset, r.Intervals, r.CMPAttr, r.ExactAttr)
+		}
+		if strings.HasPrefix(r.Dataset, "Function") && math.Abs(r.CMPGini-r.ExactGini) > 4e-4 {
+			t.Errorf("%s q=%d: gini %.6f, exact %.6f: more than 4e-4 apart", r.Dataset, r.Intervals, r.CMPGini, r.ExactGini)
+		}
 	}
 }
 
