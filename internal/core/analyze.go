@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"cmpdt/internal/dataset"
 	"cmpdt/internal/gini"
 	"cmpdt/internal/storage"
-	"cmpdt/internal/tree"
 )
 
 // AttributeCurve is the root-level gini geometry of one numeric attribute —
@@ -53,25 +51,18 @@ func AnalyzeAttribute(src storage.Source, cfg Config, attrName string) (*Attribu
 	}
 
 	cfg.Algorithm = CMPS
-	b := &builder{
-		ctx:    context.Background(),
-		cfg:    cfg,
-		src:    src,
-		schema: schema,
-		na:     schema.NumAttrs(),
-		nc:     schema.NumClasses(),
-		byTN:   make(map[*tree.Node]*bnode),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-	}
-	for a := 0; a < b.na; a++ {
-		if schema.Attrs[a].Kind == dataset.Numeric {
-			b.numeric = append(b.numeric, a)
-		}
-	}
-	if err := b.init(); err != nil {
+	cfg.Obs, cfg.SplitAttrs = nil, nil
+	eng, err := newEngine[*bnode](context.Background(), schema, cfg)
+	if err != nil {
 		return nil, err
 	}
-	b.makeRoot()
+	b := &builder{engine: eng, src: src}
+	b.k = b
+	b.nid = make([]int32, src.NumRecords())
+	if b.rootDisc, b.attrMin, b.attrMax, err = b.discretize(src, b.numeric, cfg.Intervals); err != nil {
+		return nil, err
+	}
+	b.root = b.admit(b.newBnode(0, b.rootDisc, -1), nil, false)
 	b.round = 1
 	if err := b.scan(); err != nil {
 		return nil, err

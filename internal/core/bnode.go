@@ -6,29 +6,6 @@ import (
 
 	"cmpdt/internal/histogram"
 	"cmpdt/internal/quantile"
-	"cmpdt/internal/tree"
-)
-
-// state of a builder node.
-type state int
-
-const (
-	// stBuilding: histograms are being (or about to be) filled by a scan.
-	stBuilding state = iota
-	// stPending: a provisional split is in place; alive-interval records
-	// are buffered during the next scan while region children collect the
-	// rest (Figure 3 of the paper).
-	stPending
-	// stResolved: the final split is known; children route records.
-	stResolved
-	// stCollect: the node is small enough to finish in memory; the next
-	// scan gathers all its records into the buffer.
-	stCollect
-	// stLeaf: a finished leaf.
-	stLeaf
-	// stDone: an in-memory-finished subtree hangs off the tree node;
-	// nothing further routes through the builder.
-	stDone
 )
 
 // histSet is one node's histogram storage. During a parallel scan every
@@ -72,17 +49,29 @@ func (hs *histSet) dropHists() {
 	hs.pairMats = nil
 }
 
-// bnode is a node of the tree under construction, carrying the histogram
-// and buffering state the final tree.Node does not need.
+// memoryBytes sums the histogram/matrix footprint of the set.
+func (hs *histSet) memoryBytes() int64 {
+	var total int64
+	for _, h := range hs.hists {
+		if h != nil {
+			total += h.MemoryBytes()
+		}
+	}
+	for _, ms := range [][]*histogram.Matrix{hs.mats, hs.pairMats} {
+		for _, m := range ms {
+			if m != nil {
+				total += m.MemoryBytes()
+			}
+		}
+	}
+	return total
+}
+
+// bnode is the raw kernel's node: the engine's nodeBase plus the
+// discretizers its histograms bin by, its pending split and its buffer of
+// float records.
 type bnode struct {
-	id    int32
-	tn    *tree.Node
-	depth int
-	state state
-	dead  bool // merged away or pruned out
-	// succ is the surviving node a dead node's records belong to; stale
-	// nid entries resolve through the succ chain.
-	succ *bnode
+	nodeBase[*bnode]
 
 	// disc holds the node's per-attribute discretizers (nil entries for
 	// categorical attributes). Children re-derive the split attribute's
@@ -90,44 +79,24 @@ type bnode struct {
 	// not degrade with depth.
 	disc []*quantile.Discretizer
 
-	// Histogram state (stBuilding).
-	histSet
-	xAttr int // CMP-B/CMP predicted X-axis; -1 for CMP-S
-
 	// Pending-split state (stPending).
 	pending *pendingSplit
 	buffer  buffer
 
-	// children: for stPending, the A+1 region children in value order; for
-	// stResolved, exactly {left, right}.
-	children []*bnode
-
-	// collectRound records when the node entered stCollect; its buffer is
-	// complete after the following round's scan and distributions.
-	collectRound int
-	// collectListed marks membership in the builder's collects list. A
-	// collect child that a same-scan secondary split turns pending keeps
-	// its stale entry there; if that pending split fails and the re-decided
-	// node is collected again in the same round, a second entry would have
-	// two workers finish one buffer concurrently (and, serially, graft an
-	// empty subtree over the real one).
-	collectListed bool
-
 	// banned lists numeric attributes whose pending split failed to resolve
 	// (no distinct values inside the alive gaps); they are not retried.
 	banned map[int]bool
+}
 
-	// notBefore delays the node's split decision until the given round,
-	// used when a failed resolution sends the node back to rebuild its
-	// histograms from the next scan.
-	notBefore int
-
-	// queued marks membership in the builder's scanned list, so a node
-	// re-queued by a revert while it still sits in the list (a new child
-	// whose same-scan secondary split went pending and then failed) is not
-	// entered twice — a duplicate entry would be decided twice in one
-	// round, and the second decision corrupts the first's split.
-	queued bool
+func (n *bnode) bins(a int) int        { return n.disc[a].Bins() }
+func (n *bnode) frame(v *view)         { v.disc = n.disc }
+func (n *bnode) bufferLabels() []int32 { return n.buffer.labels }
+func (n *bnode) bufferBytes() int64    { return n.buffer.bytes() }
+func (n *bnode) absorb(shard *bnode)   { n.buffer.appendFrom(&shard.buffer) }
+func (n *bnode) release() {
+	n.dropHists()
+	n.buffer.reset()
+	n.pending = nil
 }
 
 // pendingSplit is a provisional split awaiting exact resolution.
@@ -271,78 +240,6 @@ func (s *bufferSorter) Swap(i, j int) {
 	copy(rj, s.tmp)
 	b.rids[i], b.rids[j] = b.rids[j], b.rids[i]
 	b.labels[i], b.labels[j] = b.labels[j], b.labels[i]
-}
-
-// histMemoryBytes sums the histogram/matrix footprint of a node.
-func (n *bnode) histMemoryBytes() int64 {
-	var total int64
-	for _, h := range n.hists {
-		if h != nil {
-			total += h.MemoryBytes()
-		}
-	}
-	for _, m := range n.mats {
-		if m != nil {
-			total += m.MemoryBytes()
-		}
-	}
-	for _, m := range n.pairMats {
-		if m != nil {
-			total += m.MemoryBytes()
-		}
-	}
-	return total
-}
-
-// classTotals returns the per-class record counts currently accounted to
-// the node: its own histograms if building, its buffer if collecting, or
-// (recursively) its region children plus its buffer if pending.
-func (n *bnode) classTotals(numClasses int) []int {
-	switch n.state {
-	case stBuilding:
-		return n.ownHistTotals(numClasses)
-	case stCollect:
-		t := make([]int, numClasses)
-		for i := 0; i < n.buffer.Len(); i++ {
-			t[n.buffer.Label(i)]++
-		}
-		return t
-	case stPending, stResolved:
-		t := make([]int, numClasses)
-		for _, c := range n.children {
-			for i, v := range c.classTotals(numClasses) {
-				t[i] += v
-			}
-		}
-		for i := 0; i < n.buffer.Len(); i++ {
-			t[n.buffer.Label(i)]++
-		}
-		return t
-	default: // stLeaf, stDone
-		if n.tn != nil && n.tn.ClassCounts != nil {
-			return append([]int(nil), n.tn.ClassCounts...)
-		}
-		return make([]int, numClasses)
-	}
-}
-
-// ownHistTotals reads class totals from whichever histogram form the node
-// carries, falling back to the tree node's recorded counts.
-func (n *bnode) ownHistTotals(numClasses int) []int {
-	for _, m := range n.mats {
-		if m != nil {
-			return m.ClassTotals()
-		}
-	}
-	for _, h := range n.hists {
-		if h != nil {
-			return h.ClassTotals()
-		}
-	}
-	if n.tn != nil && n.tn.ClassCounts != nil {
-		return append([]int(nil), n.tn.ClassCounts...)
-	}
-	return make([]int, numClasses)
 }
 
 // unbounded endpoints for gap ranges at the domain edges.

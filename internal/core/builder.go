@@ -5,21 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"cmpdt/internal/dataset"
 	"cmpdt/internal/exact"
 	"cmpdt/internal/gini"
 	"cmpdt/internal/histogram"
 	"cmpdt/internal/obs"
-	"cmpdt/internal/prune"
 	"cmpdt/internal/quantile"
 	"cmpdt/internal/storage"
 	"cmpdt/internal/tree"
 )
-
-// errSampleDone terminates the discretization pass once the sample is full.
-var errSampleDone = errors.New("core: sample complete")
 
 // Build constructs a decision tree over src with the given configuration,
 // scanning the source once per construction round as described in Figures 4
@@ -72,72 +67,27 @@ func BuildContext(ctx context.Context, src storage.Source, cfg Config) (res *Res
 		}
 		return res, nil
 	}
-	b := &builder{
-		ctx:    ctx,
-		cfg:    cfg,
-		src:    src,
-		schema: src.Schema(),
-		na:     src.Schema().NumAttrs(),
-		nc:     src.Schema().NumClasses(),
-		byTN:   make(map[*tree.Node]*bnode),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		obs:    cfg.Obs,
-	}
-	if b.allowed, err = splitAttrMask(cfg.SplitAttrs, b.na); err != nil {
+	e, err := newEngine[*bnode](ctx, src.Schema(), cfg)
+	if err != nil {
 		return nil, err
 	}
-	for a := 0; a < b.na; a++ {
-		if b.schema.Attrs[a].Kind == dataset.Numeric {
-			b.numeric = append(b.numeric, a)
-		}
-	}
-	b.stats.RootSplitAttr = -1
-	b.useMats = cfg.Algorithm != CMPS && len(b.numeric) >= 2
-	if b.useMats && cfg.Algorithm == CMPFull && cfg.ObliqueAllPairs {
+	b := &builder{engine: e, src: src}
+	b.k = b
+	b.oblique = cfg.Algorithm == CMPFull
+	if b.useMats && b.oblique && cfg.ObliqueAllPairs {
 		for i := 0; i < len(b.numeric); i++ {
 			for j := i + 1; j < len(b.numeric); j++ {
 				b.pairs = append(b.pairs, [2]int{b.numeric[i], b.numeric[j]})
 			}
 		}
 	}
-	b.obs.StartRound(0) // round 0: the discretization pass
-	initSpan := b.obs.StartSpan(obs.PhaseInit)
-	if err := b.init(); err != nil {
+	err = b.build(func() (err error) {
+		b.nid = make([]int32, src.NumRecords())
+		b.rootDisc, b.attrMin, b.attrMax, err = b.discretize(src, b.numeric, cfg.Intervals)
+		return err
+	}, func(x int) *bnode { return b.newBnode(0, b.rootDisc, x) })
+	if err != nil {
 		return nil, err
-	}
-	initSpan.End()
-	b.makeRoot()
-
-	for b.round = 1; b.hasWork(); b.round++ {
-		if b.round > b.cfg.MaxRounds {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		b.obs.StartRound(b.round)
-		if err := b.scan(); err != nil {
-			return nil, err
-		}
-		b.resolveAll()
-		b.snapshotMemory()
-		b.finishCollects()
-		b.decideScanned()
-		if b.cfg.Prune {
-			pruneSpan := b.obs.StartSpan(obs.PhasePrune)
-			b.applyPrune(true)
-			pruneSpan.End()
-		}
-		b.snapshotMemory()
-		if debugValidate {
-			b.validate("end of round")
-		}
-	}
-	b.finalizeRemaining()
-	if b.cfg.Prune {
-		pruneSpan := b.obs.StartSpan(obs.PhasePrune)
-		b.applyPrune(false)
-		pruneSpan.End()
 	}
 	t := &tree.Tree{Root: b.root.tn, Schema: b.schema}
 	b.stats.ObliqueSplits = t.CountLinearSplits()
@@ -145,296 +95,40 @@ func BuildContext(ctx context.Context, src storage.Source, cfg Config) (res *Res
 	return &Result{Tree: t, Stats: b.stats, IO: b.src.Stats()}, nil
 }
 
+// builder is the raw scan kernel: it routes float records through
+// per-node discretizers, buffers the records of alive intervals and
+// resolves pending splits from them (the paper's CMP-S resolution).
 type builder struct {
-	ctx    context.Context
-	cfg    Config
-	src    storage.Source
-	schema *dataset.Schema
-	na, nc int
+	engine[*bnode]
+	src storage.Source
 
-	numeric []int    // numeric attribute indices
-	allowed []bool   // split-candidate attributes (nil = all; Config.SplitAttrs)
-	useMats bool     // CMP-B / CMP with >= 2 numeric attributes
-	pairs   [][2]int // ObliqueAllPairs extension: all numeric pairs
-
-	attrMin, attrMax []float64 // observed numeric domains (init scan)
+	attrMin, attrMax []float64 // observed numeric domains (discretization pass)
 	rootDisc         []*quantile.Discretizer
-
-	nid      []int32  // record id -> builder node id ("swapped to disk")
-	nodes    []*bnode // node id -> node (re-aimed when nodes merge)
-	all      []*bnode // every node ever created, for accounting
-	scanned  []*bnode // building nodes the next scan will fill
-	pendings []*bnode // pending nodes with no pending ancestor
-	collects []*bnode
-	byTN     map[*tree.Node]*bnode
-
-	root  *bnode
-	round int
-	stats Stats
-	rng   *rand.Rand
-	obs   *obs.Collector // nil when observability is off; all methods nil-safe
 }
 
-// attrAllowed reports whether attribute a may appear in a split test (see
-// Config.SplitAttrs).
-func (b *builder) attrAllowed(a int) bool {
-	return b.allowed == nil || b.allowed[a]
-}
-
-// ctxCheckMask throttles context polling in serial scan loops: the context
-// is checked every 1024 records, cheap against the per-record routing work
-// yet frequent enough that cancellation lands well inside one scan round.
-const ctxCheckMask = 1023
-
-// errInvalidRecord builds the ValidateStrict abort error.
-func errInvalidRecord(rid int, defect string) error {
-	return fmt.Errorf("core: record %d invalid: %s (set Config.Validation = ValidateSkip to drop such records)", rid, defect)
-}
-
-// init performs the discretization pass: a reservoir sample of each numeric
-// attribute drives the equal-depth interval boundaries, and the observed
-// min/max bound each domain.
-func (b *builder) init() error {
-	n := b.src.NumRecords()
-	b.nid = make([]int32, n)
-	b.attrMin = make([]float64, b.na)
-	b.attrMax = make([]float64, b.na)
-	for a := range b.attrMin {
-		b.attrMin[a] = posInf
-		b.attrMax[a] = negInf
-	}
-	if b.cfg.DiscretizeSample < 0 {
-		return b.initFullPass(n)
-	}
-	sampleCap := b.cfg.DiscretizeSample
-	if sampleCap == 0 || sampleCap > n {
-		sampleCap = n
-	}
-	samples := make([][]float64, b.na)
-	for _, a := range b.numeric {
-		samples[a] = make([]float64, 0, sampleCap)
-	}
-	// The discretization pass reads only the sample prefix: the benchmark
-	// generators emit i.i.d. records, so a prefix is a uniform sample, and
-	// the scan cost model charges only the bytes actually read (the papers
-	// likewise compute quantiles from a sample rather than a full pass).
-	seen := 0
-	checked := 0
-	err := b.src.Scan(func(rid int, vals []float64, label int) error {
-		checked++
-		if checked&ctxCheckMask == 0 {
-			if err := b.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if d := b.schema.RecordDefect(vals, label); d != "" {
-			if b.cfg.Validation == ValidateStrict {
-				return errInvalidRecord(rid, d)
-			}
-			return nil // skipped: only valid records feed the sample
-		}
-		for _, a := range b.numeric {
-			v := vals[a]
-			if v < b.attrMin[a] {
-				b.attrMin[a] = v
-			}
-			if v > b.attrMax[a] {
-				b.attrMax[a] = v
-			}
-			samples[a] = append(samples[a], v)
-		}
-		seen++
-		if seen >= sampleCap {
-			return errSampleDone
-		}
-		return nil
-	})
-	if err != nil && err != errSampleDone {
-		return err
-	}
-	if err == nil {
-		// The sample never filled, so the pass ran to completion and the
-		// storage layer counted a full scan; mirror it so the report's
-		// per-round scan totals match storage.Stats exactly.
-		b.obs.IncScans()
-	}
-	if sampleCap >= n {
-		b.stats.Scans++
-	}
-	b.rootDisc = make([]*quantile.Discretizer, b.na)
-	for _, a := range b.numeric {
-		d, err := quantile.EqualDepth(samples[a], b.cfg.Intervals)
-		if err != nil {
-			return fmt.Errorf("core: discretizing %s: %w", b.schema.Attrs[a].Name, err)
-		}
-		b.rootDisc[a] = d
-	}
-	return nil
-}
-
-// initFullPass computes the root discretizers from a full scan using
-// Greenwald-Khanna sketches — bounded memory regardless of the dataset
-// size, the classic one-pass quantiling for disk-resident data. Selected
-// with a negative DiscretizeSample.
-func (b *builder) initFullPass(n int) error {
-	eps := 1 / (8 * float64(b.cfg.Intervals))
-	if eps > 0.01 {
-		eps = 0.01
-	}
-	sketches := make([]*quantile.GK, b.na)
-	for _, a := range b.numeric {
-		gk, err := quantile.NewGK(eps)
-		if err != nil {
-			return err
-		}
-		sketches[a] = gk
-	}
-	checked := 0
-	err := b.src.Scan(func(rid int, vals []float64, label int) error {
-		checked++
-		if checked&ctxCheckMask == 0 {
-			if err := b.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if d := b.schema.RecordDefect(vals, label); d != "" {
-			if b.cfg.Validation == ValidateStrict {
-				return errInvalidRecord(rid, d)
-			}
-			return nil
-		}
-		for _, a := range b.numeric {
-			v := vals[a]
-			if v < b.attrMin[a] {
-				b.attrMin[a] = v
-			}
-			if v > b.attrMax[a] {
-				b.attrMax[a] = v
-			}
-			sketches[a].Add(v)
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	b.obs.IncScans() // the sketch pass completed a full storage scan
-	b.stats.Scans++
-	b.rootDisc = make([]*quantile.Discretizer, b.na)
-	for _, a := range b.numeric {
-		d, err := sketches[a].Discretizer(b.cfg.Intervals)
-		if err != nil {
-			return fmt.Errorf("core: discretizing %s: %w", b.schema.Attrs[a].Name, err)
-		}
-		b.rootDisc[a] = d
-	}
-	return nil
-}
-
-func (b *builder) makeRoot() {
-	x := -1
-	if b.useMats {
-		// The paper selects the root's X-axis attribute randomly.
-		x = b.numeric[b.rng.Intn(len(b.numeric))]
-	}
-	b.root = b.newBnode(0, b.rootDisc, x)
-	b.allocHists(b.root)
-	b.queueScanned(b.root)
-}
-
-// newBnode creates a builder node (state stBuilding) with its tree node.
+// newBnode registers a building node with its discretizers.
 func (b *builder) newBnode(depth int, disc []*quantile.Discretizer, xAttr int) *bnode {
-	n := &bnode{
-		id:    int32(len(b.nodes)),
-		tn:    &tree.Node{},
-		depth: depth,
-		state: stBuilding,
-		disc:  disc,
-		xAttr: xAttr,
-	}
+	n := &bnode{disc: disc}
 	n.buffer.init(b.na)
-	b.nodes = append(b.nodes, n)
-	b.all = append(b.all, n)
-	b.byTN[n.tn] = n
-	return n
+	return b.register(n, depth, xAttr)
 }
 
-// allocHists gives a building node its empty histograms.
-func (b *builder) allocHists(n *bnode) {
-	n.histSet = b.makeHists(n.disc, n.xAttr)
-}
-
-// makeHists allocates the empty histogram set a building node with the
-// given discretizers and X-axis fills during a scan. Parallel scan workers
-// call it again with the same geometry to get per-worker shards.
-func (b *builder) makeHists(disc []*quantile.Discretizer, xAttr int) histSet {
-	var hs histSet
-	if b.useMats {
-		hs.mats = make([]*histogram.Matrix, b.na)
-		xb := disc[xAttr].Bins()
-		for _, y := range b.numeric {
-			if y == xAttr {
-				continue
-			}
-			hs.mats[y] = histogram.NewMatrix(xb, disc[y].Bins(), b.nc)
-		}
-		hs.hists = make([]*histogram.Hist1D, b.na)
-		for a := 0; a < b.na; a++ {
-			if b.schema.Attrs[a].Kind == dataset.Categorical {
-				hs.hists[a] = histogram.New1D(b.schema.Attrs[a].Cardinality(), b.nc)
-			}
-		}
-		if len(b.numeric) == 1 {
-			// Degenerate: a single numeric attribute cannot form a matrix.
-			a := b.numeric[0]
-			hs.hists[a] = histogram.New1D(disc[a].Bins(), b.nc)
-			hs.mats = nil
-		}
-		if b.pairs != nil && hs.mats != nil {
-			// Pair matrices feed the oblique line search; the refinement
-			// step needs full discretizer resolution or the fitted line's
-			// offset error leaves impure children behind.
-			hs.pairMats = make([]*histogram.Matrix, len(b.pairs))
-			for pi, pr := range b.pairs {
-				if pr[0] == xAttr || pr[1] == xAttr {
-					continue // already covered by mats
-				}
-				hs.pairMats[pi] = histogram.NewMatrix(disc[pr[0]].Bins(), disc[pr[1]].Bins(), b.nc)
-			}
-		}
-		return hs
+// scan is the raw kernel's round: one pass over the training set, then the
+// resolution of every pending split the pass completed.
+func (b *builder) scan() error {
+	if err := b.pass(); err != nil {
+		return err
 	}
-	hs.hists = make([]*histogram.Hist1D, b.na)
-	for a := 0; a < b.na; a++ {
-		if b.schema.Attrs[a].Kind == dataset.Categorical {
-			hs.hists[a] = histogram.New1D(b.schema.Attrs[a].Cardinality(), b.nc)
-		} else {
-			hs.hists[a] = histogram.New1D(disc[a].Bins(), b.nc)
-		}
-	}
-	return hs
+	b.resolveAll()
+	return nil
 }
 
-func (b *builder) hasWork() bool {
-	return len(b.scanned) > 0 || len(b.pendings) > 0 || len(b.collects) > 0
-}
-
-// queueScanned enters n into the scanned list exactly once; a node already
-// queued (tracked by bnode.queued) is left where it is.
-func (b *builder) queueScanned(n *bnode) {
-	if n.queued {
-		return
-	}
-	n.queued = true
-	b.scanned = append(b.scanned, n)
-}
-
-// scan performs one pass over the training set, routing every record to its
+// pass performs one pass over the training set, routing every record to its
 // place: histogram update, alive-interval buffer, collect buffer, or settled
 // leaf. With Workers > 1 and a range-scannable source the pass is sharded
 // across the worker pool (see scanParallel); the serial pass below is the
 // reference behavior the parallel one reproduces bit-identically.
-func (b *builder) scan() error {
+func (b *builder) pass() error {
 	if b.cfg.Workers > 1 {
 		if rs, ok := b.src.(storage.RangeSource); ok {
 			return b.scanParallel(rs)
@@ -464,22 +158,11 @@ func (b *builder) scan() error {
 		return err
 	}
 	b.obs.AddWorkerScan(0, int64(checked), span.End())
-	b.finishScan(skipped)
-	return nil
-}
-
-// finishScan updates the per-scan counters shared by the serial and
-// parallel passes. skipped is the number of invalid records this full pass
-// dropped under ValidateSkip; validation is pure per-record, so the count
-// is identical every pass and is recorded rather than accumulated.
-func (b *builder) finishScan(skipped int64) {
-	b.obs.IncScans() // one completed full storage pass
-	b.stats.Scans++
-	b.stats.Rounds++
+	b.finishScan()
+	// Validation is pure per-record, so every pass skips the same records:
+	// the count is recorded rather than accumulated.
 	b.stats.SkippedRecords = skipped
-	// The paper swaps the nid array to disk: one read and one write of
-	// 4 bytes per record per scan.
-	b.stats.NidBytesIO += 8 * int64(len(b.nid))
+	return nil
 }
 
 // route walks a record down from start through resolved splits and pending
@@ -609,7 +292,7 @@ func (b *builder) resolveAll() {
 	defer span.End()
 	if b.cfg.Workers > 1 && len(pend) > 1 {
 		sortSpan := b.obs.StartSpan(obs.PhaseSort)
-		b.parallelDo(len(pend), func(i int) {
+		doParallel(b.cfg.Workers, len(pend), func(i int) {
 			p := pend[i]
 			if !p.dead && p.state == stPending && p.pending != nil {
 				p.buffer.sortByAttr(p.pending.attr)
@@ -638,7 +321,7 @@ func (b *builder) resolvePending(p *bnode) {
 	regTotals := make([][]int, A+1)
 	total := make([]int, b.nc)
 	for r, c := range p.children {
-		regTotals[r] = c.classTotals(b.nc)
+		regTotals[r] = b.classTotals(c)
 		for i, v := range regTotals[r] {
 			total[i] += v
 		}
@@ -730,10 +413,7 @@ func (b *builder) resolvePending(p *bnode) {
 	}
 	left := b.mergeRegions(p.children[:bestGap+1])
 	right := b.mergeRegions(p.children[bestGap+1:])
-	p.tn.Split = &tree.Split{Kind: tree.SplitNumeric, Attr: attr, Threshold: bestTh}
-	p.tn.Left, p.tn.Right = left.tn, right.tn
-	p.children = []*bnode{left, right}
-	p.state = stResolved
+	b.resolve(p, &tree.Split{Kind: tree.SplitNumeric, Attr: attr, Threshold: bestTh}, left, right)
 	p.pending = nil
 
 	for i := 0; i < p.buffer.Len(); i++ {
@@ -746,8 +426,8 @@ func (b *builder) resolvePending(p *bnode) {
 	}
 	p.buffer.reset()
 
-	left.tn.SetCounts(left.classTotals(b.nc))
-	right.tn.SetCounts(right.classTotals(b.nc))
+	left.tn.SetCounts(b.classTotals(left))
+	right.tn.SetCounts(b.classTotals(right))
 
 	// Resolve nested pendings created by a same-scan double split.
 	if left.state == stPending {
@@ -779,12 +459,8 @@ func (b *builder) resolveAtFallback(p *bnode, total []int) {
 	}
 	left := b.newChild(p.depth+1, ldisc, pd.fallbackX[0], leftCounts, true)
 	right := b.newChild(p.depth+1, rdisc, pd.fallbackX[1], rightCounts, true)
-	p.tn.Split = &tree.Split{Kind: tree.SplitNumeric, Attr: pd.attr, Threshold: pd.fallbackThresh}
-	p.tn.Left, p.tn.Right = left.tn, right.tn
-	p.children = []*bnode{left, right}
-	p.state = stResolved
-	p.pending = nil
-	p.buffer.reset()
+	b.resolve(p, &tree.Split{Kind: tree.SplitNumeric, Attr: pd.attr, Threshold: pd.fallbackThresh}, left, right)
+	p.release()
 }
 
 // revertToBuilding undoes a pending split that failed to resolve: the
@@ -808,13 +484,12 @@ func (b *builder) revertToBuilding(p *bnode, attr int, counts []int) {
 	p.children = nil
 	p.pending = nil
 	p.state = stBuilding
+	p.buffer.reset()
 	if view != nil {
-		p.buffer.reset()
-		b.decideNode(p, view, decidePrimary)
+		b.decide(p, view, decidePrimary)
 		return
 	}
-	p.buffer.reset()
-	b.allocHists(p)
+	p.histSet = b.makeHists(p)
 	p.notBefore = b.round + 1
 	b.queueScanned(p)
 }
@@ -824,14 +499,14 @@ func (b *builder) revertToBuilding(p *bnode, attr int, counts []int) {
 // buffered records. Returns nil when a region's histograms are not directly
 // mergeable (e.g. a nested pending region), in which case the caller falls
 // back to a rescan.
-func (b *builder) mergedMarginalView(p *bnode, totals []int) *histView {
+func (b *builder) mergedMarginalView(p *bnode, totals []int) *view {
 	attr, disc := p.pending.attr, p.pending.disc
 	for _, c := range p.children {
 		if c.state != stBuilding {
 			return nil
 		}
 	}
-	v := &histView{
+	v := &view{
 		marg:  make([]*histogram.Hist1D, b.na),
 		disc:  disc,
 		xAttr: p.xAttr,
@@ -875,9 +550,7 @@ func (b *builder) mergedMarginalView(p *bnode, totals []int) *histView {
 		}
 	}
 	v.totals = append([]int(nil), totals...)
-	for _, c := range v.totals {
-		v.n += c
-	}
+	v.n = sum(totals)
 	return v
 }
 
@@ -930,215 +603,8 @@ func (b *builder) mergeRegions(regions []*bnode) *bnode {
 	return surv
 }
 
-// finalizeAsLeaf turns a node (in any builder state) into a finished leaf,
-// discarding pending machinery and re-aiming descendant node ids so stale
-// nid entries still route here. counts, when non-nil, replaces the tree
-// node's class distribution.
-func (b *builder) finalizeAsLeaf(n *bnode, counts []int) {
-	if counts != nil {
-		n.tn.SetCounts(counts)
-	} else if n.tn.ClassCounts == nil {
-		n.tn.SetCounts(n.classTotals(b.nc))
-	}
-	n.tn.Split = nil
-	n.tn.Left, n.tn.Right = nil, nil
-	for _, c := range n.children {
-		b.retire(c, n)
-	}
-	n.children = nil
-	n.pending = nil
-	n.buffer.reset()
-	n.dropHists()
-	n.state = stLeaf
-}
-
-// retire marks a subtree of builder nodes dead and re-aims their ids at the
-// surviving ancestor.
-func (b *builder) retire(n *bnode, to *bnode) {
-	if n == nil || n.dead {
-		return
-	}
-	n.dead = true
-	n.succ = to
-	n.dropHists()
-	n.buffer.reset()
-	delete(b.byTN, n.tn)
-	for _, c := range n.children {
-		b.retire(c, to)
-	}
-	n.children = nil
-}
-
-// finishCollects completes every collect node whose buffer a scan (and any
-// subsequent distribution) has filled, building the rest of its subtree in
-// memory with the exact algorithm. Each subtree is a pure function of its
-// own buffer and writes only node-local state, so ready nodes fan across
-// the worker pool.
-func (b *builder) finishCollects() {
-	span := b.obs.StartSpan(obs.PhaseCollect)
-	defer span.End()
-	var remaining, ready []*bnode
-	for _, c := range b.collects {
-		if c.dead || c.state != stCollect {
-			c.collectListed = false
-			continue
-		}
-		if c.collectRound >= b.round {
-			remaining = append(remaining, c)
-			continue
-		}
-		c.collectListed = false
-		ready = append(ready, c)
-	}
-	b.parallelDo(len(ready), func(i int) {
-		c := ready[i]
-		sub := exact.BuildSubtree(&c.buffer, b.schema, exact.Config{
-			MinSplitRecords: b.cfg.MinSplitRecords,
-			MaxDepth:        b.cfg.MaxDepth - c.depth,
-			MinGiniGain:     b.cfg.MinGiniGain,
-			PurityStop:      b.cfg.PurityStop,
-			AllowedAttrs:    b.allowed,
-			Prune:           b.cfg.Prune,
-		})
-		// Graft in place so the parent's pointer to c.tn stays valid.
-		*c.tn = *sub
-		c.buffer.reset()
-		c.state = stDone
-	})
-	b.collects = remaining
-}
-
-// decideScanned runs Part II (split selection) on every node whose
-// histograms the scan just completed. With Workers > 1 the pure per-node
-// evaluations (gini hill-climbing, categorical subset search, oblique
-// intercept walks) run across the pool first; the decisions themselves are
-// applied serially in the original node order, so every builder mutation
-// happens exactly as in a serial build.
-func (b *builder) decideScanned() {
-	span := b.obs.StartSpan(obs.PhaseDecide)
-	defer span.End()
-	toDecide := b.scanned
-	b.scanned = nil
-	for _, n := range toDecide {
-		n.queued = false
-	}
-	ready := toDecide[:0:0]
-	for _, n := range toDecide {
-		if n.dead || n.state != stBuilding {
-			continue
-		}
-		if n.notBefore > b.round {
-			// Reverted this round; its histograms await the next scan.
-			b.queueScanned(n)
-			continue
-		}
-		ready = append(ready, n)
-	}
-	if b.cfg.Workers > 1 && len(ready) > 1 {
-		pres := make([]*decideEval, len(ready))
-		b.parallelDo(len(ready), func(i int) {
-			pres[i] = b.precomputeDecide(ready[i])
-		})
-		for i, n := range ready {
-			b.decideNodeFrom(n, pres[i], decidePrimary)
-		}
-		return
-	}
-	for _, n := range ready {
-		b.decideNode(n, b.viewOf(n), decidePrimary)
-	}
-}
-
-// applyPrune runs PUBLIC(1) over the tree built so far. During
-// construction, frontier nodes (building, pending, collecting) are
-// expandable and may be finalized by the lower bound; afterwards a plain
-// bottom-up MDL prune runs.
-func (b *builder) applyPrune(during bool) {
-	var expandable map[*tree.Node]bool
-	if during {
-		expandable = make(map[*tree.Node]bool)
-		for _, n := range b.all {
-			if n.dead {
-				continue
-			}
-			switch n.state {
-			case stBuilding, stPending, stCollect:
-				expandable[n.tn] = true
-			}
-		}
-	}
-	t := &tree.Tree{Root: b.root.tn, Schema: b.schema}
-	res := prune.PUBLIC1(t, expandable)
-	for tn := range res.Finalized {
-		if bn := b.byTN[tn]; bn != nil && !bn.dead {
-			b.finalizeAsLeaf(bn, nil)
-		}
-	}
-	for tn := range res.Collapsed {
-		if bn := b.byTN[tn]; bn != nil && !bn.dead {
-			b.finalizeAsLeaf(bn, nil)
-		}
-	}
-}
-
-// finalizeRemaining closes out any in-flight nodes when the round budget is
-// exhausted.
-func (b *builder) finalizeRemaining() {
-	for _, n := range b.all {
-		if n.dead {
-			continue
-		}
-		switch n.state {
-		case stBuilding, stPending, stCollect:
-			b.finalizeAsLeaf(n, nil)
-		}
-	}
-	b.scanned = nil
-	b.pendings = nil
-	b.collects = nil
-}
-
-// debugValidate enables per-round structural invariant checks (tests).
-var debugValidate bool
-
-// validate panics when a live node references a dead child or a resolved
-// node lacks exactly two children.
-func (b *builder) validate(when string) {
-	var walk func(n *bnode, path string)
-	walk = func(n *bnode, path string) {
-		if n.dead {
-			panic(fmt.Sprintf("core: %s (round %d): dead node id=%d state=%d reachable via %s",
-				when, b.round, n.id, n.state, path))
-		}
-		if n.state == stResolved && (len(n.children) != 2 || n.tn.Split == nil) {
-			panic(fmt.Sprintf("core: %s (round %d): resolved node id=%d children=%d split=%v via %s",
-				when, b.round, n.id, len(n.children), n.tn.Split, path))
-		}
-		for i, c := range n.children {
-			walk(c, fmt.Sprintf("%s->%d[%d]", path, n.id, i))
-		}
-	}
-	walk(b.root, "root")
-}
-
-// snapshotMemory records peak histogram and buffer footprints — the
-// quantities Figure 19 charts for CMP.
-func (b *builder) snapshotMemory() {
-	var hist, buf int64
-	for _, n := range b.all {
-		if n.dead {
-			continue
-		}
-		hist += n.histMemoryBytes()
-		buf += n.buffer.bytes()
-	}
-	if hist > b.stats.PeakHistogramBytes {
-		b.stats.PeakHistogramBytes = hist
-	}
-	if buf > b.stats.PeakBufferBytes {
-		b.stats.PeakBufferBytes = buf
-	}
-	if hist+buf > b.stats.PeakMemoryBytes {
-		b.stats.PeakMemoryBytes = hist + buf
-	}
+// finish grows a collect node's subtree with the exact algorithm over its
+// buffered records.
+func (b *builder) finish(n *bnode, cfg exact.Config) *tree.Node {
+	return exact.BuildSubtree(&n.buffer, b.schema, cfg)
 }

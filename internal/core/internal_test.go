@@ -118,7 +118,7 @@ func TestBufferSortProperty(t *testing.T) {
 }
 
 func TestRegionCounts(t *testing.T) {
-	b := &builder{nc: 2}
+	b := &builder{engine: engine[*bnode]{nc: 2}}
 	h := histogram.New1D(5, 2)
 	for k := 0; k < 5; k++ {
 		h.AddN(k, 0, k+1) // bins hold 1,2,3,4,5 of class 0
@@ -142,7 +142,7 @@ func TestRegionCounts(t *testing.T) {
 }
 
 func TestSelectAliveKeepsBoundaryAdjacent(t *testing.T) {
-	b := &builder{cfg: Config{MaxAlive: 2}}
+	b := &builder{engine: engine[*bnode]{cfg: Config{MaxAlive: 2}}}
 	e := &numEval{
 		giniMin:      0.30,
 		bestBoundary: 4, // between intervals 4 and 5
@@ -173,7 +173,7 @@ func TestSelectAliveKeepsBoundaryAdjacent(t *testing.T) {
 }
 
 func TestSelectAliveEmptyWhenBoundaryOptimal(t *testing.T) {
-	b := &builder{cfg: Config{MaxAlive: 2}}
+	b := &builder{engine: engine[*bnode]{cfg: Config{MaxAlive: 2}}}
 	e := &numEval{
 		giniMin:      0.10,
 		bestBoundary: 2,
@@ -185,7 +185,7 @@ func TestSelectAliveEmptyWhenBoundaryOptimal(t *testing.T) {
 }
 
 func TestSelectAlivePrefersNeighbours(t *testing.T) {
-	b := &builder{cfg: Config{MaxAlive: 3}}
+	b := &builder{engine: engine[*bnode]{cfg: Config{MaxAlive: 3}}}
 	e := &numEval{
 		giniMin:      0.30,
 		bestBoundary: 1,
@@ -206,7 +206,7 @@ func TestSelectAlivePrefersNeighbours(t *testing.T) {
 }
 
 func TestChildBins(t *testing.T) {
-	b := &builder{cfg: Config{Intervals: 100}}
+	b := &builder{engine: engine[*bnode]{cfg: Config{Intervals: 100}}}
 	cases := map[int]int{
 		1_000_000: 100,
 		100_000:   100,

@@ -28,7 +28,7 @@ const obliqueSearchBins = 40
 // bestObliqueSplit runs giniNegativeSlope and giniPositiveSlope (Figure 12)
 // over every attribute-pair matrix of the view and returns the best line
 // found.
-func (b *builder) bestObliqueSplit(v *histView) (obliqueLine, bool) {
+func (b *builder) bestObliqueSplit(v *view) (obliqueLine, bool) {
 	span := b.obs.StartSpan(obs.PhaseOblique)
 	defer span.End()
 	best := obliqueLine{gini: math.Inf(1)}
@@ -290,7 +290,7 @@ func lineGini(m *histogram.Matrix, x, y int, mirror bool) (float64, bool) {
 // lineToSplit converts intercepts on the (possibly coarsened, possibly
 // mirrored) matrix into a value-space linear split and approximate child
 // class counts.
-func (b *builder) lineToSplit(v *histView, xAttr, yAttr int, cm *histogram.Matrix, xMap, yMap []int, xi, yi int, mirror bool) (tree.Split, []int, []int, bool) {
+func (b *builder) lineToSplit(v *view, xAttr, yAttr int, cm *histogram.Matrix, xMap, yMap []int, xi, yi int, mirror bool) (tree.Split, []int, []int, bool) {
 	xd, yd := v.disc[xAttr], v.disc[yAttr]
 	loX, hiX := b.attrMin[xAttr], b.attrMax[xAttr]
 	loY, hiY := b.attrMin[yAttr], b.attrMax[yAttr]
@@ -404,20 +404,4 @@ func valAt(d *quantile.Discretizer, lo, hi, t float64) float64 {
 		upper = d.Boundary(ti)
 	}
 	return lower + (t-float64(ti))*(upper-lower)
-}
-
-// makeResolvedLinear installs a linear-combination split. Children's counts
-// are approximate until the next scan rebuilds them exactly; records are
-// routed by the exact inequality, so no accuracy remedy is needed.
-func (b *builder) makeResolvedLinear(n *bnode, v *histView, line obliqueLine) {
-	disc := append([]*quantile.Discretizer(nil), v.disc...)
-	x := b.predictX(v, -1)
-	left := b.newChild(n.depth+1, disc, x, line.leftCounts, true)
-	right := b.newChild(n.depth+1, disc, x, line.rightCounts, true)
-	sp := line.split
-	n.tn.Split = &sp
-	n.tn.Left, n.tn.Right = left.tn, right.tn
-	n.children = []*bnode{left, right}
-	n.state = stResolved
-	n.dropHists()
 }

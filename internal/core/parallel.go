@@ -23,54 +23,30 @@ import (
 )
 
 // scanShard is one worker's private routing state for one parallel scan:
-// per-node histogram shards and buffer shards, indexed by bnode id (the
-// node set is frozen while a scan runs), allocated lazily on first touch.
+// per-node histogram and buffer shards, indexed by bnode id (the node set
+// is frozen while a scan runs), allocated lazily on first touch.
 type scanShard struct {
-	nodes    []*shardNode
+	nodes    []*bnode
 	buffered int64 // records routed into alive-interval buffers
 	skipped  int64 // invalid records dropped under ValidateSkip
 }
 
-// shardNode mirrors the shardable per-node state a scan writes: the
-// histogram set of a building node, or the buffer of a pending/collect
-// node.
-type shardNode struct {
-	histSet
-	buffer buffer
-}
-
 // nodeFor returns the worker's shard of node n, allocating it on first
-// touch. Builder state is only read: the histogram geometry comes from the
-// node's discretizers and X-axis, which are frozen during a scan.
-func (sh *scanShard) nodeFor(b *builder, n *bnode) *shardNode {
+// touch: the histogram set of a building node, or the buffer of a
+// pending/collect node. Builder state is only read: the histogram geometry
+// comes from the node's discretizers and X-axis, which are frozen during a
+// scan.
+func (sh *scanShard) nodeFor(b *builder, n *bnode) *bnode {
 	sn := sh.nodes[n.id]
 	if sn == nil {
-		sn = &shardNode{}
+		sn = &bnode{}
 		sn.buffer.init(b.na)
 		if n.state == stBuilding {
-			sn.histSet = b.makeHists(n.disc, n.xAttr)
+			sn.histSet = b.makeHists(n)
 		}
 		sh.nodes[n.id] = sn
 	}
 	return sn
-}
-
-// mergeInto folds the shard into the builder. Callers merge shards in
-// worker-index order: histogram merges are commutative sums, and buffer
-// appends of contiguous ascending record ranges reproduce the exact record
-// order a serial scan would have produced.
-func (sh *scanShard) mergeInto(b *builder) {
-	for id, sn := range sh.nodes {
-		if sn == nil {
-			continue
-		}
-		n := b.nodes[id]
-		if sn.hists != nil || sn.mats != nil {
-			n.histSet.merge(&sn.histSet)
-		}
-		n.buffer.appendFrom(&sn.buffer)
-	}
-	b.stats.BufferedRecords += sh.buffered
 }
 
 // scanParallel is the sharded counterpart of the serial pass in scan():
@@ -81,7 +57,7 @@ func (sh *scanShard) mergeInto(b *builder) {
 func (b *builder) scanParallel(rs storage.RangeSource) error {
 	shards := make([]*scanShard, b.cfg.Workers)
 	for w := range shards {
-		shards[w] = &scanShard{nodes: make([]*shardNode, len(b.nodes))}
+		shards[w] = &scanShard{nodes: make([]*bnode, len(b.nodes))}
 	}
 	span := b.obs.StartSpan(obs.PhaseScan)
 	var observe func(storage.WorkerScan)
@@ -105,26 +81,21 @@ func (b *builder) scanParallel(rs storage.RangeSource) error {
 		return err
 	}
 	span.End()
-	var skipped int64
+	b.stats.SkippedRecords = 0
 	for _, sh := range shards {
-		sh.mergeInto(b)
-		skipped += sh.skipped
+		b.mergeShard(sh.nodes)
+		b.stats.BufferedRecords += sh.buffered
+		b.stats.SkippedRecords += sh.skipped
 	}
-	b.finishScan(skipped)
+	b.finishScan()
 	return nil
 }
 
-// parallelDo runs f(0..n-1) across the configured worker pool using a
-// sync.WaitGroup and a bounded work channel. With one worker (or n <= 1)
-// it runs inline, preserving the exact serial code path. f must only do
-// pure, item-local work; a panic in any worker is re-raised on the caller's
-// goroutine.
-func (b *builder) parallelDo(n int, f func(i int)) {
-	doParallel(b.cfg.Workers, n, f)
-}
-
-// doParallel is parallelDo's builder-independent core, shared with the
-// quantized builder.
+// doParallel runs f(0..n-1) across a pool of at most workers goroutines
+// using a sync.WaitGroup and a bounded work channel. With one worker (or
+// n <= 1) it runs inline, preserving the exact serial code path. f must only
+// do pure, item-local work; a panic in any worker is re-raised on the
+// caller's goroutine.
 func doParallel(workers, n int, f func(i int)) {
 	if workers > n {
 		workers = n

@@ -19,6 +19,7 @@ import (
 	"slices"
 
 	"cmpdt/internal/dataset"
+	"cmpdt/internal/exact"
 	"cmpdt/internal/gini"
 	"cmpdt/internal/prune"
 	"cmpdt/internal/tree"
@@ -62,24 +63,12 @@ func (b *codeBuffer) reset() {
 	b.codes, b.labels = nil, nil
 }
 
-// finishConfig holds the stopping rules a collect node's subtree is grown
-// under; they match exact.Config field for field.
-type finishConfig struct {
-	MinSplitRecords int
-	MaxDepth        int // in edges below the collect node
-	MinGiniGain     float64
-	PurityStop      float64
-	AllowedAttrs    []bool // nil allows every attribute
-	// Prune grows only what prune.PUBLIC1 would keep (see build).
-	Prune bool
-}
-
 // codeFinisher grows one subtree over a code buffer. Rows are addressed
 // through one index slice that each split partitions stably in place, so a
 // node's rows are always a contiguous, ascending run of it.
 type codeFinisher struct {
 	schema *dataset.Schema
-	cfg    finishConfig
+	cfg    exact.Config
 	nc     int
 	mdl    prune.MDL
 
@@ -102,7 +91,7 @@ type codeFinisher struct {
 }
 
 // finishCodes grows the subtree over buf's records and returns its root.
-func finishCodes(buf *codeBuffer, schema *dataset.Schema, cfg finishConfig) *tree.Node {
+func finishCodes(buf *codeBuffer, schema *dataset.Schema, cfg exact.Config) *tree.Node {
 	n, k, nc := buf.Len(), buf.k, schema.NumClasses()
 	f := &codeFinisher{
 		schema: schema,

@@ -19,7 +19,7 @@ import (
 type finishCase struct {
 	buf    *codeBuffer
 	schema *dataset.Schema
-	cfg    finishConfig
+	cfg    exact.Config
 }
 
 // byteStream hands out the bytes of a fuzz input, then zeros.
@@ -64,7 +64,7 @@ func decodeFinishCase(data []byte) finishCase {
 		schema.Attrs = append(schema.Attrs, attr)
 	}
 	c := s.next()
-	cfg := finishConfig{MinSplitRecords: 1 + c%4, MaxDepth: 32}
+	cfg := exact.Config{MinSplitRecords: 1 + c%4, MaxDepth: 32}
 	if c&0x04 != 0 {
 		cfg.MaxDepth = 1 + (c>>4)%4
 	}
@@ -176,24 +176,12 @@ func diffTrees(got, want *tree.Node, path string) string {
 	return diffTrees(got.Right, want.Right, path+"R")
 }
 
-// exactConfig is cfg's stopping rules as an exact.Config.
-func exactConfig(cfg finishConfig) exact.Config {
-	return exact.Config{
-		MinSplitRecords: cfg.MinSplitRecords,
-		MaxDepth:        cfg.MaxDepth,
-		MinGiniGain:     cfg.MinGiniGain,
-		PurityStop:      cfg.PurityStop,
-		AllowedAttrs:    cfg.AllowedAttrs,
-		Prune:           cfg.Prune,
-	}
-}
-
 // checkFinisher builds c with the code finisher and with the exact builder
 // over the widened codes, and reports the first difference. Then it holds
 // both finishers, growing under the PUBLIC bound, to post-pruning.
 func checkFinisher(t *testing.T, c finishCase) {
 	t.Helper()
-	want := exact.BuildSubtree(widen(c.buf), c.schema, exactConfig(c.cfg))
+	want := exact.BuildSubtree(widen(c.buf), c.schema, c.cfg)
 	got := finishCodes(c.buf, c.schema, c.cfg)
 	if d := diffTrees(got, want, "root"); d != "" {
 		t.Fatalf("%d records, %d classes, attrs %+v, cfg %+v: %s",
@@ -209,10 +197,10 @@ func checkPrunedFinishers(t *testing.T, c finishCase, rows exact.Rows) {
 	t.Helper()
 	finishers := []struct {
 		name string
-		grow func(cfg finishConfig) *tree.Node
+		grow func(cfg exact.Config) *tree.Node
 	}{
-		{"code finisher", func(cfg finishConfig) *tree.Node { return finishCodes(c.buf, c.schema, cfg) }},
-		{"exact builder", func(cfg finishConfig) *tree.Node { return exact.BuildSubtree(rows, c.schema, exactConfig(cfg)) }},
+		{"code finisher", func(cfg exact.Config) *tree.Node { return finishCodes(c.buf, c.schema, cfg) }},
+		{"exact builder", func(cfg exact.Config) *tree.Node { return exact.BuildSubtree(rows, c.schema, cfg) }},
 	}
 	for _, fin := range finishers {
 		cfg := c.cfg
@@ -257,7 +245,7 @@ func TestPrunedFinishersMatchPostPruning(t *testing.T) {
 	}
 	inputs = append(inputs, input{"segment", seg})
 	def := Default(CMPB)
-	cfg := finishConfig{
+	cfg := exact.Config{
 		MinSplitRecords: def.MinSplitRecords,
 		MaxDepth:        def.MaxDepth,
 		MinGiniGain:     def.MinGiniGain,
@@ -306,7 +294,7 @@ func TestCodeFinisherThresholdIsMidpoint(t *testing.T) {
 		buf.add([]uint16{5}, 0)
 		buf.add([]uint16{7}, 1)
 	}
-	root := finishCodes(buf, schema, finishConfig{MinSplitRecords: 2, MaxDepth: 32})
+	root := finishCodes(buf, schema, exact.Config{MinSplitRecords: 2, MaxDepth: 32})
 	if root.Split == nil || root.Split.Threshold != 6 {
 		t.Fatalf("split %+v, want threshold 6", root.Split)
 	}

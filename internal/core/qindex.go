@@ -482,7 +482,7 @@ func (b *qbuilder) sketchIndexed(ix *Index, mult []uint32) ([]storage.QuantAttr,
 		if err := b.ctx.Err(); err != nil {
 			return nil, err
 		}
-		gk, err := quantile.NewGK(b.gkEpsilon())
+		gk, err := quantile.NewGK(gkEpsilon(b.cfg.QuantizeBins))
 		if err != nil {
 			return nil, err
 		}
