@@ -35,7 +35,7 @@ func main() {
 	data := flag.String("data", "", "binary record store to train on (required)")
 	intervals := flag.Int("intervals", 100, "equal-depth intervals per numeric attribute")
 	alive := flag.Int("alive", 2, "maximum alive intervals per split")
-	allPairs := flag.Bool("all-pairs", false, "full CMP: matrices for every numeric attribute pair")
+	allPairs := flag.Bool("all-pairs", false, "full CMP: matrices for every numeric attribute pair (an error with any other -algo or with -quantize)")
 	noPrune := flag.Bool("no-prune", false, "disable MDL pruning")
 	workers := flag.Int("workers", 0, "build parallelism for the CMP family (0 = GOMAXPROCS, 1 = serial; any value yields the identical tree)")
 	seed := flag.Int64("seed", 1, "training seed")

@@ -220,3 +220,30 @@ func TestForestMetricsQuantBlock(t *testing.T) {
 			q.DenseScanRounds, q.IntervalScanRounds, rep.Build.Rounds)
 	}
 }
+
+// TestAllPairsRejectedOutsideRawCMP: -all-pairs only means something to a
+// raw full-CMP build; with another CMP variant or -quantize, single tree or
+// -forest, the run fails with an error naming the knob instead of
+// silently training without it.
+func TestAllPairsRejectedOutsideRawCMP(t *testing.T) {
+	data := trainData(t)
+	for _, c := range []struct {
+		algo     string
+		quantize bool
+	}{{eval.AlgoCMPS, false}, {eval.AlgoCMPB, false}, {eval.AlgoCMP, true}} {
+		opts := eval.Options{Workers: 1, Seed: 1, ObliqueAllPairs: true, Quantize: c.quantize}
+		err := run(context.Background(), c.algo, data, "", "", true, opts, &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "ObliqueAllPairs") {
+			t.Errorf("-algo %s -quantize=%v -all-pairs: err %v, want the ObliqueAllPairs error", c.algo, c.quantize, err)
+		}
+		fo := forestOptions{algo: c.algo, trees: 2, eval: opts}
+		err = runForest(context.Background(), fo, data, "", "", &bytes.Buffer{})
+		if err == nil || !strings.Contains(err.Error(), "ObliqueAllPairs") {
+			t.Errorf("-forest -algo %s -quantize=%v -all-pairs: err %v, want the ObliqueAllPairs error", c.algo, c.quantize, err)
+		}
+	}
+	opts := eval.Options{Workers: 1, Seed: 1, ObliqueAllPairs: true}
+	if err := run(context.Background(), eval.AlgoCMP, data, "", "", true, opts, &bytes.Buffer{}); err != nil {
+		t.Errorf("-algo cmp -all-pairs: %v", err)
+	}
+}

@@ -15,8 +15,13 @@
 //     splits a*x + b*y <= c via the intercept-walking procedures of
 //     Figure 12.
 //
-// All three share one level-synchronous builder: each construction round
-// performs exactly one sequential scan of the training set.
+// All three run on one level-synchronous round engine (engine.go): each
+// construction round performs exactly one sequential scan of the training
+// set, then decides. The engine takes a scan kernel as a parameter: the raw
+// kernel (builder.go, phase2.go) scans float records through per-node
+// discretizers and resolves alive intervals from buffered records; the
+// quantized kernel (qbuild.go, Config.Quantize) scans small bin codes by
+// dense array indexing, where every boundary is exact.
 package core
 
 import (
@@ -116,6 +121,9 @@ type Config struct {
 	// sharing the predicted X-axis. This removes the paper's stated
 	// limitation (i) of Section 2.3 — linear relationships between two
 	// Y-axis attributes are invisible — at O(K^2) histogram cost per node.
+	// Only raw full CMP searches linear splits: with CMP-S, CMP-B or a
+	// quantized build (Quantize, a pre-quantized source, BuildIndexed) the
+	// build fails rather than silently ignore the knob.
 	ObliqueAllPairs bool
 	// InMemoryNodeRecords: nodes with at most this many records are finished
 	// in memory — the next scan gathers their records into a buffer and the
@@ -279,6 +287,9 @@ func (c Config) normalize() (Config, error) {
 	}
 	if c.Validation != ValidateStrict && c.Validation != ValidateSkip {
 		return c, fmt.Errorf("core: unknown validation policy %d", int(c.Validation))
+	}
+	if c.ObliqueAllPairs && (c.Algorithm != CMPFull || c.Quantize) {
+		return c, fmt.Errorf("core: ObliqueAllPairs needs a raw full CMP build, got %v with Quantize=%v", c.Algorithm, c.Quantize)
 	}
 	return c, nil
 }

@@ -109,14 +109,17 @@ func TestRootSplitFidelity(t *testing.T) {
 func TestValidatorCleanRuns(t *testing.T) {
 	debugValidate = true
 	defer func() { debugValidate = false }()
-	for _, algo := range []Algorithm{CMPS, CMPB, CMPFull} {
-		for _, fn := range []synth.Func{synth.F2, synth.F7, synth.FPaper} {
-			tbl := synth.Generate(fn, 30_000, 17)
-			cfg := Default(algo)
-			cfg.Intervals = 40
-			cfg.InMemoryNodeRecords = 1024
-			if _, err := Build(storage.NewMem(tbl), cfg); err != nil {
-				t.Fatalf("%v on %v: %v", algo, fn, err)
+	for _, quantize := range []bool{false, true} {
+		for _, algo := range []Algorithm{CMPS, CMPB, CMPFull} {
+			for _, fn := range []synth.Func{synth.F2, synth.F7, synth.FPaper} {
+				tbl := synth.Generate(fn, 30_000, 17)
+				cfg := Default(algo)
+				cfg.Intervals = 40
+				cfg.InMemoryNodeRecords = 1024
+				cfg.Quantize = quantize
+				if _, err := Build(storage.NewMem(tbl), cfg); err != nil {
+					t.Fatalf("%v on %v (Quantize=%v): %v", algo, fn, quantize, err)
+				}
 			}
 		}
 	}

@@ -89,8 +89,8 @@ type qbuilder struct {
 func buildQuantized(ctx context.Context, schema *dataset.Schema, cfg Config, quantize func(b *qbuilder) (cleanup func(), err error)) (*Result, error) {
 	if cfg.ObliqueAllPairs {
 		// Config.normalize rejects the knob with Quantize; a pre-quantized
-		// source or an index quantizes without it.
-		return nil, errors.New("core: ObliqueAllPairs needs a raw build: quantized builds search no linear-combination splits")
+		// source and BuildIndexed quantize without that flag.
+		return nil, errors.New("core: ObliqueAllPairs needs a raw full CMP build, got a quantized one")
 	}
 	b, err := newQBuilder(ctx, schema, cfg)
 	if err != nil {
@@ -569,9 +569,9 @@ func (b *qbuilder) evalNumericAttrs(_ *qnode, v *view) (best, evalX *numEval) {
 
 // xStickiness is the axis-stickiness tolerance: when predicting a child's
 // X-axis, the current axis is kept if its score is within this fraction of
-// the class impurity of the best attribute's score — the same 2% nudge
-// the decision gates apply when choosing the actual split. A node can split twice
-// in one scan only when its split lands on its own X-axis, so between
+// the class impurity of the best attribute's score — the same 2% nudge the
+// decision gates apply when choosing the actual split. A node can split
+// twice in one scan only when its split lands on its own X-axis, so between
 // near-tied attributes the prediction keeps the axis the node's matrices
 // are already built around rather than trading a double split for a
 // statistically indistinguishable alternative.

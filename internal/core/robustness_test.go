@@ -8,37 +8,41 @@ import (
 	"cmpdt/internal/synth"
 )
 
-// TestRobustnessAcrossSeeds sweeps seeds, algorithms and workloads with the
-// structural validator armed: every build must complete without invariant
-// violations and classify its training data well. This is the fuzz-ish net
-// over the builder's pending/nested/merge/revert machinery.
+// TestRobustnessAcrossSeeds sweeps seeds, algorithms, workloads and both
+// scan kernels with the structural validator armed: every build must
+// complete without invariant violations and classify its training data
+// well. This is the fuzz-ish net over the engine's frontier and the raw
+// kernel's pending/nested/merge/revert machinery.
 func TestRobustnessAcrossSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep")
 	}
 	debugValidate = true
 	defer func() { debugValidate = false }()
-	for _, algo := range []Algorithm{CMPS, CMPB, CMPFull} {
-		for _, fn := range []synth.Func{synth.F2, synth.F5, synth.F7, synth.FPaper} {
-			for seed := int64(1); seed <= 4; seed++ {
-				name := fmt.Sprintf("%v/%v/seed%d", algo, fn, seed)
-				tbl := synth.Generate(fn, 12_000, seed)
-				cfg := Default(algo)
-				cfg.Seed = seed
-				cfg.Intervals = 32
-				cfg.InMemoryNodeRecords = 700
-				res, err := Build(storage.NewMem(tbl), cfg)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				correct := 0
-				for i := 0; i < tbl.NumRecords(); i++ {
-					if res.Tree.Predict(tbl.Row(i)) == tbl.Label(i) {
-						correct++
+	for _, quantize := range []bool{false, true} {
+		for _, algo := range []Algorithm{CMPS, CMPB, CMPFull} {
+			for _, fn := range []synth.Func{synth.F2, synth.F5, synth.F7, synth.FPaper} {
+				for seed := int64(1); seed <= 4; seed++ {
+					name := fmt.Sprintf("%v/%v/seed%d/quantize=%v", algo, fn, seed, quantize)
+					tbl := synth.Generate(fn, 12_000, seed)
+					cfg := Default(algo)
+					cfg.Seed = seed
+					cfg.Intervals = 32
+					cfg.InMemoryNodeRecords = 700
+					cfg.Quantize = quantize
+					res, err := Build(storage.NewMem(tbl), cfg)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
 					}
-				}
-				if acc := float64(correct) / float64(tbl.NumRecords()); acc < 0.90 {
-					t.Errorf("%s: accuracy %.4f", name, acc)
+					correct := 0
+					for i := 0; i < tbl.NumRecords(); i++ {
+						if res.Tree.Predict(tbl.Row(i)) == tbl.Label(i) {
+							correct++
+						}
+					}
+					if acc := float64(correct) / float64(tbl.NumRecords()); acc < 0.90 {
+						t.Errorf("%s: accuracy %.4f", name, acc)
+					}
 				}
 			}
 		}
