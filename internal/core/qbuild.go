@@ -321,29 +321,28 @@ func (b *qbuilder) scan() error {
 	return nil
 }
 
-// qshard holds one scan worker's private accumulators, merged in
-// worker-index order after the pass (same contract as the raw scanShard).
-type qshard struct {
-	nodes []*qnode
-}
+// qshard holds one scan worker's private accumulators by node id, merged
+// in worker-index order after the pass (same contract as the raw
+// scanShard).
+type qshard []*qnode
 
-func (sh *qshard) nodeFor(b *qbuilder, n *qnode) *qnode {
-	sn := sh.nodes[n.id]
+func (sh qshard) nodeFor(b *qbuilder, n *qnode) *qnode {
+	sn := sh[n.id]
 	if sn == nil {
 		sn = &qnode{}
 		sn.buffer.init(b.na)
 		if n.state == stBuilding {
 			sn.histSet = b.makeHists(n)
 		}
-		sh.nodes[n.id] = sn
+		sh[n.id] = sn
 	}
 	return sn
 }
 
 func (b *qbuilder) scanParallel(rs storage.CodeRangeSource) error {
-	shards := make([]*qshard, b.cfg.Workers)
+	shards := make([]qshard, b.cfg.Workers)
 	for w := range shards {
-		shards[w] = &qshard{nodes: make([]*qnode, len(b.nodes))}
+		shards[w] = make(qshard, len(b.nodes))
 	}
 	span := b.obs.StartSpan(obs.PhaseScan)
 	var observe func(storage.WorkerScan)
@@ -360,7 +359,7 @@ func (b *qbuilder) scanParallel(rs storage.CodeRangeSource) error {
 	}
 	span.End()
 	for _, sh := range shards {
-		b.mergeShard(sh.nodes)
+		b.mergeShard(sh)
 	}
 	b.finishScan()
 	return nil
@@ -370,7 +369,7 @@ func (b *qbuilder) scanParallel(rs storage.CodeRangeSource) error {
 // destination: a dense histogram update, a collect buffer, or a settled
 // leaf. When sh is non-nil the terminal write lands in the worker's private
 // shard; the walk itself only reads state frozen during the scan.
-func (b *qbuilder) route(sh *qshard, rid int, codes []uint16, label int) {
+func (b *qbuilder) route(sh qshard, rid int, codes []uint16, label int) {
 	n := b.nodes[b.nid[rid]]
 	for n.dead && n.succ != nil {
 		n = n.succ
