@@ -200,7 +200,9 @@ type Config struct {
 	// until the stopping rules end them.
 	DisablePruning bool
 	// ObliqueAllPairs extends full CMP with matrices over every numeric
-	// attribute pair, lifting the paper's N-1-matrices limitation.
+	// attribute pair, lifting the paper's N-1-matrices limitation. Training
+	// fails when it is set with another algorithm or with Quantize, which
+	// search no linear splits.
 	ObliqueAllPairs bool
 	// Workers is the number of goroutines used for the per-round scan and
 	// for split resolution (default GOMAXPROCS; 1 forces the serial path).

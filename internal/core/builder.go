@@ -550,7 +550,6 @@ func (b *builder) mergedMarginalView(p *bnode, totals []int) *view {
 		}
 	}
 	v.totals = append([]int(nil), totals...)
-	v.n = sum(totals)
 	return v
 }
 

@@ -44,7 +44,6 @@ type view struct {
 	mats   []*histogram.Matrix // nil without matrices
 	xAttr  int
 	totals []int
-	n      int
 	// disc (raw) maps bins to values through discretizers.
 	disc []*quantile.Discretizer
 	// lo (quantized) is the global code of each numeric attribute's bin 0.
@@ -82,7 +81,6 @@ func (v *view) finish(nc int) {
 			break
 		}
 	}
-	v.n = sum(v.totals)
 }
 
 // viewOf builds the primary view of a scanned node.
@@ -299,29 +297,30 @@ func (e *engine[N]) decideScanned() {
 		n.base().queued = false
 	}
 	for _, n := range toDecide {
-		if c := n.base(); c.dead || c.state != stBuilding {
-			continue
-		} else if c.notBefore > e.round {
+		switch c := n.base(); {
+		case c.dead || c.state != stBuilding:
+		case c.notBefore > e.round:
 			// Reverted this round; its histograms await the next scan.
 			e.queueScanned(n)
-			continue
+		default:
+			ready = append(ready, n)
 		}
-		ready = append(ready, n)
 	}
-	evals := make([]*decideEval, len(ready))
 	if e.cfg.Workers > 1 && len(ready) > 1 {
+		evals := make([]*decideEval, len(ready))
 		doParallel(e.cfg.Workers, len(ready), func(i int) {
 			evals[i] = newDecideEval(e.viewOf(ready[i]))
 			var tn tree.Node
 			tn.SetCounts(evals[i].v.totals)
 			e.evaluate(ready[i], evals[i], decidePrimary, &tn)
 		})
-	}
-	for i, n := range ready {
-		if evals[i] == nil {
-			evals[i] = newDecideEval(e.viewOf(n))
+		for i, n := range ready {
+			e.decideFrom(n, evals[i], decidePrimary)
 		}
-		e.decideFrom(n, evals[i], decidePrimary)
+		return
+	}
+	for _, n := range ready {
+		e.decide(n, e.viewOf(n), decidePrimary)
 	}
 }
 
