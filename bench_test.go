@@ -9,8 +9,11 @@ package cmpdt_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"cmpdt"
 	"cmpdt/internal/core"
 	"cmpdt/internal/dataset"
 	"cmpdt/internal/eval"
@@ -279,4 +282,49 @@ func BenchmarkCorePrimitives(b *testing.B) {
 			res.Tree.Predict(tbl.Row(i % tbl.NumRecords()))
 		}
 	})
+}
+
+// BenchmarkForestIndexed times the forest build of perfbench's train-forest
+// workload: an 8-tree quantized CMP-B forest (FeatureFrac 0.7, Parallel 2,
+// Workers 1) over 50k Function-2 records with 5% label noise, read from a
+// CMPDT2 file through a page cache of twice the store. Every tree
+// quantizes its bootstrap view from one index of the store. Profile it
+// with
+//
+//	go test -run '^$' -bench BenchmarkForestIndexed -benchtime 20x -cpuprofile cpu.out .
+func BenchmarkForestIndexed(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "f2.rec")
+	w, err := storage.CreateFile(path, synth.Schema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := synth.GenerateTo(w, synth.F2, benchN, 1, synth.Options{Noise: 0.05}); err != nil {
+		w.Abort()
+		b.Fatal(err)
+	}
+	if _, err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := cmpdt.ForestConfig{
+		Trees:       8,
+		FeatureFrac: 0.7,
+		Parallel:    2,
+		Tree: cmpdt.Config{
+			Algorithm:  cmpdt.CMPB,
+			Quantize:   true,
+			Workers:    1,
+			CacheBytes: 2 * st.Size(),
+		},
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cmpdt.TrainForestFile(path, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(benchN)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }

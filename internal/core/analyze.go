@@ -59,6 +59,7 @@ func AnalyzeAttribute(src storage.Source, cfg Config, attrName string) (*Attribu
 	b := &builder{engine: eng, src: src}
 	b.k = b
 	b.nid = make([]int32, src.NumRecords())
+	b.records = int64(len(b.nid))
 	if b.rootDisc, b.attrMin, b.attrMax, err = b.discretize(src, b.numeric, cfg.Intervals); err != nil {
 		return nil, err
 	}

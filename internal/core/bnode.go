@@ -88,11 +88,15 @@ type bnode struct {
 	banned map[int]bool
 }
 
-func (n *bnode) bins(a int) int        { return n.disc[a].Bins() }
-func (n *bnode) frame(v *view)         { v.disc = n.disc }
-func (n *bnode) bufferLabels() []int32 { return n.buffer.labels }
-func (n *bnode) bufferBytes() int64    { return n.buffer.bytes() }
-func (n *bnode) absorb(shard *bnode)   { n.buffer.appendFrom(&shard.buffer) }
+func (n *bnode) bins(a int) int      { return n.disc[a].Bins() }
+func (n *bnode) frame(v *view)       { v.disc = n.disc }
+func (n *bnode) bufferBytes() int64  { return n.buffer.bytes() }
+func (n *bnode) absorb(shard *bnode) { n.buffer.appendFrom(&shard.buffer) }
+func (n *bnode) countBuffered(counts []int) {
+	for _, l := range n.buffer.labels {
+		counts[l]++
+	}
+}
 func (n *bnode) release() {
 	n.dropHists()
 	n.buffer.reset()

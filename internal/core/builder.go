@@ -83,6 +83,7 @@ func BuildContext(ctx context.Context, src storage.Source, cfg Config) (res *Res
 	}
 	err = b.build(func() (err error) {
 		b.nid = make([]int32, src.NumRecords())
+		b.records = int64(len(b.nid))
 		b.rootDisc, b.attrMin, b.attrMax, err = b.discretize(src, b.numeric, cfg.Intervals)
 		return err
 	}, func(x int) *bnode { return b.newBnode(0, b.rootDisc, x) })

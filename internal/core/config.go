@@ -295,6 +295,15 @@ func (c Config) normalize() (Config, error) {
 }
 
 // Stats reports what a build did.
+//
+// NidBytesIO, BufferedRecords and PeakBufferBytes count per record of the
+// store the construction rounds scan. For a raw build that is the raw
+// store, invalid records included: every scan walks them and the nid array
+// covers them. For a quantized build it is the code store, which holds the
+// valid records only. For a bootstrap view — a storage.Masked store, or the
+// code store BuildIndexed writes with one row per distinct draw weighted by
+// its multiplicity — it is the view's virtual records: a record drawn m
+// times counts m times.
 type Stats struct {
 	// Rounds is the number of construction rounds; each performs one scan.
 	Rounds int

@@ -123,7 +123,9 @@ func (e *engine[N]) viewOf(n N) *view {
 // sliceViewX restricts a matrix-bearing view to X bins [lo, hi) — the
 // shaded/unshaded sub-matrices of Figure 6. Categorical marginals are not
 // sliceable (no (X, cat) matrix feeds decisions) and are absent from the
-// result.
+// result. The sliced matrices alias v's (Matrix.SliceX returns views), so
+// they are only read: decisions and predictions score them, and no node
+// takes them as its histograms.
 func (e *engine[N]) sliceViewX(v *view, lo, hi int) *view {
 	if v.mats == nil || lo >= hi {
 		return nil

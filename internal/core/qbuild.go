@@ -56,11 +56,11 @@ type qnode struct {
 	buffer codeBuffer // collect rows: raw bin codes
 }
 
-func (n *qnode) bins(a int) int        { return n.hi[a] - n.lo[a] }
-func (n *qnode) frame(v *view)         { v.lo = n.lo }
-func (n *qnode) bufferLabels() []int32 { return n.buffer.labels }
-func (n *qnode) bufferBytes() int64    { return n.buffer.bytes() }
-func (n *qnode) absorb(shard *qnode)   { n.buffer.appendFrom(&shard.buffer) }
+func (n *qnode) bins(a int) int             { return n.hi[a] - n.lo[a] }
+func (n *qnode) frame(v *view)              { v.lo = n.lo }
+func (n *qnode) countBuffered(counts []int) { n.buffer.countClasses(counts) }
+func (n *qnode) bufferBytes() int64         { return n.buffer.bytes() }
+func (n *qnode) absorb(shard *qnode)        { n.buffer.appendFrom(&shard.buffer) }
 func (n *qnode) release() {
 	n.dropHists()
 	n.buffer.reset()
@@ -71,6 +71,10 @@ type qbuilder struct {
 	engine[*qnode]
 	q    *storage.Quantizer
 	qsrc storage.CodeSource
+	// weights are the code store's row multiplicities (nil: every row is
+	// one record). A bootstrap view's store keeps each drawn record once,
+	// and every count the scan makes adds the row's weight.
+	weights []uint32
 	// cutAttrs are the numeric attributes that may split. Only they get cut
 	// points: every other numeric attribute is quantized to one bin, so its
 	// matrix axes collapse to width 1. No decision reads such an axis — its
@@ -112,6 +116,10 @@ func buildQuantized(ctx context.Context, schema *dataset.Schema, cfg Config, qua
 		}
 		b.stats.QuantCodeBytes = b.q.RecordBytes()
 		b.nid = make([]int32, b.qsrc.NumRecords())
+		b.records = int64(len(b.nid))
+		if qm, ok := b.qsrc.(*storage.QuantMem); ok {
+			b.weights, b.records = qm.Weights(), qm.WeightedRecords()
+		}
 		return nil
 	}, b.newRoot)
 	if err != nil {
@@ -316,7 +324,7 @@ func (b *qbuilder) scan() error {
 	if err != nil {
 		return err
 	}
-	b.obs.AddWorkerScan(0, int64(checked), span.End())
+	b.obs.AddWorkerScan(0, b.records, span.End())
 	b.finishScan()
 	return nil
 }
@@ -368,7 +376,8 @@ func (b *qbuilder) scanParallel(rs storage.CodeRangeSource) error {
 // route walks a code record down from its last known node to its current
 // destination: a dense histogram update, a collect buffer, or a settled
 // leaf. When sh is non-nil the terminal write lands in the worker's private
-// shard; the walk itself only reads state frozen during the scan.
+// shard; the walk itself only reads state frozen during the scan. Counts
+// and buffers take the row's weight.
 func (b *qbuilder) route(sh qshard, rid int, codes []uint16, label int) {
 	n := b.nodes[b.nid[rid]]
 	for n.dead && n.succ != nil {
@@ -394,26 +403,33 @@ func (b *qbuilder) route(sh qshard, rid int, codes []uint16, label int) {
 			if sh != nil {
 				buf = &sh.nodeFor(b, n).buffer
 			}
-			buf.add(codes, label)
+			buf.add(codes, label, b.weight(rid))
 			b.nid[rid] = n.id
 			return
 		default: // stBuilding
+			hs := &n.histSet
 			if sh != nil {
-				sn := sh.nodeFor(b, n)
-				b.countCodes(n, &sn.histSet, codes, label)
-			} else {
-				b.countCodes(n, &n.histSet, codes, label)
+				hs = &sh.nodeFor(b, n).histSet
 			}
+			b.countCodes(n, hs, codes, label, int(b.weight(rid)))
 			b.nid[rid] = n.id
 			return
 		}
 	}
 }
 
-// countCodes counts one code record into dense accumulators of node n's
-// geometry (its own, or a worker shard's): bin = code - window base, no
-// comparisons, no search.
-func (b *qbuilder) countCodes(n *qnode, hs *histSet, codes []uint16, label int) {
+// weight is the number of records row rid stands for.
+func (b *qbuilder) weight(rid int) uint32 {
+	if b.weights == nil {
+		return 1
+	}
+	return b.weights[rid]
+}
+
+// countCodes counts one code row, w records, into dense accumulators of
+// node n's geometry (its own, or a worker shard's): bin = code - window
+// base, no comparisons, no search.
+func (b *qbuilder) countCodes(n *qnode, hs *histSet, codes []uint16, label, w int) {
 	hists, mats := hs.hists, hs.mats
 	if mats != nil {
 		xb := int(codes[n.xAttr]) - n.lo[n.xAttr]
@@ -421,11 +437,11 @@ func (b *qbuilder) countCodes(n *qnode, hs *histSet, codes []uint16, label int) 
 			if y == n.xAttr {
 				continue
 			}
-			mats[y].Add(xb, int(codes[y])-n.lo[y], label)
+			mats[y].AddN(xb, int(codes[y])-n.lo[y], label, w)
 		}
 		for a, h := range hists {
 			if h != nil { // categorical: code is the category index
-				h.Add(int(codes[a]), label)
+				h.AddN(int(codes[a]), label, w)
 			}
 		}
 		return
@@ -435,9 +451,9 @@ func (b *qbuilder) countCodes(n *qnode, hs *histSet, codes []uint16, label int) 
 			continue
 		}
 		if b.schema.Attrs[a].Kind == dataset.Categorical {
-			h.Add(int(codes[a]), label)
+			h.AddN(int(codes[a]), label, w)
 		} else {
-			h.Add(int(codes[a])-n.lo[a], label)
+			h.AddN(int(codes[a])-n.lo[a], label, w)
 		}
 	}
 }

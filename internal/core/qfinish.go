@@ -25,19 +25,25 @@ import (
 	"cmpdt/internal/tree"
 )
 
-// codeBuffer holds a collect node's records as raw bin codes, k per record,
-// in arrival order.
+// codeBuffer holds a collect node's records as raw bin codes, k per row,
+// in arrival order, each row with the number of records it stands for: 1,
+// or a bootstrap view's multiplicity (see storage.QuantMem).
 type codeBuffer struct {
-	k      int
-	codes  []uint16
-	labels []int32
+	k       int
+	codes   []uint16
+	labels  []int32
+	weights []uint32
+	records int64 // the sum of weights
 }
 
 func (b *codeBuffer) init(k int) { b.k = k }
 
-func (b *codeBuffer) add(codes []uint16, label int) {
+// add appends one row standing for w records.
+func (b *codeBuffer) add(codes []uint16, label int, w uint32) {
 	b.codes = append(b.codes, codes...)
 	b.labels = append(b.labels, int32(label))
+	b.weights = append(b.weights, w)
+	b.records += int64(w)
 }
 
 // appendFrom appends every record of o, preserving o's order. Merging
@@ -46,21 +52,28 @@ func (b *codeBuffer) add(codes []uint16, label int) {
 func (b *codeBuffer) appendFrom(o *codeBuffer) {
 	b.codes = append(b.codes, o.codes...)
 	b.labels = append(b.labels, o.labels...)
+	b.weights = append(b.weights, o.weights...)
+	b.records += o.records
 }
 
-// Len returns the number of buffered records.
+// Len returns the number of buffered rows.
 func (b *codeBuffer) Len() int { return len(b.labels) }
 
-// Label returns record i's class label.
-func (b *codeBuffer) Label(i int) int { return int(b.labels[i]) }
+// countClasses adds the buffered records' class counts to t.
+func (b *codeBuffer) countClasses(t []int) {
+	for i, l := range b.labels {
+		t[l] += int(b.weights[i])
+	}
+}
 
-// bytes is the buffer's memory footprint: 2 bytes per code plus the label.
-func (b *codeBuffer) bytes() int64 { return int64(b.Len()) * (2*int64(b.k) + 4) }
+// bytes is the buffer's memory footprint, charged per record the rows stand
+// for: 2 bytes per code plus the label.
+func (b *codeBuffer) bytes() int64 { return b.records * (2*int64(b.k) + 4) }
 
 // reset releases the records; a node's buffer is reset only when the node
 // leaves the collect state for good.
 func (b *codeBuffer) reset() {
-	b.codes, b.labels = nil, nil
+	b.codes, b.labels, b.weights, b.records = nil, nil, nil, 0
 }
 
 // codeFinisher grows one subtree over a code buffer. Rows are addressed
@@ -72,16 +85,18 @@ type codeFinisher struct {
 	nc     int
 	mdl    prune.MDL
 
-	// cols[a][i] is record i's code for attribute a, less base[a] for a
+	// cols[a][i] is row i's code for attribute a, less base[a] for a
 	// numeric attribute (categorical codes stay category indices). nil for
 	// attributes that may not split.
 	cols   [][]uint16
 	base   []int
 	labels []int32
+	// weights[i] is the number of records row i stands for.
+	weights []uint32
 
 	idx, tmp []int32
 	hist     []int   // numeric scratch: hist[code*nc+class], zero between uses
-	cnt      []int32 // numeric scratch: records per code, zero between uses
+	cnt      []int32 // numeric scratch: rows per code, zero between uses
 	occ      []int   // numeric scratch: the occupied codes
 	cum      []int
 	cat      [][][]int // per categorical attribute: a [value][class] table, zero between uses
@@ -91,27 +106,31 @@ type codeFinisher struct {
 }
 
 // finishCodes grows the subtree over buf's records and returns its root.
+// Every count is a sum of row multiplicities, so a weighted buffer grows
+// the tree its expansion (each row repeated as often as it is weighted)
+// grows, with a row visited once where the expansion visits it per copy.
 func finishCodes(buf *codeBuffer, schema *dataset.Schema, cfg exact.Config) *tree.Node {
 	n, k, nc := buf.Len(), buf.k, schema.NumClasses()
 	f := &codeFinisher{
-		schema: schema,
-		cfg:    cfg,
-		nc:     nc,
-		mdl:    prune.MDL{NumAttrs: schema.NumAttrs(), NumClasses: nc},
-		cols:   make([][]uint16, k),
-		base:   make([]int, k),
-		labels: buf.labels,
-		idx:    make([]int32, n),
-		tmp:    make([]int32, n),
-		cum:    make([]int, nc),
-		cat:    make([][][]int, k),
-		left:   make([]int, nc),
-		right:  make([]int, nc),
+		schema:  schema,
+		cfg:     cfg,
+		nc:      nc,
+		mdl:     prune.MDL{NumAttrs: schema.NumAttrs(), NumClasses: nc},
+		cols:    make([][]uint16, k),
+		base:    make([]int, k),
+		labels:  buf.labels,
+		weights: buf.weights,
+		idx:     make([]int32, n),
+		tmp:     make([]int32, n),
+		cum:     make([]int, nc),
+		cat:     make([][][]int, k),
+		left:    make([]int, nc),
+		right:   make([]int, nc),
 	}
 	counts := make([]int, nc)
 	for i := range f.idx {
 		f.idx[i] = int32(i)
-		counts[f.labels[i]]++
+		counts[f.labels[i]] += int(f.weights[i])
 	}
 	width := 0
 	for a := 0; a < k; a++ {
@@ -188,7 +207,7 @@ func (f *codeFinisher) build(idx []int32, counts []int, depth int) (*tree.Node, 
 		nl += k
 		f.right[c] = counts[c] - k
 	}
-	if nl == 0 || nl == len(idx) {
+	if nl == 0 || nl == node.N {
 		return node, lc
 	}
 	var floorR float64
@@ -198,15 +217,16 @@ func (f *codeFinisher) build(idx []int32, counts []int, depth int) (*tree.Node, 
 			return node, lc // cut 2
 		}
 	}
-	f.partition(idx, &split, boundary)
+	// nl counts records; the rows going left are the first rl of idx.
+	rl := f.partition(idx, &split, boundary)
 	cc := make([]int, 2*f.nc)
 	copy(cc, f.left)
 	copy(cc[f.nc:], f.right)
-	left, costL := f.build(idx[:nl], cc[:f.nc:f.nc], depth+1)
+	left, costL := f.build(idx[:rl], cc[:f.nc:f.nc], depth+1)
 	if f.cfg.Prune && lc <= f.mdl.Internal(&split, node.N, costL, floorR) {
 		return node, lc // cut 2, with the left child's actual cost
 	}
-	right, costR := f.build(idx[nl:], cc[f.nc:], depth+1)
+	right, costR := f.build(idx[rl:], cc[f.nc:], depth+1)
 	cost := f.mdl.Internal(&split, node.N, costL, costR)
 	if f.cfg.Prune && lc <= cost {
 		return node, lc // cut 3
@@ -226,7 +246,7 @@ func (f *codeFinisher) bestSplit(idx []int32, total []int) (best tree.Split, bou
 		}
 		if tab := f.cat[a]; tab != nil {
 			for _, i := range idx {
-				tab[col[i]][f.labels[i]]++
+				tab[col[i]][f.labels[i]] += int(f.weights[i])
 			}
 			mask, g, ok := gini.BestSubsetSplit(tab)
 			if ok && g < bestG {
@@ -281,7 +301,7 @@ func (f *codeFinisher) occupied(col []uint16, idx []int32) []int {
 			lo, hi = min(lo, c), max(hi, c)
 		}
 		f.cnt[c]++
-		f.hist[c*f.nc+int(f.labels[i])]++
+		f.hist[c*f.nc+int(f.labels[i])] += int(f.weights[i])
 	}
 	if hi-lo < 4*len(occ) {
 		// Dense enough: reading the occupied codes off the range is
@@ -299,8 +319,9 @@ func (f *codeFinisher) occupied(col []uint16, idx []int32) []int {
 	return occ
 }
 
-// partition reorders idx stably so the rows going left come first.
-func (f *codeFinisher) partition(idx []int32, s *tree.Split, boundary int) {
+// partition reorders idx stably so the rows going left come first, and
+// returns their number.
+func (f *codeFinisher) partition(idx []int32, s *tree.Split, boundary int) int {
 	col := f.cols[s.Attr]
 	nl, nr := 0, 0
 	for _, i := range idx {
@@ -320,4 +341,5 @@ func (f *codeFinisher) partition(idx []int32, s *tree.Split, boundary int) {
 		}
 	}
 	copy(idx[nl:], f.tmp[:nr])
+	return nl
 }

@@ -14,12 +14,14 @@ import (
 	"cmpdt/internal/tree"
 )
 
-// finishCase is one input to the code finisher: a buffer of codes, the
-// schema it was drawn from and the stopping rules.
+// finishCase is one input to the code finisher: a buffer of codes, whether
+// its rows carry multiplicities, the schema it was drawn from and the
+// stopping rules.
 type finishCase struct {
-	buf    *codeBuffer
-	schema *dataset.Schema
-	cfg    exact.Config
+	buf      *codeBuffer
+	weighted bool
+	schema   *dataset.Schema
+	cfg      exact.Config
 }
 
 // byteStream hands out the bytes of a fuzz input, then zeros.
@@ -44,8 +46,9 @@ const (
 )
 
 // decodeFinishCase turns bytes into a finisher input. A header fixes the
-// class count, each attribute's kind and shape, and the stopping rules;
-// every following group of k+1 bytes is one record's codes and label.
+// class count, each attribute's kind and shape, the stopping rules and
+// whether rows are weighted; every following group of k+1 bytes (k+2 when
+// weighted) is one row's codes, label and multiplicity.
 func decodeFinishCase(data []byte) finishCase {
 	s := byteStream(data)
 	nc := 2 + s.next()%2
@@ -75,6 +78,7 @@ func decodeFinishCase(data []byte) finishCase {
 	if c&0x01 != 0 {
 		cfg.PurityStop = 0.85
 	}
+	weighted := c&0x04 != 0
 	if c&0x02 != 0 {
 		mask := s.next()
 		cfg.AllowedAttrs = make([]bool, k)
@@ -105,25 +109,42 @@ func decodeFinishCase(data []byte) finishCase {
 				codes[a] = uint16(v * 257)
 			}
 		}
-		buf.add(codes, s.next()%nc)
+		label, mult := s.next()%nc, uint32(1)
+		if weighted {
+			// Mostly 1-3 draws, now and then up to 16.
+			mult = uint32(1 + s.next()%3)
+			if v := s.next(); v%8 == 7 {
+				mult = uint32(1 + v/16)
+			}
+		}
+		buf.add(codes, label, mult)
 	}
-	return finishCase{buf: buf, schema: schema, cfg: cfg}
+	return finishCase{buf: buf, weighted: weighted, schema: schema, cfg: cfg}
 }
 
-// randomFinishBytes draws a fuzz-shaped input of up to maxRows records
-// whose labels follow the first attribute's byte, with noise, so trees grow
-// several levels deep.
+// randomFinishBytes draws a fuzz-shaped input of up to maxRows rows whose
+// labels follow the first attribute's byte, with noise, so trees grow
+// several levels deep. About half the inputs weight their rows.
 func randomFinishBytes(rng *rand.Rand, maxRows int) []byte {
 	k := 1 + rng.Intn(5)
 	data := []byte{byte(rng.Intn(2)), byte(k - 1)}
 	for a := 0; a < k; a++ {
 		data = append(data, byte(rng.Intn(256)))
 	}
-	data = append(data, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+	rules := byte(rng.Intn(256))
+	data = append(data, byte(rng.Intn(256)), rules)
+	if rules&0x02 != 0 {
+		data = append(data, byte(rng.Intn(256))) // AllowedAttrs mask
+	}
+	data = append(data, byte(rng.Intn(256))) // the constant column's code
+	width := k + 1
+	if rules&0x04 != 0 {
+		width += 2
+	}
 	n := rng.Intn(maxRows)
 	for i := 0; i < n; i++ {
-		row := make([]byte, k+1)
-		rng.Read(row[:k])
+		row := make([]byte, width)
+		rng.Read(row)
 		label := int(row[0]) / 86
 		if rng.Intn(5) == 0 {
 			label = rng.Intn(3)
@@ -132,6 +153,19 @@ func randomFinishBytes(rng *rand.Rand, maxRows int) []byte {
 		data = append(data, row...)
 	}
 	return data
+}
+
+// expand returns buf's rows as a buffer of unit rows, each repeated in
+// place as often as it is weighted.
+func expand(buf *codeBuffer) *codeBuffer {
+	out := &codeBuffer{}
+	out.init(buf.k)
+	for i, w := range buf.weights {
+		for ; w > 0; w-- {
+			out.add(buf.codes[i*buf.k:(i+1)*buf.k], int(buf.labels[i]), 1)
+		}
+	}
+	return out
 }
 
 // widenedRows presents a code buffer to the exact builder as float64 rows.
@@ -177,17 +211,26 @@ func diffTrees(got, want *tree.Node, path string) string {
 }
 
 // checkFinisher builds c with the code finisher and with the exact builder
-// over the widened codes, and reports the first difference. Then it holds
-// both finishers, growing under the PUBLIC bound, to post-pruning.
+// over the widened codes of its expansion, and reports the first
+// difference; a weighted buffer must also finish node for node like its
+// expansion. Then it holds both finishers, growing under the PUBLIC bound,
+// to post-pruning.
 func checkFinisher(t *testing.T, c finishCase) {
 	t.Helper()
-	want := exact.BuildSubtree(widen(c.buf), c.schema, c.cfg)
+	exp := expand(c.buf)
+	want := exact.BuildSubtree(widen(exp), c.schema, c.cfg)
 	got := finishCodes(c.buf, c.schema, c.cfg)
 	if d := diffTrees(got, want, "root"); d != "" {
-		t.Fatalf("%d records, %d classes, attrs %+v, cfg %+v: %s",
-			c.buf.Len(), c.schema.NumClasses(), c.schema.Attrs, c.cfg, d)
+		t.Fatalf("%d rows (weighted %v), %d records, %d classes, attrs %+v, cfg %+v: %s",
+			c.buf.Len(), c.weighted, exp.Len(), c.schema.NumClasses(), c.schema.Attrs, c.cfg, d)
 	}
-	checkPrunedFinishers(t, c, widen(c.buf))
+	if c.weighted {
+		if d := diffTrees(got, finishCodes(exp, c.schema, c.cfg), "root"); d != "" {
+			t.Fatalf("%d weighted rows, %d records: the weighted buffer finishes unlike its expansion: %s",
+				c.buf.Len(), exp.Len(), d)
+		}
+	}
+	checkPrunedFinishers(t, c, widen(exp))
 }
 
 // checkPrunedFinishers requires each finisher, growing with Prune, to build
@@ -260,7 +303,7 @@ func TestPrunedFinishersMatchPostPruning(t *testing.T) {
 			codes := make([]uint16, q.NumAttrs())
 			for i := 0; i < tbl.NumRecords(); i++ {
 				q.Encode(tbl.Row(i), codes)
-				buf.add(codes, tbl.Label(i))
+				buf.add(codes, tbl.Label(i), 1)
 			}
 			checkPrunedFinishers(t, finishCase{buf: buf, schema: tbl.Schema(), cfg: cfg}, tableRows{tbl})
 		})
@@ -276,11 +319,20 @@ func (r tableRows) Label(i int) int     { return r.t.Label(i) }
 
 // TestCodeFinisherMatchesExact is the differential test: the code finisher
 // must grow, node for node, the tree the exact builder grows over the same
-// codes widened to float64.
+// codes widened to float64, with rows weighted in about half the cases
+// (the exact builder then grows over the expansion).
 func TestCodeFinisherMatchesExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	weighted := 0
 	for iter := 0; iter < 600; iter++ {
-		checkFinisher(t, decodeFinishCase(randomFinishBytes(rng, 400)))
+		c := decodeFinishCase(randomFinishBytes(rng, 400))
+		if c.weighted {
+			weighted++
+		}
+		checkFinisher(t, c)
+	}
+	if weighted < 200 || weighted > 400 {
+		t.Fatalf("%d of 600 cases weighted; want about half", weighted)
 	}
 }
 
@@ -291,8 +343,8 @@ func TestCodeFinisherThresholdIsMidpoint(t *testing.T) {
 	buf := &codeBuffer{}
 	buf.init(1)
 	for i := 0; i < 4; i++ {
-		buf.add([]uint16{5}, 0)
-		buf.add([]uint16{7}, 1)
+		buf.add([]uint16{5}, 0, 1)
+		buf.add([]uint16{7}, 1, 1)
 	}
 	root := finishCodes(buf, schema, exact.Config{MinSplitRecords: 2, MaxDepth: 32})
 	if root.Split == nil || root.Split.Threshold != 6 {

@@ -90,13 +90,16 @@ func genIndexInput(seed int64, n, invalidPct, zeroPct, heavy int) indexInput {
 }
 
 // quantOutcome is everything a quantize step hands the build: its tables,
-// code records, labels and skip count, or its error.
+// code records, labels and skip count, or its error. A weighted store's
+// rows are expanded in row order, each repeated as often as it is
+// weighted; rows counts them unexpanded.
 type quantOutcome struct {
 	err     string
 	tables  []storage.QuantAttr
 	codes   []uint16
 	labels  []int
 	skipped int64
+	rows    int
 }
 
 // newTestQBuilder is a qbuilder ready for its quantize step.
@@ -119,9 +122,20 @@ func outcomeOf(t testing.TB, b *qbuilder, err error) quantOutcome {
 		return quantOutcome{err: err.Error()}
 	}
 	o := quantOutcome{tables: b.q.Tables(), skipped: b.stats.SkippedRecords}
-	if err := b.qsrc.ScanCodes(func(_ int, codes []uint16, label int) error {
-		o.codes = append(o.codes, codes...)
-		o.labels = append(o.labels, label)
+	var weights []uint32
+	if qm, ok := b.qsrc.(*storage.QuantMem); ok {
+		weights = qm.Weights()
+	}
+	if err := b.qsrc.ScanCodes(func(rid int, codes []uint16, label int) error {
+		o.rows++
+		mult := uint32(1)
+		if weights != nil {
+			mult = weights[rid]
+		}
+		for ; mult > 0; mult-- {
+			o.codes = append(o.codes, codes...)
+			o.labels = append(o.labels, label)
+		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -152,6 +166,30 @@ func quantizeBoth(t testing.TB, in indexInput, cfg Config) (want, got quantOutco
 	bg := newTestQBuilder(t, schema, cfg)
 	got = outcomeOf(t, bg, bg.quantizeIndexed(ix, in.mask))
 	return want, got
+}
+
+// drawnValid is the number of distinct valid records in's mask draws: the
+// rows an index walk writes.
+func drawnValid(in indexInput) int {
+	n := 0
+	for u := 0; u < in.mask.NumSource(); u++ {
+		if in.mask.Count(u) > 0 && in.src.bad[u] == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// weightedDefect checks that a successful index walk wrote one row per
+// distinct valid record drawn. It describes a mismatch, or returns "".
+func weightedDefect(in indexInput, o quantOutcome) string {
+	if o.err != "" {
+		return ""
+	}
+	if want := drawnValid(in); o.rows != want {
+		return fmt.Sprintf("index walk wrote %d rows for %d distinct valid records drawn", o.rows, want)
+	}
+	return ""
 }
 
 // subsetOf returns the attributes of na whose bit is set in bits, or nil
@@ -262,7 +300,7 @@ func TestIndexWalkMatchesDiscretizeEncode(t *testing.T) {
 					if d := diffOutcomes(want, got); d != "" {
 						t.Fatalf("seed %d n=%d sample=%d bins=%d validation=%d split attrs %v: %s", seed, n, sample, bins, v, cfg.SplitAttrs, d)
 					}
-					if d := oneCodeDefect(schema, cfg, got); d != "" {
+					if d := oneCodeDefect(schema, cfg, got) + weightedDefect(in, got); d != "" {
 						t.Fatalf("seed %d n=%d sample=%d bins=%d validation=%d split attrs %v: %s", seed, n, sample, bins, v, cfg.SplitAttrs, d)
 					}
 					if v == ValidateStrict {
@@ -547,7 +585,7 @@ func FuzzIndexWalk(f *testing.F) {
 		if d := diffOutcomes(want, got); d != "" {
 			t.Fatal(d)
 		}
-		if d := oneCodeDefect(schema, cfg, got); d != "" {
+		if d := oneCodeDefect(schema, cfg, got) + weightedDefect(in, got); d != "" {
 			t.Fatal(d)
 		}
 	})

@@ -449,9 +449,10 @@ func newSplitmixPerm(seed int64, n int) []int {
 // computeOOB runs the out-of-bag estimate with ONE serial pass over the
 // underlying store: for each record, the trees whose bootstrap never drew
 // it predict, and their vote (classification) or mean (regression) is
-// scored against the truth. The pass is serial by construction so the
-// floating-point accumulation order — and therefore the estimate — is
-// independent of every worker-count knob.
+// scored against the truth. A classification forest skips the records
+// Schema.RecordDefect rejects, as its trees' training did. The pass is
+// serial by construction so the floating-point accumulation order — and
+// therefore the estimate — is independent of every worker-count knob.
 func computeOOB(ctx context.Context, src storage.RangeSource, f *Forest, masks []*storage.Mask, stats *storage.Stats) error {
 	n := src.NumRecords()
 	nc := f.Schema.NumClasses()
@@ -481,6 +482,9 @@ func computeOOB(ctx context.Context, src storage.RangeSource, f *Forest, masks [
 			count++
 			d := sum/float64(oob) - vals[f.Target]
 			sqErr += d * d
+			return nil
+		}
+		if f.Schema.RecordDefect(vals, label) != "" {
 			return nil
 		}
 		for c := range votes {

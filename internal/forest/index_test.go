@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -39,14 +40,21 @@ func (d *damagedSource) ScanRange(lo, hi int, stats *storage.Stats, fn func(rid 
 
 // TestForestIndexMatchesMaskedBuilds: every tree of a quantized bootstrap
 // forest is the tree core.BuildContext grows over that tree's masked view,
-// invalid records included. Under ValidateSkip the trees are byte-identical;
-// under ValidateStrict the forest fails with the first failing tree's
-// masked-build error, wrapped as "forest: tree i: ...".
+// invalid records included. Under ValidateSkip the trees are byte-identical,
+// and each tree's index build reports the masked build's Stats in every
+// field but Scans (the masked build also scans to discretize and encode)
+// and the wall-clock QuantizeNs; under ValidateStrict the forest fails with
+// the first failing tree's masked-build error, wrapped as "forest: tree i:
+// ...".
 func TestForestIndexMatchesMaskedBuilds(t *testing.T) {
 	tbl := synth.Generate(synth.F2, 3000, 4)
 	src := &damagedSource{RangeSource: storage.NewMem(tbl), bad: map[int]bool{}}
 	for _, rid := range []int{17, 901, 902, 2999} {
 		src.bad[rid] = true
+	}
+	idx, err := core.NewIndex(context.Background(), src, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for _, v := range []core.ValidationPolicy{core.ValidateSkip, core.ValidateStrict} {
 		cfg := smallConfig(6)
@@ -59,7 +67,8 @@ func TestForestIndexMatchesMaskedBuilds(t *testing.T) {
 
 		var wantErr error
 		for i := 0; i < cfg.Trees && wantErr == nil; i++ {
-			view, err := storage.NewMasked(src, storage.BootstrapMask(tbl.NumRecords(), treeSeed(cfg.Seed, 2*int64(i))))
+			mask := storage.BootstrapMask(tbl.NumRecords(), treeSeed(cfg.Seed, 2*int64(i)))
+			view, err := storage.NewMasked(src, mask)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,6 +93,16 @@ func TestForestIndexMatchesMaskedBuilds(t *testing.T) {
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Errorf("validation=%d tree %d differs from the masked-view build", v, i)
 			}
+			indexed, err := core.BuildIndexed(context.Background(), idx, mask, tcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gs, ws := indexed.Stats, plain.Stats
+			gs.Scans, ws.Scans = 0, 0
+			gs.QuantizeNs, ws.QuantizeNs = 0, 0
+			if !reflect.DeepEqual(gs, ws) {
+				t.Errorf("validation=%d tree %d: index build Stats\n%+v\nmasked-view build Stats\n%+v", v, i, gs, ws)
+			}
 		}
 		switch {
 		case wantErr == nil && err != nil:
@@ -93,6 +112,67 @@ func TestForestIndexMatchesMaskedBuilds(t *testing.T) {
 		}
 		if (v == core.ValidateStrict) != (wantErr != nil) {
 			t.Fatalf("validation=%d: masked builds failed with %v; the damaged records should fail only strict builds", v, wantErr)
+		}
+	}
+}
+
+// TestForestOOBSkipsInvalidRecords: the out-of-bag estimate of a
+// classification forest trained under ValidateSkip scores only the records
+// training could use. Over F2 with every 10th of 3,000 records damaged, the
+// count and error equal a plain vote over the valid records left out of at
+// least one tree's bootstrap, raw and quantized.
+func TestForestOOBSkipsInvalidRecords(t *testing.T) {
+	tbl := synth.Generate(synth.F2, 3000, 6)
+	src := &damagedSource{RangeSource: storage.NewMem(tbl), bad: map[int]bool{}}
+	for rid := 0; rid < tbl.NumRecords(); rid += 10 {
+		src.bad[rid] = true
+	}
+	for _, quantize := range []bool{false, true} {
+		cfg := smallConfig(4)
+		cfg.Tree.Quantize = quantize
+		cfg.Tree.Validation = core.ValidateSkip
+		res, err := Train(src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := res.Forest
+		masks := make([]*storage.Mask, cfg.Trees)
+		for i := range masks {
+			masks[i] = storage.BootstrapMask(tbl.NumRecords(), treeSeed(cfg.Seed, 2*int64(i)))
+		}
+		count, wrong, damagedOOB := 0, 0, 0
+		for rid := 0; rid < tbl.NumRecords(); rid++ {
+			votes := make([]int, tbl.Schema().NumClasses())
+			oob := 0
+			for i, tr := range f.Trees {
+				if masks[i].Count(rid) == 0 {
+					votes[tr.Predict(tbl.Row(rid))]++
+					oob++
+				}
+			}
+			switch {
+			case oob == 0:
+			case src.bad[rid]:
+				damagedOOB++
+			default:
+				count++
+				best := 0
+				for c := range votes {
+					if votes[c] > votes[best] {
+						best = c
+					}
+				}
+				if best != tbl.Label(rid) {
+					wrong++
+				}
+			}
+		}
+		if damagedOOB == 0 {
+			t.Fatalf("quantize=%v: no damaged record is out of bag; the test proves nothing", quantize)
+		}
+		if f.OOBCount != count || f.OOBError != float64(wrong)/float64(count) {
+			t.Errorf("quantize=%v: OOB count %d error %v, want %d and %v over the valid records (%d damaged ones are out of bag too)",
+				quantize, f.OOBCount, f.OOBError, count, float64(wrong)/float64(count), damagedOOB)
 		}
 	}
 }

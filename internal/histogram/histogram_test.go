@@ -2,6 +2,7 @@ package histogram
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -181,4 +182,45 @@ func TestMatrixSliceBoundsPanic(t *testing.T) {
 		}
 	}()
 	NewMatrix(3, 3, 2).SliceX(2, 2)
+}
+
+// TestMatrixSliceXView: every X range of a random matrix is a view whose
+// cells equal the parent's over that range, and whose marginals and class
+// totals equal those of the range rebuilt cell by cell with AddN; and it
+// aliases the parent, so a later count shows through.
+func TestMatrixSliceXView(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	m := NewMatrix(7, 4, 3)
+	for i := 0; i < 800; i++ {
+		m.Add(rng.Intn(7), rng.Intn(4), rng.Intn(3))
+	}
+	for lo := 0; lo < 7; lo++ {
+		for hi := lo + 1; hi <= 7; hi++ {
+			s := m.SliceX(lo, hi)
+			if s.XBins() != hi-lo || s.YBins() != 4 || s.Classes() != 3 {
+				t.Fatalf("SliceX(%d,%d) shape %dx%dx%d", lo, hi, s.XBins(), s.YBins(), s.Classes())
+			}
+			want := NewMatrix(hi-lo, 4, 3)
+			for x := lo; x < hi; x++ {
+				for y := 0; y < 4; y++ {
+					for c, n := range m.Cell(x, y) {
+						want.AddN(x-lo, y, c, n)
+						if got := s.Cell(x-lo, y)[c]; got != n {
+							t.Fatalf("SliceX(%d,%d) cell (%d,%d) class %d: %d, parent %d", lo, hi, x-lo, y, c, got, n)
+						}
+					}
+				}
+			}
+			if !reflect.DeepEqual(s.MarginalX(), want.MarginalX()) || !reflect.DeepEqual(s.MarginalY(), want.MarginalY()) ||
+				!reflect.DeepEqual(s.ClassTotals(), want.ClassTotals()) {
+				t.Fatalf("SliceX(%d,%d): marginals or totals differ from the parent's range", lo, hi)
+			}
+		}
+	}
+	s := m.SliceX(2, 5)
+	before := s.Cell(1, 3)[2]
+	m.Add(3, 3, 2)
+	if s.Cell(1, 3)[2] != before+1 {
+		t.Fatal("SliceX copied the parent's counts; it must alias them")
+	}
 }

@@ -33,6 +33,11 @@ func (m *Matrix) Add(xbin, ybin, class int) {
 	m.counts[(xbin*m.ybins+ybin)*m.classes+class]++
 }
 
+// AddN adds n to the count for (xbin, ybin, class).
+func (m *Matrix) AddN(xbin, ybin, class, n int) {
+	m.counts[(xbin*m.ybins+ybin)*m.classes+class] += n
+}
+
 // Cell returns a view of the per-class counts of cell (xbin, ybin). The
 // slice aliases the matrix's storage.
 func (m *Matrix) Cell(xbin, ybin int) []int {
@@ -73,14 +78,16 @@ func (m *Matrix) MarginalY() *Hist1D {
 }
 
 // SliceX returns the sub-matrix of X intervals [lo, hi) — the shaded /
-// unshaded halves of Figure 6 when a node splits on its X attribute.
+// unshaded halves of Figure 6 when a node splits on its X attribute. The
+// matrix is x-major, so the range is one contiguous block and the result
+// is a view aliasing m's storage, not a copy: it is for reading, and a
+// count added to either shows in the other.
 func (m *Matrix) SliceX(lo, hi int) *Matrix {
 	if lo < 0 || hi > m.xbins || lo >= hi {
 		panic("histogram: bad X range")
 	}
-	out := NewMatrix(hi-lo, m.ybins, m.classes)
-	copy(out.counts, m.counts[lo*m.ybins*m.classes:hi*m.ybins*m.classes])
-	return out
+	from, to := lo*m.ybins*m.classes, hi*m.ybins*m.classes
+	return &Matrix{xbins: hi - lo, ybins: m.ybins, classes: m.classes, counts: m.counts[from:to:to]}
 }
 
 // SliceY returns the sub-matrix of Y intervals [lo, hi).

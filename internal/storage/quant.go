@@ -510,29 +510,59 @@ func (qf *QuantFile) Scan(fn func(rid int, vals []float64, label int) error) err
 
 // QuantMem is an in-memory bin-coded record store metering I/O as if it were
 // a CMPDQ1 file, the quantized counterpart of Mem.
+//
+// A row may stand for several identical records: a bootstrap view keeps
+// each record it drew once, with the number of draws as the row's
+// multiplicity (AppendCodesN). Scans then visit each row once, under its
+// row index as rid, and a builder reads the multiplicities from Weights;
+// the I/O metering counts every record a row stands for, as a scan of the
+// expanded store would.
 type QuantMem struct {
 	q      *Quantizer
-	codes  []uint16 // row-major, n * NumAttrs
+	codes  []uint16 // row-major, rows * NumAttrs
 	labels []int32
-	stats  Stats
+	// weights[i] is row i's multiplicity; nil while every row is one
+	// record.
+	weights []uint32
+	records int64 // the records the rows stand for
+	stats   Stats
 }
 
 // NewQuantMem returns an empty in-memory code store.
 func NewQuantMem(q *Quantizer) *QuantMem { return &QuantMem{q: q} }
 
 // NewQuantMemCap returns an empty in-memory code store with room for n
-// records, so the first n AppendCodes calls never reallocate.
+// rows, so the first n AppendCodes or AppendCodesN calls never reallocate.
 func NewQuantMemCap(q *Quantizer, n int) *QuantMem {
 	return &QuantMem{q: q, codes: make([]uint16, 0, n*q.NumAttrs()), labels: make([]int32, 0, n)}
 }
 
 // AppendCodes adds one encoded record.
 func (m *QuantMem) AppendCodes(codes []uint16, label int) error {
+	return m.AppendCodesN(codes, label, 1)
+}
+
+// AppendCodesN adds one row standing for mult identical encoded records.
+// The first multiplicity above 1 makes the store weighted.
+func (m *QuantMem) AppendCodesN(codes []uint16, label int, mult uint32) error {
+	if mult == 0 {
+		return fmt.Errorf("storage: record multiplicity 0")
+	}
 	if err := m.q.checkCodes(codes, label); err != nil {
 		return err
 	}
+	if mult != 1 && m.weights == nil {
+		m.weights = make([]uint32, len(m.labels), cap(m.labels))
+		for i := range m.weights {
+			m.weights[i] = 1
+		}
+	}
 	m.codes = append(m.codes, codes...)
 	m.labels = append(m.labels, int32(label))
+	if m.weights != nil {
+		m.weights = append(m.weights, mult)
+	}
+	m.records += int64(mult)
 	return nil
 }
 
@@ -550,8 +580,17 @@ func (m *QuantMem) Append(vals []float64, label int) error {
 // Schema implements CodeSource.
 func (m *QuantMem) Schema() *dataset.Schema { return m.q.schema }
 
-// NumRecords implements CodeSource.
+// NumRecords implements CodeSource: the number of rows, which is the number
+// of records unless the store is weighted (see WeightedRecords).
 func (m *QuantMem) NumRecords() int { return len(m.labels) }
+
+// Weights returns each row's multiplicity, or nil when every row is one
+// record. The slice aliases the store and must not be modified.
+func (m *QuantMem) Weights() []uint32 { return m.weights }
+
+// WeightedRecords returns the number of records the rows stand for: the sum
+// of Weights, or NumRecords for an unweighted store.
+func (m *QuantMem) WeightedRecords() int64 { return m.records }
 
 // Quantizer implements CodeSource.
 func (m *QuantMem) Quantizer() *Quantizer { return m.q }
@@ -562,30 +601,40 @@ func (m *QuantMem) row(i int) []uint16 {
 	return m.codes[i*k : i*k+k : i*k+k]
 }
 
-// ScanCodes implements CodeSource.
+// meter charges a pass over rows [lo, hi) to stats: every record the rows
+// stand for, at the encoded record size.
+func (m *QuantMem) meter(stats *Stats, lo, hi int) {
+	recs := int64(hi - lo)
+	if m.weights != nil {
+		recs = 0
+		for _, w := range m.weights[lo:hi] {
+			recs += int64(w)
+		}
+	}
+	stats.RecordsRead += recs
+	bytes := recs * m.q.RecordBytes()
+	stats.BytesRead += bytes
+	stats.PagesRead += pagesFor(bytes)
+}
+
+// ScanCodes implements CodeSource, visiting each row once.
 func (m *QuantMem) ScanCodes(fn func(rid int, codes []uint16, label int) error) error {
 	n := len(m.labels)
-	rb := m.q.RecordBytes()
 	for i := 0; i < n; i++ {
 		if err := fn(i, m.row(i), int(m.labels[i])); err != nil {
-			m.stats.RecordsRead += int64(i + 1)
-			bytes := int64(i+1) * rb
-			m.stats.BytesRead += bytes
-			m.stats.PagesRead += pagesFor(bytes)
+			m.meter(&m.stats, 0, i+1)
 			return err
 		}
 	}
 	m.stats.Scans++
-	m.stats.RecordsRead += int64(n)
-	bytes := int64(n) * rb
-	m.stats.BytesRead += bytes
-	m.stats.PagesRead += pagesFor(bytes)
+	m.meter(&m.stats, 0, n)
 	return nil
 }
 
 // Scan implements Source, decoding each record to its bin representatives
 // (interior cuts / attribute maxima) in raw feature units, like
-// QuantFile.Scan. Re-encoding a scanned record reproduces its codes.
+// QuantFile.Scan. Re-encoding a scanned record reproduces its codes. Like
+// ScanCodes it visits each row of a weighted store once.
 func (m *QuantMem) Scan(fn func(rid int, vals []float64, label int) error) error {
 	vals := make([]float64, m.q.NumAttrs())
 	return m.ScanCodes(func(rid int, codes []uint16, label int) error {
@@ -594,7 +643,7 @@ func (m *QuantMem) Scan(fn func(rid int, vals []float64, label int) error) error
 	})
 }
 
-// ScanCodesRange implements CodeRangeSource.
+// ScanCodesRange implements CodeRangeSource over rows [lo, hi).
 func (m *QuantMem) ScanCodesRange(lo, hi int, stats *Stats, fn func(rid int, codes []uint16, label int) error) error {
 	n := len(m.labels)
 	if lo < 0 {
@@ -606,21 +655,14 @@ func (m *QuantMem) ScanCodesRange(lo, hi int, stats *Stats, fn func(rid int, cod
 	if stats == nil {
 		stats = &m.stats
 	}
-	rb := m.q.RecordBytes()
-	account := func(recs int) {
-		stats.RecordsRead += int64(recs)
-		bytes := int64(recs) * rb
-		stats.BytesRead += bytes
-		stats.PagesRead += pagesFor(bytes)
-	}
 	for i := lo; i < hi; i++ {
 		if err := fn(i, m.row(i), int(m.labels[i])); err != nil {
-			account(i - lo + 1)
+			m.meter(stats, lo, i+1)
 			return err
 		}
 	}
 	if hi > lo {
-		account(hi - lo)
+		m.meter(stats, lo, hi)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
@@ -488,4 +489,118 @@ func TestQuantWriterLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestQuantMemWeighted: a store of rows carrying multiplicities scans each
+// row once, reports its multiplicities, and meters every pass — whole,
+// ranged, parallel and aborted — like the same pass over its expansion.
+func TestQuantMemWeighted(t *testing.T) {
+	tbl := testTable(t, 200)
+	qz := testQuantizer(t, tbl, 16)
+	weighted, expanded := NewQuantMemCap(qz, 10), NewQuantMem(qz)
+	codes := make([]uint16, qz.NumAttrs())
+	var want []uint32
+	for i := 0; i < tbl.NumRecords(); i++ {
+		qz.Encode(tbl.Row(i), codes)
+		mult := uint32(1 + i%4)
+		if i < 5 {
+			mult = 1 // the store turns weighted at the first multiplicity above 1
+		}
+		if err := weighted.AppendCodesN(codes, tbl.Label(i), mult); err != nil {
+			t.Fatal(err)
+		}
+		if i == 4 && weighted.Weights() != nil {
+			t.Fatal("a store of unit rows reports weights")
+		}
+		want = append(want, mult)
+		for m := mult; m > 0; m-- {
+			if err := expanded.AppendCodes(codes, tbl.Label(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := weighted.AppendCodesN(codes, 0, 0); err == nil {
+		t.Fatal("AppendCodesN accepted multiplicity 0")
+	}
+	if weighted.NumRecords() != 200 || weighted.WeightedRecords() != int64(expanded.NumRecords()) {
+		t.Fatalf("%d rows standing for %d records, want 200 for %d", weighted.NumRecords(), weighted.WeightedRecords(), expanded.NumRecords())
+	}
+	for i, w := range weighted.Weights() {
+		if w != want[i] {
+			t.Fatalf("row %d weight %d, want %d", i, w, want[i])
+		}
+	}
+
+	rows := 0
+	if err := weighted.ScanCodes(func(rid int, _ []uint16, _ int) error {
+		if rid != rows {
+			t.Fatalf("row %d delivered as rid %d", rows, rid)
+		}
+		rows++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := expanded.ScanCodes(func(int, []uint16, int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if rows != 200 || weighted.Stats() != expanded.Stats() {
+		t.Fatalf("scan visited %d rows with Stats %+v; want 200 rows and the expansion's %+v", rows, weighted.Stats(), expanded.Stats())
+	}
+
+	// offset(row) is the expansion's index of row's first copy: a ranged
+	// pass and an aborted one are metered against the matching expanded
+	// passes.
+	offset := func(row int) int {
+		n := 0
+		for _, w := range want[:row] {
+			n += int(w)
+		}
+		return n
+	}
+	var gotRange, wantRange Stats
+	if err := weighted.ScanCodesRange(30, 120, &gotRange, func(int, []uint16, int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if err := expanded.ScanCodesRange(offset(30), offset(120), &wantRange, func(int, []uint16, int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if gotRange != wantRange {
+		t.Errorf("ranged pass Stats %+v, expansion's %+v", gotRange, wantRange)
+	}
+	stop := errors.New("stop")
+	weighted.ResetStats()
+	expanded.ResetStats()
+	if err := weighted.ScanCodes(func(rid int, _ []uint16, _ int) error {
+		if rid == 77 {
+			return stop
+		}
+		return nil
+	}); err != stop {
+		t.Fatal(err)
+	}
+	seen := 0
+	if err := expanded.ScanCodes(func(int, []uint16, int) error {
+		if seen++; seen == offset(78) {
+			return stop
+		}
+		return nil
+	}); err != stop {
+		t.Fatal(err)
+	}
+	if weighted.Stats() != expanded.Stats() {
+		t.Errorf("aborted pass Stats %+v, expansion's %+v", weighted.Stats(), expanded.Stats())
+	}
+
+	weighted.ResetStats()
+	if err := ParallelScanCodes(context.Background(), weighted, 3, func(int, int, []uint16, int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	expanded.ResetStats()
+	if err := expanded.ScanCodes(func(int, []uint16, int) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if weighted.Stats() != expanded.Stats() {
+		t.Errorf("parallel pass Stats %+v, expansion's serial %+v", weighted.Stats(), expanded.Stats())
+	}
 }
