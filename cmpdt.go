@@ -205,8 +205,9 @@ type Config struct {
 	// search no linear splits.
 	ObliqueAllPairs bool
 	// Workers is the number of goroutines used for the per-round scan and
-	// for split resolution (default GOMAXPROCS; 1 forces the serial path).
-	// The trained tree is bit-identical for every worker count.
+	// for split resolution (default GOMAXPROCS). Each round scans the data
+	// in Workers disjoint record ranges; 1 is the one-range case of the
+	// same pass. The trained tree is bit-identical for every worker count.
 	Workers int
 	// Seed drives sampling and the root's random X-axis (default 1).
 	Seed int64

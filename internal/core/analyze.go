@@ -49,6 +49,10 @@ func AnalyzeAttribute(src storage.Source, cfg Config, attrName string) (*Attribu
 	if src.NumRecords() == 0 {
 		return nil, fmt.Errorf("core: empty training set")
 	}
+	rs, ok := src.(storage.RangeSource)
+	if !ok {
+		return nil, ErrNoRangeScan
+	}
 
 	cfg.Algorithm = CMPS
 	cfg.Obs, cfg.SplitAttrs = nil, nil
@@ -56,7 +60,7 @@ func AnalyzeAttribute(src storage.Source, cfg Config, attrName string) (*Attribu
 	if err != nil {
 		return nil, err
 	}
-	b := &builder{engine: eng, src: src}
+	b := &builder{engine: eng, src: rs}
 	b.k = b
 	b.nid = make([]int32, src.NumRecords())
 	b.records = int64(len(b.nid))

@@ -8,12 +8,13 @@ import (
 	"cmpdt/internal/quantile"
 )
 
-// histSet is one node's histogram storage. During a parallel scan every
-// worker fills a private histSet of the same shape (one per touched node),
-// and the shards are merged into the node's own set in worker-index order,
-// so counts land identically to a serial scan. CMP-S fills hists for every
-// attribute; CMP-B/CMP fill mats for numeric attributes (all sharing the
-// node's X-axis) and hists for categorical attributes only.
+// histSet is one node's histogram storage. During a multi-worker pass
+// every worker fills a private histSet of the same shape (one per touched
+// node), and the shards are merged into the node's own set in worker-index
+// order, so counts land identically to a one-worker pass. CMP-S fills
+// hists for every attribute; CMP-B/CMP fill mats for numeric attributes
+// (all sharing the node's X-axis) and hists for categorical attributes
+// only.
 type histSet struct {
 	hists []*histogram.Hist1D
 	mats  []*histogram.Matrix // indexed by Y attribute; nil at xAttr and categoricals
@@ -175,7 +176,7 @@ func (b *buffer) add(rid int, vals []float64, label int) {
 
 // appendFrom appends every record of o, preserving o's order. Merging
 // per-worker shard buffers in worker-index order reproduces exactly the
-// record order a serial scan would have buffered.
+// record order a one-worker pass would have buffered.
 func (b *buffer) appendFrom(o *buffer) {
 	if o.Len() == 0 {
 		return

@@ -24,13 +24,19 @@ func Build(src storage.Source, cfg Config) (*Result, error) {
 	return BuildContext(context.Background(), src, cfg)
 }
 
+// ErrNoRangeScan is returned for a raw training source that cannot be read
+// by record ranges: every construction round is one partitioned scan
+// (storage.RangeSource), whatever Config.Workers is. Sources quantized
+// during the build are only read whole.
+var ErrNoRangeScan = errors.New("core: raw training source cannot range-scan (needs storage.RangeSource)")
+
 // BuildContext is Build under a context: cancelling ctx (or exceeding its
 // deadline) aborts the build with ctx.Err() within a bounded slice of one
-// scan round — every scan path, serial and parallel, checks the context
-// periodically, and the parallel workers all join before BuildContext
-// returns, so a cancelled build leaks no goroutines. Any panic escaping the
-// builder or its worker pool is recovered into an error instead of crashing
-// the process.
+// scan round — every pass checks the context periodically, and the scan
+// workers all join before BuildContext returns, so a cancelled build leaks
+// no goroutines. Any panic escaping the builder or its worker pool is
+// recovered into an error instead of crashing the process. A raw build
+// needs a storage.RangeSource and returns ErrNoRangeScan otherwise.
 func BuildContext(ctx context.Context, src storage.Source, cfg Config) (res *Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -67,11 +73,15 @@ func BuildContext(ctx context.Context, src storage.Source, cfg Config) (res *Res
 		}
 		return res, nil
 	}
+	rs, ok := src.(storage.RangeSource)
+	if !ok {
+		return nil, ErrNoRangeScan
+	}
 	e, err := newEngine[*bnode](ctx, src.Schema(), cfg)
 	if err != nil {
 		return nil, err
 	}
-	b := &builder{engine: e, src: src}
+	b := &builder{engine: e, src: rs}
 	b.k = b
 	b.oblique = cfg.Algorithm == CMPFull
 	if b.useMats && b.oblique && cfg.ObliqueAllPairs {
@@ -98,10 +108,12 @@ func BuildContext(ctx context.Context, src storage.Source, cfg Config) (res *Res
 
 // builder is the raw scan kernel: it routes float records through
 // per-node discretizers, buffers the records of alive intervals and
-// resolves pending splits from them (the paper's CMP-S resolution).
+// resolves pending splits from them (the paper's CMP-S resolution). Its
+// rounds read src by record ranges (pass, in parallel.go) at every worker
+// count.
 type builder struct {
 	engine[*bnode]
-	src storage.Source
+	src storage.RangeSource
 
 	attrMin, attrMax []float64 // observed numeric domains (discretization pass)
 	rootDisc         []*quantile.Discretizer
@@ -114,55 +126,13 @@ func (b *builder) newBnode(depth int, disc []*quantile.Discretizer, xAttr int) *
 	return b.register(n, depth, xAttr)
 }
 
-// scan is the raw kernel's round: one pass over the training set, then the
-// resolution of every pending split the pass completed.
+// scan is the raw kernel's round: one partitioned pass over the training
+// set, then the resolution of every pending split the pass completed.
 func (b *builder) scan() error {
 	if err := b.pass(); err != nil {
 		return err
 	}
 	b.resolveAll()
-	return nil
-}
-
-// pass performs one pass over the training set, routing every record to its
-// place: histogram update, alive-interval buffer, collect buffer, or settled
-// leaf. With Workers > 1 and a range-scannable source the pass is sharded
-// across the worker pool (see scanParallel); the serial pass below is the
-// reference behavior the parallel one reproduces bit-identically.
-func (b *builder) pass() error {
-	if b.cfg.Workers > 1 {
-		if rs, ok := b.src.(storage.RangeSource); ok {
-			return b.scanParallel(rs)
-		}
-	}
-	span := b.obs.StartSpan(obs.PhaseScan)
-	var skipped int64
-	checked := 0
-	err := b.src.Scan(func(rid int, vals []float64, label int) error {
-		checked++
-		if checked&ctxCheckMask == 0 {
-			if err := b.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if d := b.schema.RecordDefect(vals, label); d != "" {
-			if b.cfg.Validation == ValidateStrict {
-				return errInvalidRecord(rid, d)
-			}
-			skipped++
-			return nil
-		}
-		b.route(b.nodes[b.nid[rid]], rid, vals, label)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	b.obs.AddWorkerScan(0, int64(checked), span.End())
-	b.finishScan()
-	// Validation is pure per-record, so every pass skips the same records:
-	// the count is recorded rather than accumulated.
-	b.stats.SkippedRecords = skipped
 	return nil
 }
 
@@ -215,29 +185,23 @@ func (b *builder) routeTo(sh *scanShard, start *bnode, rid int, vals []float64, 
 			}
 			n = n.children[region]
 		case stCollect:
+			buf := &n.buffer
 			if sh != nil {
-				sh.nodeFor(b, n).buffer.add(rid, vals, label)
-			} else {
-				n.buffer.add(rid, vals, label)
+				buf = &sh.nodeFor(b, n).buffer
 			}
+			buf.add(rid, vals, label)
 			b.nid[rid] = n.id
 			return
 		default: // stBuilding
+			hs := &n.histSet
 			if sh != nil {
-				sn := sh.nodeFor(b, n)
-				b.countInto(&sn.histSet, n.disc, n.xAttr, vals, label)
-			} else {
-				b.updateHists(n, vals, label)
+				hs = &sh.nodeFor(b, n).histSet
 			}
+			b.countInto(hs, n.disc, n.xAttr, vals, label)
 			b.nid[rid] = n.id
 			return
 		}
 	}
-}
-
-// updateHists counts one record into a building node's histograms.
-func (b *builder) updateHists(n *bnode, vals []float64, label int) {
-	b.countInto(&n.histSet, n.disc, n.xAttr, vals, label)
 }
 
 // countInto counts one record into a histogram set of the given geometry

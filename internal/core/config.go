@@ -143,12 +143,14 @@ type Config struct {
 	// sampling.
 	DiscretizeSample int
 	// Workers is the number of goroutines used for the per-round data scan
-	// and for split resolution. 1 forces the exact serial code path; zero
-	// selects runtime.GOMAXPROCS(0). The built tree is bit-identical for
-	// every worker count: each worker scans a disjoint record range into
-	// private histogram/buffer shards that are merged in worker-index
-	// order, and node-level resolution work is precomputed from pure
-	// node-local state before being applied in deterministic order.
+	// and for split resolution; zero selects runtime.GOMAXPROCS(0). Every
+	// round is one partitioned scan: each worker scans a disjoint record
+	// range, and 1 is the one-range case of the same pass, routing straight
+	// into the nodes. The built tree is bit-identical for every worker
+	// count: several workers count into private histogram/buffer shards
+	// merged in worker-index order, and node-level resolution work is
+	// precomputed from pure node-local state before being applied in
+	// deterministic order.
 	Workers int
 	// Seed drives the discretization sample and the root's random X-axis.
 	Seed int64

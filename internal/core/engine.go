@@ -229,9 +229,11 @@ func (e *engine[N]) xDefault() int {
 	return e.numeric[0]
 }
 
-// ctxCheckMask throttles context polling in serial scan loops: the context
-// is checked every 1024 records, cheap against the per-record routing work
-// yet frequent enough that cancellation lands well inside one scan round.
+// ctxCheckMask throttles context polling in the whole-source passes
+// (discretization, encode, index walk) that run outside the storage range
+// driver: the context is checked every 1024 records, cheap against the
+// per-record work yet frequent enough that cancellation lands well inside
+// one pass.
 const ctxCheckMask = 1023
 
 // errInvalidRecord builds the ValidateStrict abort error.
@@ -491,8 +493,7 @@ func (e *engine[N]) markCollect(n N) {
 	}
 }
 
-// finishScan updates the per-scan counters shared by the serial and
-// parallel passes of both kernels.
+// finishScan updates the per-scan counters shared by both kernels' passes.
 func (e *engine[N]) finishScan() {
 	e.obs.IncScans() // one completed full storage pass
 	e.stats.Scans++
@@ -502,11 +503,16 @@ func (e *engine[N]) finishScan() {
 	e.stats.NidBytesIO += 8 * e.records
 }
 
+// observeWorker reports one scan worker's share of a pass to the collector.
+func (e *engine[N]) observeWorker(ws storage.WorkerScan) {
+	e.obs.AddWorkerScan(ws.Worker, ws.Records, ws.Ns)
+}
+
 // mergeShard folds one scan worker's private shard (a node of each touched
 // id carrying only histograms and buffer) into the frontier. Callers merge
 // shards in worker-index order: histogram merges are commutative sums, and
 // buffer appends of contiguous ascending record ranges reproduce the exact
-// record order a serial scan would have produced.
+// record order a one-worker pass would have produced.
 func (e *engine[N]) mergeShard(shard []N) {
 	var none N
 	for id, sn := range shard {

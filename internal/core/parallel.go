@@ -4,11 +4,13 @@
 // Both are sharded across a bounded worker pool here, under one invariant:
 // any Workers value produces a bit-identical tree.
 //
-//   - The scan partitions the record ids into contiguous per-worker ranges
-//     (storage.ParallelScan). Each worker routes its range into private
-//     histogram and buffer shards; shards are merged in worker-index order,
-//     so histogram counts (commutative sums) and buffered record order
-//     (contiguous ranges concatenated in order) match a serial scan exactly.
+//   - The scan partitions the record ids into at most Workers contiguous
+//     ranges (storage.ParallelScanObserved); one worker is the one-range
+//     case of the same pass. A lone worker routes straight into the
+//     frontier's nodes. Several route into private histogram and buffer
+//     shards, merged in worker-index order, so histogram counts
+//     (commutative sums) and buffered record order (contiguous ranges
+//     concatenated in order) match the one-range pass exactly.
 //   - Split resolution precomputes the pure, node-local work — buffer
 //     sorting, gini hill-climbing, the oblique intercept walks, exact
 //     subtree construction — across the pool, then applies all builder
@@ -22,13 +24,12 @@ import (
 	"cmpdt/internal/storage"
 )
 
-// scanShard is one worker's private routing state for one parallel scan:
-// per-node histogram and buffer shards, indexed by bnode id (the node set
-// is frozen while a scan runs), allocated lazily on first touch.
+// scanShard is one worker's private routing state for one multi-worker
+// pass: per-node histogram and buffer shards, indexed by bnode id (the node
+// set is frozen while a scan runs), allocated lazily on first touch.
 type scanShard struct {
 	nodes    []*bnode
 	buffered int64 // records routed into alive-interval buffers
-	skipped  int64 // invalid records dropped under ValidateSkip
 }
 
 // nodeFor returns the worker's shard of node n, allocating it on first
@@ -49,43 +50,51 @@ func (sh *scanShard) nodeFor(b *builder, n *bnode) *bnode {
 	return sn
 }
 
-// scanParallel is the sharded counterpart of the serial pass in scan():
-// disjoint contiguous record ranges stream through routeTo into per-worker
-// shards, merged deterministically afterwards. Validation and skip
-// accounting shard the same way — each worker counts the invalid records
-// of its own range, and the counts sum to the serial pass's total.
-func (b *builder) scanParallel(rs storage.RangeSource) error {
-	shards := make([]*scanShard, b.cfg.Workers)
-	for w := range shards {
-		shards[w] = &scanShard{nodes: make([]*bnode, len(b.nodes))}
+// pass performs one pass over the training set, routing every record to its
+// place: histogram update, alive-interval buffer, collect buffer, or settled
+// leaf. Validation shards like routing: each worker counts the invalid
+// records of its own range, and the counts sum to the whole pass's.
+func (b *builder) pass() error {
+	workers := b.cfg.Workers
+	sink := func(_, rid int, vals []float64, label int) {
+		b.route(b.nodes[b.nid[rid]], rid, vals, label)
 	}
-	span := b.obs.StartSpan(obs.PhaseScan)
-	var observe func(storage.WorkerScan)
-	if b.obs != nil {
-		observe = func(ws storage.WorkerScan) {
-			b.obs.AddWorkerScan(ws.Worker, ws.Records, ws.Ns)
+	var shards []*scanShard
+	if workers > 1 {
+		shards = make([]*scanShard, workers)
+		for w := range shards {
+			shards[w] = &scanShard{nodes: make([]*bnode, len(b.nodes))}
+		}
+		sink = func(w, rid int, vals []float64, label int) {
+			b.routeTo(shards[w], b.nodes[b.nid[rid]], rid, vals, label)
 		}
 	}
-	err := storage.ParallelScanObserved(b.ctx, rs, b.cfg.Workers, observe, func(worker, rid int, vals []float64, label int) error {
+	skipped := make([]int64, workers)
+	span := b.obs.StartSpan(obs.PhaseScan)
+	err := storage.ParallelScanObserved(b.ctx, b.src, workers, b.observeWorker, func(w, rid int, vals []float64, label int) error {
 		if d := b.schema.RecordDefect(vals, label); d != "" {
 			if b.cfg.Validation == ValidateStrict {
 				return errInvalidRecord(rid, d)
 			}
-			shards[worker].skipped++
+			skipped[w]++
 			return nil
 		}
-		b.routeTo(shards[worker], b.nodes[b.nid[rid]], rid, vals, label)
+		sink(w, rid, vals, label)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 	span.End()
+	// Validation is pure per-record, so every pass skips the same records:
+	// the count is recorded rather than accumulated.
 	b.stats.SkippedRecords = 0
+	for _, n := range skipped {
+		b.stats.SkippedRecords += n
+	}
 	for _, sh := range shards {
 		b.mergeShard(sh.nodes)
 		b.stats.BufferedRecords += sh.buffered
-		b.stats.SkippedRecords += sh.skipped
 	}
 	b.finishScan()
 	return nil
@@ -93,7 +102,7 @@ func (b *builder) scanParallel(rs storage.RangeSource) error {
 
 // doParallel runs f(0..n-1) across a pool of at most workers goroutines
 // using a sync.WaitGroup and a bounded work channel. With one worker (or
-// n <= 1) it runs inline, preserving the exact serial code path. f must only
+// n <= 1) it runs inline on the caller's goroutine. f must only
 // do pure, item-local work; a panic in any worker is re-raised on the
 // caller's goroutine.
 func doParallel(workers, n int, f func(i int)) {

@@ -300,31 +300,36 @@ func goesLeftCodes(s *tree.Split, codes []uint16) bool {
 	return float64(codes[s.Attr]) <= s.Threshold
 }
 
-// scan performs one dense pass over the code records. No per-record
-// validation (records were validated at encode) and no interval search: the
-// bin index is the code minus the node's window base.
+// scan performs one dense pass over the code records, split into at most
+// Workers contiguous ranges like the raw pass: one worker routes straight
+// into the frontier's nodes, several into private shards merged in
+// worker-index order. No per-record validation (records were validated at
+// encode) and no interval search: the bin index is the code minus the
+// node's window base.
 func (b *qbuilder) scan() error {
+	fn := func(_, rid int, codes []uint16, label int) error {
+		b.route(nil, rid, codes, label)
+		return nil
+	}
+	var shards []qshard
 	if b.cfg.Workers > 1 {
-		if rs, ok := b.qsrc.(storage.CodeRangeSource); ok {
-			return b.scanParallel(rs)
+		shards = make([]qshard, b.cfg.Workers)
+		for w := range shards {
+			shards[w] = make(qshard, len(b.nodes))
+		}
+		fn = func(w, rid int, codes []uint16, label int) error {
+			b.route(shards[w], rid, codes, label)
+			return nil
 		}
 	}
 	span := b.obs.StartSpan(obs.PhaseScan)
-	checked := 0
-	err := b.qsrc.ScanCodes(func(rid int, codes []uint16, label int) error {
-		checked++
-		if checked&ctxCheckMask == 0 {
-			if err := b.ctx.Err(); err != nil {
-				return err
-			}
-		}
-		b.route(nil, rid, codes, label)
-		return nil
-	})
-	if err != nil {
+	if err := storage.ParallelScanCodesObserved(b.ctx, b.qsrc, b.cfg.Workers, b.observeWorker, fn); err != nil {
 		return err
 	}
-	b.obs.AddWorkerScan(0, b.records, span.End())
+	span.End()
+	for _, sh := range shards {
+		b.mergeShard(sh)
+	}
 	b.finishScan()
 	return nil
 }
@@ -345,32 +350,6 @@ func (sh qshard) nodeFor(b *qbuilder, n *qnode) *qnode {
 		sh[n.id] = sn
 	}
 	return sn
-}
-
-func (b *qbuilder) scanParallel(rs storage.CodeRangeSource) error {
-	shards := make([]qshard, b.cfg.Workers)
-	for w := range shards {
-		shards[w] = make(qshard, len(b.nodes))
-	}
-	span := b.obs.StartSpan(obs.PhaseScan)
-	var observe func(storage.WorkerScan)
-	if b.obs != nil {
-		observe = func(ws storage.WorkerScan) { b.obs.AddWorkerScan(ws.Worker, ws.Records, ws.Ns) }
-	}
-	err := storage.ParallelScanCodesObserved(b.ctx, rs, b.cfg.Workers, observe,
-		func(worker, rid int, codes []uint16, label int) error {
-			b.route(shards[worker], rid, codes, label)
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	span.End()
-	for _, sh := range shards {
-		b.mergeShard(sh)
-	}
-	b.finishScan()
-	return nil
 }
 
 // route walks a code record down from its last known node to its current

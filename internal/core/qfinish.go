@@ -48,7 +48,7 @@ func (b *codeBuffer) add(codes []uint16, label int, w uint32) {
 
 // appendFrom appends every record of o, preserving o's order. Merging
 // per-worker shard buffers in worker-index order reproduces exactly the
-// record order a serial scan would have buffered.
+// record order a one-worker pass would have buffered.
 func (b *codeBuffer) appendFrom(o *codeBuffer) {
 	b.codes = append(b.codes, o.codes...)
 	b.labels = append(b.labels, o.labels...)

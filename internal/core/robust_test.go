@@ -113,6 +113,81 @@ func TestCancelBuildMidScan(t *testing.T) {
 	}
 }
 
+// trippingCodes is a pre-quantized source that fires trip once its scans
+// have delivered after records. It has no encode pass, so every record it
+// delivers belongs to a construction round.
+type trippingCodes struct {
+	*storage.QuantMem
+	after int64
+	trip  func()
+	seen  atomic.Int64
+}
+
+func (c *trippingCodes) ScanCodesRange(lo, hi int, stats *storage.Stats, fn func(rid int, codes []uint16, label int) error) error {
+	return c.QuantMem.ScanCodesRange(lo, hi, stats, func(rid int, codes []uint16, label int) error {
+		if c.seen.Add(1) == c.after {
+			c.trip()
+		}
+		return fn(rid, codes, label)
+	})
+}
+
+// TestCancelQuantizedBuildMidRound cancels a quantized build halfway
+// through its second construction round: the build must return
+// context.Canceled, every scan worker must stop within one context-check
+// interval (1024 records) of the cancel, and none may leak.
+func TestCancelQuantizedBuildMidRound(t *testing.T) {
+	const n = 20_000
+	tbl := synth.Generate(synth.F2, n, 7)
+	_, qm, _ := quantizeTable(t, tbl, 100, filepath.Join(t.TempDir(), "cancel.rec"))
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			src := &trippingCodes{QuantMem: qm, after: n + n/2, trip: cancel}
+			cfg := Default(CMPB)
+			cfg.Workers = workers
+			base := runtime.NumGoroutine()
+			_, err := BuildContext(ctx, src, cfg)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if extra := src.seen.Load() - src.after; extra > int64(workers)*1024 {
+				t.Errorf("%d records delivered after the cancel, want at most %d", extra, workers*1024)
+			}
+			waitGoroutines(t, base)
+		})
+	}
+}
+
+// scanOnly hides every method of its source but Source's: a training set
+// that can only be read whole.
+type scanOnly struct{ storage.Source }
+
+// TestBuildNeedsRangeSource pins that a raw build over a source that cannot
+// range-scan fails with ErrNoRangeScan instead of panicking, while a
+// quantized build, which reads the raw source only whole, still succeeds.
+func TestBuildNeedsRangeSource(t *testing.T) {
+	src := scanOnly{storage.NewMem(synth.Generate(synth.F2, 2_000, 7))}
+	for _, algo := range []Algorithm{CMPS, CMPB, CMPFull} {
+		for _, workers := range []int{1, 4} {
+			cfg := Default(algo)
+			cfg.Workers = workers
+			if _, err := BuildContext(context.Background(), src, cfg); !errors.Is(err, ErrNoRangeScan) {
+				t.Errorf("%v workers=%d: err = %v, want ErrNoRangeScan", algo, workers, err)
+			}
+		}
+	}
+	if _, err := AnalyzeAttribute(src, Default(CMPS), "salary"); !errors.Is(err, ErrNoRangeScan) {
+		t.Errorf("AnalyzeAttribute: err = %v, want ErrNoRangeScan", err)
+	}
+	cfg := Default(CMPB)
+	cfg.Quantize = true
+	if _, err := BuildContext(context.Background(), src, cfg); err != nil {
+		t.Errorf("quantized build over a scan-only source: %v", err)
+	}
+}
+
 // TestCancelBuildDeadline covers the timeout flavor of cancellation.
 func TestCancelBuildDeadline(t *testing.T) {
 	tbl := synth.Generate(synth.F2, 20_000, 7)

@@ -63,8 +63,9 @@ type Options struct {
 	// algorithm).
 	PurityStop float64
 	// Workers sets the CMP family's build parallelism (goroutines for the
-	// per-round scan and split resolution). 1 forces the serial path; zero
-	// selects GOMAXPROCS. The tree is identical for every value.
+	// per-round scan and split resolution); zero selects GOMAXPROCS. 1 is
+	// the one-range case of the same partitioned scan. The tree is
+	// identical for every value.
 	Workers int
 	// SkipInvalid drops records the CMP family cannot train on (NaN/Inf
 	// features, out-of-range labels) instead of aborting; the count is

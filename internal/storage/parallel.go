@@ -8,8 +8,8 @@ import (
 )
 
 // RangeSource is a Source whose records can also be read by disjoint rid
-// ranges, enabling partitioned concurrent scans. Both Mem and File implement
-// it.
+// ranges, enabling partitioned concurrent scans. Mem, File and Masked
+// implement it; every raw CMP build round scans through it.
 type RangeSource interface {
 	Source
 	// ScanRange calls fn for every record with lo <= rid < hi, in rid
@@ -25,9 +25,10 @@ type RangeSource interface {
 	AddStats(s Stats)
 }
 
-// cancelCheckEvery is how many records a parallel scan worker processes
-// between context checks; small enough that cancellation lands well within
-// one scan round, large enough to stay invisible in the scan hot loop.
+// cancelCheckEvery is how many records a scan worker processes between
+// context checks; small enough that cancellation lands well within one
+// scan round, large enough to stay invisible in the scan hot loop. It must
+// be a power of two: the check is a bitmask.
 const cancelCheckEvery = 1024
 
 // ParallelScan partitions [0, NumRecords()) into at most workers contiguous
@@ -73,18 +74,27 @@ type WorkerScan struct {
 // completes (successfully or not). It runs on the worker's goroutine, so
 // it must be safe for concurrent invocation.
 func ParallelScanObserved(ctx context.Context, src RangeSource, workers int, observe func(WorkerScan), fn func(worker, rid int, vals []float64, label int) error) error {
+	return scanRanges(ctx, src.NumRecords(), workers, observe, src.ScanRange, src.AddStats, fn)
+}
+
+// scanRanges is the range driver behind ParallelScanObserved and
+// ParallelScanCodesObserved, generic over the record type T: it splits
+// [0, n) into at most workers contiguous ranges, scans each through
+// scanRange on its own goroutine into a private Stats, and merges the
+// totals once through addStats. One worker is the one-range case of the
+// same pass. An empty source still makes (and counts) one pass, as a
+// serial Scan does.
+func scanRanges[T any](ctx context.Context, n, workers int, observe func(WorkerScan),
+	scanRange func(lo, hi int, stats *Stats, fn func(rid int, rec T, label int) error) error,
+	addStats func(Stats), fn func(worker, rid int, rec T, label int) error) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n := src.NumRecords()
-	if n == 0 {
-		return ctx.Err()
+	if workers > n {
+		workers = n
 	}
 	if workers < 1 {
 		workers = 1
-	}
-	if workers > n {
-		workers = n
 	}
 	stats := make([]Stats, workers)
 	errs := make([]error, workers)
@@ -114,14 +124,14 @@ func ParallelScanObserved(ctx context.Context, src RangeSource, workers int, obs
 				return
 			}
 			count := 0
-			errs[w] = src.ScanRange(lo, hi, &stats[w], func(rid int, vals []float64, label int) error {
+			errs[w] = scanRange(lo, hi, &stats[w], func(rid int, rec T, label int) error {
 				count++
-				if count%cancelCheckEvery == 0 {
+				if count&(cancelCheckEvery-1) == 0 {
 					if err := ctx.Err(); err != nil {
 						return err
 					}
 				}
-				return fn(w, rid, vals, label)
+				return fn(w, rid, rec, label)
 			})
 		}(w, lo, hi)
 	}
@@ -147,6 +157,6 @@ func ParallelScanObserved(ctx context.Context, src RangeSource, workers int, obs
 	if firstErr == nil {
 		merged.Scans++
 	}
-	src.AddStats(merged)
+	addStats(merged)
 	return firstErr
 }

@@ -120,54 +120,54 @@ func TestScanRangeError(t *testing.T) {
 	}
 }
 
+// TestParallelScanMatchesSerial pins the merge-once contract: any worker
+// count visits every record exactly once and leaves counters
+// indistinguishable from one serial Scan, an empty source included.
 func TestParallelScanMatchesSerial(t *testing.T) {
-	const n = 1000
-	for name, src := range rangeSources(t, n) {
+	for _, name := range []string{"mem", "file"} {
 		t.Run(name, func(t *testing.T) {
-			// Reference: one serial scan on a fresh twin source.
-			var serialStats Stats
-			for twin, s := range rangeSources(t, n) {
-				if twin != name {
-					continue
-				}
-				if err := s.Scan(func(rid int, vals []float64, label int) error { return nil }); err != nil {
+			for _, n := range []int{0, 1000} {
+				src := rangeSources(t, n)[name]
+				// Reference: one serial scan on a fresh twin source.
+				twin := rangeSources(t, n)[name]
+				if err := twin.Scan(func(rid int, vals []float64, label int) error { return nil }); err != nil {
 					t.Fatal(err)
 				}
-				serialStats = s.Stats()
-			}
+				serialStats := twin.Stats()
 
-			for _, workers := range []int{1, 2, 3, 8, 2000} {
-				src.ResetStats()
-				seen := make([]int32, n)
-				var mu sync.Mutex
-				perWorker := map[int]int{}
-				err := ParallelScan(context.Background(), src, workers, func(w, rid int, vals []float64, label int) error {
-					if vals[0] != float64(rid) || label != rid%3 {
-						return fmt.Errorf("rid %d: bad record %v/%d", rid, vals, label)
+				for _, workers := range []int{1, 2, 3, 8, 2000} {
+					src.ResetStats()
+					seen := make([]int32, n)
+					var mu sync.Mutex
+					perWorker := map[int]int{}
+					err := ParallelScan(context.Background(), src, workers, func(w, rid int, vals []float64, label int) error {
+						if vals[0] != float64(rid) || label != rid%3 {
+							return fmt.Errorf("rid %d: bad record %v/%d", rid, vals, label)
+						}
+						seen[rid]++
+						mu.Lock()
+						perWorker[w]++
+						mu.Unlock()
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 					}
-					seen[rid]++
-					mu.Lock()
-					perWorker[w]++
-					mu.Unlock()
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				for rid, c := range seen {
-					if c != 1 {
-						t.Fatalf("workers=%d: rid %d visited %d times", workers, rid, c)
+					for rid, c := range seen {
+						if c != 1 {
+							t.Fatalf("n=%d workers=%d: rid %d visited %d times", n, workers, rid, c)
+						}
 					}
-				}
-				if got := src.Stats(); got != serialStats {
-					t.Fatalf("workers=%d: stats %+v, want serial-identical %+v", workers, got, serialStats)
-				}
-				wantW := workers
-				if wantW > n {
-					wantW = n
-				}
-				if len(perWorker) != wantW {
-					t.Fatalf("workers=%d: %d distinct worker indices, want %d", workers, len(perWorker), wantW)
+					if got := src.Stats(); got != serialStats {
+						t.Fatalf("n=%d workers=%d: stats %+v, want serial-identical %+v", n, workers, got, serialStats)
+					}
+					wantW := workers
+					if wantW > n {
+						wantW = n
+					}
+					if len(perWorker) != wantW {
+						t.Fatalf("n=%d workers=%d: %d distinct worker indices, want %d", n, workers, len(perWorker), wantW)
+					}
 				}
 			}
 		})

@@ -10,8 +10,6 @@ import (
 	"math"
 	"os"
 	"sort"
-	"sync"
-	"time"
 
 	"cmpdt/internal/dataset"
 )
@@ -220,7 +218,8 @@ func (q *Quantizer) checkCodes(codes []uint16, label int) error {
 	return nil
 }
 
-// CodeSource is a scannable bin-coded training set.
+// CodeSource is a scannable bin-coded training set. Like RangeSource it
+// can be read by disjoint record ranges, for partitioned concurrent scans.
 type CodeSource interface {
 	Schema() *dataset.Schema
 	NumRecords() int
@@ -230,16 +229,14 @@ type CodeSource interface {
 	// ScanCodes calls fn for every record in storage order. The codes slice
 	// is reused between calls; fn must copy it to retain it.
 	ScanCodes(fn func(rid int, codes []uint16, label int) error) error
+	// ScanCodesRange is ScanCodes over records lo <= rid < hi, with
+	// RangeSource.ScanRange's accounting contract.
+	ScanCodesRange(lo, hi int, stats *Stats, fn func(rid int, codes []uint16, label int) error) error
+	// AddStats merges externally accumulated counters, as
+	// RangeSource.AddStats.
+	AddStats(s Stats)
 	Stats() Stats
 	ResetStats()
-}
-
-// CodeRangeSource is a CodeSource supporting partitioned concurrent scans,
-// with the same contract as RangeSource.
-type CodeRangeSource interface {
-	CodeSource
-	ScanCodesRange(lo, hi int, stats *Stats, fn func(rid int, codes []uint16, label int) error) error
-	AddStats(s Stats)
 }
 
 // QuantWriter streams bin-coded records into a new CMPDQ1 store. Lifecycle
@@ -445,7 +442,7 @@ func (qf *QuantFile) Stats() Stats { return qf.f.stats }
 // ResetStats implements CodeSource.
 func (qf *QuantFile) ResetStats() { qf.f.stats = Stats{} }
 
-// AddStats implements CodeRangeSource.
+// AddStats implements CodeSource.
 func (qf *QuantFile) AddStats(s Stats) { qf.f.stats.Add(s) }
 
 // SetRetryPolicy mirrors File.SetRetryPolicy.
@@ -482,7 +479,7 @@ func (qf *QuantFile) ScanCodes(fn func(rid int, codes []uint16, label int) error
 	return nil
 }
 
-// ScanCodesRange implements CodeRangeSource, with ScanRange's contract.
+// ScanCodesRange implements CodeSource, with ScanRange's contract.
 func (qf *QuantFile) ScanCodesRange(lo, hi int, stats *Stats, fn func(rid int, codes []uint16, label int) error) error {
 	if stats == nil {
 		stats = &qf.f.stats
@@ -619,15 +616,10 @@ func (m *QuantMem) meter(stats *Stats, lo, hi int) {
 
 // ScanCodes implements CodeSource, visiting each row once.
 func (m *QuantMem) ScanCodes(fn func(rid int, codes []uint16, label int) error) error {
-	n := len(m.labels)
-	for i := 0; i < n; i++ {
-		if err := fn(i, m.row(i), int(m.labels[i])); err != nil {
-			m.meter(&m.stats, 0, i+1)
-			return err
-		}
+	if err := m.ScanCodesRange(0, len(m.labels), &m.stats, fn); err != nil {
+		return err
 	}
 	m.stats.Scans++
-	m.meter(&m.stats, 0, n)
 	return nil
 }
 
@@ -643,7 +635,7 @@ func (m *QuantMem) Scan(fn func(rid int, vals []float64, label int) error) error
 	})
 }
 
-// ScanCodesRange implements CodeRangeSource over rows [lo, hi).
+// ScanCodesRange implements CodeSource over rows [lo, hi).
 func (m *QuantMem) ScanCodesRange(lo, hi int, stats *Stats, fn func(rid int, codes []uint16, label int) error) error {
 	n := len(m.labels)
 	if lo < 0 {
@@ -667,7 +659,7 @@ func (m *QuantMem) ScanCodesRange(lo, hi int, stats *Stats, fn func(rid int, cod
 	return nil
 }
 
-// AddStats implements CodeRangeSource.
+// AddStats implements CodeSource.
 func (m *QuantMem) AddStats(s Stats) { m.stats.Add(s) }
 
 // Stats implements CodeSource.
@@ -681,86 +673,12 @@ func (m *QuantMem) ResetStats() { m.stats = Stats{} }
 // concurrently, with the same cancellation, panic-recovery, and merge-once
 // accounting contract (a successful parallel pass is indistinguishable from
 // one serial ScanCodes).
-func ParallelScanCodes(ctx context.Context, src CodeRangeSource, workers int, fn func(worker, rid int, codes []uint16, label int) error) error {
+func ParallelScanCodes(ctx context.Context, src CodeSource, workers int, fn func(worker, rid int, codes []uint16, label int) error) error {
 	return ParallelScanCodesObserved(ctx, src, workers, nil, fn)
 }
 
 // ParallelScanCodesObserved is ParallelScanCodes with per-worker
 // instrumentation, mirroring ParallelScanObserved.
-func ParallelScanCodesObserved(ctx context.Context, src CodeRangeSource, workers int, observe func(WorkerScan), fn func(worker, rid int, codes []uint16, label int) error) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	n := src.NumRecords()
-	if n == 0 {
-		return ctx.Err()
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > n {
-		workers = n
-	}
-	stats := make([]Stats, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			start := time.Now()
-			if observe != nil {
-				defer func() {
-					observe(WorkerScan{
-						Worker:  w,
-						Records: stats[w].RecordsRead,
-						Ns:      time.Since(start).Nanoseconds(),
-					})
-				}()
-			}
-			defer func() {
-				if r := recover(); r != nil {
-					errs[w] = fmt.Errorf("storage: scan worker %d panicked: %v", w, r)
-				}
-			}()
-			if err := ctx.Err(); err != nil {
-				errs[w] = err
-				return
-			}
-			count := 0
-			errs[w] = src.ScanCodesRange(lo, hi, &stats[w], func(rid int, codes []uint16, label int) error {
-				count++
-				if count%cancelCheckEvery == 0 {
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-				}
-				return fn(w, rid, codes, label)
-			})
-		}(w, lo, hi)
-	}
-	wg.Wait()
-
-	var merged Stats
-	for _, s := range stats {
-		merged.Add(s)
-	}
-	// Whole-pass page accounting, as in ParallelScanObserved.
-	merged.PagesRead = pagesFor(merged.BytesRead)
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr == nil {
-		firstErr = ctx.Err()
-	}
-	if firstErr == nil {
-		merged.Scans++
-	}
-	src.AddStats(merged)
-	return firstErr
+func ParallelScanCodesObserved(ctx context.Context, src CodeSource, workers int, observe func(WorkerScan), fn func(worker, rid int, codes []uint16, label int) error) error {
+	return scanRanges(ctx, src.NumRecords(), workers, observe, src.ScanCodesRange, src.AddStats, fn)
 }

@@ -10,14 +10,16 @@ import (
 	"testing"
 )
 
-// codeRangeSources yields the two CodeRangeSource implementations over the
-// same quantized records (rangeTable, 16 bins per numeric attribute).
-func codeRangeSources(t *testing.T, n int) map[string]CodeRangeSource {
+// codeSources yields the two CodeSource implementations over the same
+// quantized records (rangeTable, 16 bins per numeric attribute). The
+// quantizer is fitted on at least one record, so n may be 0.
+func codeSources(t *testing.T, n int) map[string]CodeSource {
 	t.Helper()
 	tbl := rangeTable(t, n)
+	fit := rangeTable(t, max(n, 1))
 	qz, err := NewQuantizer(tbl.Schema(), []QuantAttr{
-		quantAttrFromColumn(t, tbl, 0, 16),
-		quantAttrFromColumn(t, tbl, 1, 16),
+		quantAttrFromColumn(t, fit, 0, 16),
+		quantAttrFromColumn(t, fit, 1, 16),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,59 +41,57 @@ func codeRangeSources(t *testing.T, n int) map[string]CodeRangeSource {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return map[string]CodeRangeSource{"mem": qm, "file": qf}
+	return map[string]CodeSource{"mem": qm, "file": qf}
 }
 
 // TestParallelScanCodesMatchesSerial pins the merge-once contract: any
 // worker count visits every record exactly once and leaves counters
-// indistinguishable from one serial ScanCodes.
+// indistinguishable from one serial ScanCodes, an empty source included.
 func TestParallelScanCodesMatchesSerial(t *testing.T) {
-	const n = 1000
-	for name, src := range codeRangeSources(t, n) {
+	for _, name := range []string{"mem", "file"} {
 		t.Run(name, func(t *testing.T) {
-			var serialStats Stats
-			for twin, s := range codeRangeSources(t, n) {
-				if twin != name {
-					continue
-				}
-				if err := s.ScanCodes(func(int, []uint16, int) error { return nil }); err != nil {
+			for _, n := range []int{0, 1000} {
+				src := codeSources(t, n)[name]
+				// Reference: one serial scan on a fresh twin source.
+				twin := codeSources(t, n)[name]
+				if err := twin.ScanCodes(func(int, []uint16, int) error { return nil }); err != nil {
 					t.Fatal(err)
 				}
-				serialStats = s.Stats()
-			}
+				serialStats := twin.Stats()
 
-			for _, workers := range []int{1, 2, 3, 8, 2000} {
-				src.ResetStats()
-				seen := make([]int32, n)
-				var mu sync.Mutex
-				perWorker := map[int]int{}
-				err := ParallelScanCodes(context.Background(), src, workers, func(w, rid int, codes []uint16, label int) error {
-					if label != rid%3 {
-						return fmt.Errorf("rid %d: bad label %d", rid, label)
+				for _, workers := range []int{1, 2, 3, 8, 2000} {
+					src.ResetStats()
+					seen := make([]int32, n)
+					var mu sync.Mutex
+					perWorker := map[int]int{}
+					err := ParallelScanCodes(context.Background(), src, workers, func(w, rid int, codes []uint16, label int) error {
+						if label != rid%3 {
+							return fmt.Errorf("rid %d: bad label %d", rid, label)
+						}
+						seen[rid]++
+						mu.Lock()
+						perWorker[w]++
+						mu.Unlock()
+						return nil
+					})
+					if err != nil {
+						t.Fatalf("n=%d workers=%d: %v", n, workers, err)
 					}
-					seen[rid]++
-					mu.Lock()
-					perWorker[w]++
-					mu.Unlock()
-					return nil
-				})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				for rid, c := range seen {
-					if c != 1 {
-						t.Fatalf("workers=%d: rid %d visited %d times", workers, rid, c)
+					for rid, c := range seen {
+						if c != 1 {
+							t.Fatalf("n=%d workers=%d: rid %d visited %d times", n, workers, rid, c)
+						}
 					}
-				}
-				if got := src.Stats(); got != serialStats {
-					t.Fatalf("workers=%d: stats %+v, want serial-identical %+v", workers, got, serialStats)
-				}
-				wantW := workers
-				if wantW > n {
-					wantW = n
-				}
-				if len(perWorker) != wantW {
-					t.Fatalf("workers=%d: %d distinct worker indices, want %d", workers, len(perWorker), wantW)
+					if got := src.Stats(); got != serialStats {
+						t.Fatalf("n=%d workers=%d: stats %+v, want serial-identical %+v", n, workers, got, serialStats)
+					}
+					wantW := workers
+					if wantW > n {
+						wantW = n
+					}
+					if len(perWorker) != wantW {
+						t.Fatalf("n=%d workers=%d: %d distinct worker indices, want %d", n, workers, len(perWorker), wantW)
+					}
 				}
 			}
 		})
@@ -102,7 +102,7 @@ func TestParallelScanCodesMatchesSerial(t *testing.T) {
 // error propagation — no failed pass may count as a full scan.
 func TestParallelScanCodesFailureModes(t *testing.T) {
 	boom := errors.New("boom")
-	for name, src := range codeRangeSources(t, 500) {
+	for name, src := range codeSources(t, 500) {
 		t.Run(name+"/pre-cancelled", func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()

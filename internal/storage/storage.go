@@ -111,22 +111,10 @@ func (m *Mem) NumRecords() int { return m.table.NumRecords() }
 
 // Scan implements Source.
 func (m *Mem) Scan(fn func(rid int, vals []float64, label int) error) error {
-	n := m.table.NumRecords()
-	rb := recordBytes(m.table.Schema())
-	for i := 0; i < n; i++ {
-		if err := fn(i, m.table.Row(i), m.table.Label(i)); err != nil {
-			m.stats.RecordsRead += int64(i + 1)
-			bytes := int64(i+1) * rb
-			m.stats.BytesRead += bytes
-			m.stats.PagesRead += pagesFor(bytes)
-			return err
-		}
+	if err := m.ScanRange(0, m.table.NumRecords(), &m.stats, fn); err != nil {
+		return err
 	}
 	m.stats.Scans++
-	m.stats.RecordsRead += int64(n)
-	bytes := int64(n) * rb
-	m.stats.BytesRead += bytes
-	m.stats.PagesRead += pagesFor(bytes)
 	return nil
 }
 
