@@ -208,6 +208,9 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("hyears=%s: run returned %v, want an error naming line 3 and the attribute", v, err)
 		}
 	}
+	if err := run(context.Background(), runOpts{in: "-", cfg: stream.Config{Bins: 1}}, &bytes.Buffer{}, io.Discard); err == nil || !strings.Contains(err.Error(), "Bins") {
+		t.Errorf("-bins 1: run returned %v, want an error naming Bins", err)
+	}
 	if _, err := loadSchema(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing schema file accepted")
 	}

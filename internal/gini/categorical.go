@@ -22,13 +22,13 @@ const exhaustiveSubsetLimit = 14
 //
 // ok is false when no non-trivial split exists (fewer than two occupied
 // values, or cardinality exceeds MaxSubsetCardinality).
-func BestSubsetSplit(counts [][]int) (mask uint64, best float64, ok bool) {
+func BestSubsetSplit[T Count](counts [][]T) (mask uint64, best float64, ok bool) {
 	v := len(counts)
 	if v < 2 || v > MaxSubsetCardinality {
 		return 0, 0, false
 	}
 	nc := len(counts[0])
-	total := make([]int, nc)
+	total := make([]T, nc)
 	occupied := 0
 	for _, h := range counts {
 		nz := false
@@ -58,9 +58,9 @@ func BestSubsetSplit(counts [][]int) (mask uint64, best float64, ok bool) {
 // are enumerated, in ascending order: a mask that also takes empty values
 // yields the same partition as its occupied part, which is smaller, so the
 // first strictly-best mask is the one a walk over every mask would find.
-func exhaustiveSubset(counts [][]int, total []int) (mask uint64, best float64, ok bool) {
+func exhaustiveSubset[T Count](counts [][]T, total []T) (mask uint64, best float64, ok bool) {
 	v := len(counts)
-	left := make([]int, len(total))
+	left := make([]T, len(total))
 	var occ uint64
 	for val := 1; val < v; val++ {
 		for _, n := range counts[val] {
@@ -90,10 +90,10 @@ func exhaustiveSubset(counts [][]int, total []int) (mask uint64, best float64, o
 	return mask, best, ok
 }
 
-func greedySubset(counts [][]int, total []int) (mask uint64, best float64, ok bool) {
+func greedySubset[T Count](counts [][]T, total []T) (mask uint64, best float64, ok bool) {
 	v := len(counts)
 	nc := len(total)
-	left := make([]int, nc)
+	left := make([]T, nc)
 	cur := uint64(0)
 	best = 2.0
 	for round := 0; round < v-1; round++ {
@@ -110,19 +110,10 @@ func greedySubset(counts [][]int, total []int) (mask uint64, best float64, ok bo
 					nz = true
 				}
 			}
-			if nz {
-				// Skip the degenerate all-records-left partition.
-				full := true
-				for c := range left {
-					if left[c] != total[c] {
-						full = false
-						break
-					}
-				}
-				if !full {
-					if g := SplitBelow(left, total); g < pickG {
-						pickG, pickVal = g, val
-					}
+			// Skip the degenerate all-records-left partition.
+			if nz && !slices.Equal(left, total) {
+				if g := SplitBelow(left, total); g < pickG {
+					pickG, pickVal = g, val
 				}
 			}
 			for c, n := range counts[val] {

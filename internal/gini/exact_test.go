@@ -147,9 +147,11 @@ func TestBestSubsetSplitExhaustiveMatchesBruteForce(t *testing.T) {
 		}
 		mask, g, ok := BestSubsetSplit(counts)
 		bMask, bg, bok := bruteBestSubset(counts)
-		_ = bMask
 		if ok != bok {
 			t.Fatalf("ok=%v brute=%v counts=%v", ok, bok, counts)
+		}
+		if fMask, fg, fok := BestSubsetSplit(toFloat(counts)); fMask != mask || fg != g || fok != ok {
+			t.Fatalf("counts=%v: float64 counts give (%b, %v, %v), int (%b, %v, %v)", counts, fMask, fg, fok, mask, g, ok)
 		}
 		if !ok {
 			continue
@@ -175,6 +177,9 @@ func TestBestSubsetSplitGreedyLargeDomain(t *testing.T) {
 	mask, g, ok := BestSubsetSplit(counts)
 	if !ok {
 		t.Fatal("no split found")
+	}
+	if fMask, fg, fok := BestSubsetSplit(toFloat(counts)); fMask != mask || fg != g || !fok {
+		t.Errorf("float64 counts give (%b, %v, %v), int (%b, %v, true)", fMask, fg, fok, mask, g)
 	}
 	if g > 1e-12 {
 		t.Errorf("greedy gini = %v, want 0", g)

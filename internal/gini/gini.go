@@ -4,11 +4,16 @@
 // hill-climbing lower-bound estimate for an interval (Eq. 5).
 package gini
 
+// Count is a per-class record count: exact integers for the batch
+// builders, float64 for the stream builder, whose counts decay. Integral
+// float64 inputs give bit-identical results to the int instantiation.
+type Count interface{ int | float64 }
+
 // Index returns gini(S) = 1 - sum_j p_j^2 for a set with the given per-class
 // counts (Eq. 1). An empty set has index 0 by convention, matching the
 // weighted-sum formulas where an empty part contributes nothing.
-func Index(counts []int) float64 {
-	n := 0
+func Index[T Count](counts []T) float64 {
+	var n T
 	for _, c := range counts {
 		n += c
 	}
@@ -27,8 +32,8 @@ func Index(counts []int) float64 {
 // Split returns gini^D(S, cond) = sum_k (n_k/n) gini(S_k) for a partition of
 // S into the given parts (Eq. 2, generalized to any number of parts as
 // needed by the oblique-split search, which partitions into three).
-func Split(parts ...[]int) float64 {
-	n := 0
+func Split[T Count](parts ...[]T) float64 {
+	var n T
 	for _, p := range parts {
 		for _, c := range p {
 			n += c
@@ -39,7 +44,7 @@ func Split(parts ...[]int) float64 {
 	}
 	g := 0.0
 	for _, p := range parts {
-		np := 0
+		var np T
 		for _, c := range p {
 			np += c
 		}
@@ -54,8 +59,8 @@ func Split(parts ...[]int) float64 {
 // SplitBelow returns gini^D(S, a <= v) given the cumulative per-class counts
 // below of records with a <= v and the node's per-class totals (Eq. 3).
 // It avoids materializing the complement.
-func SplitBelow(below, total []int) float64 {
-	nl, n := 0, 0
+func SplitBelow[T Count](below, total []T) float64 {
+	var nl, n T
 	for i := range total {
 		nl += below[i]
 		n += total[i]

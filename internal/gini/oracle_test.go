@@ -78,6 +78,19 @@ func estimateIntervalOracle(x, y, total []int) Estimate {
 	return e
 }
 
+// toFloat copies an integer count table into the float64 form the stream
+// builder scores.
+func toFloat(counts [][]int) [][]float64 {
+	out := make([][]float64, len(counts))
+	for v, row := range counts {
+		out[v] = make([]float64, len(row))
+		for c, n := range row {
+			out[v][c] = float64(n)
+		}
+	}
+	return out
+}
+
 // randomCountTable returns a [v][nc] count table with some empty values
 // and, often, repeated rows, so partitions tie.
 func randomCountTable(rng *rand.Rand, v, nc int) [][]int {
@@ -113,6 +126,10 @@ func TestExhaustiveSubsetMatchesOracle(t *testing.T) {
 		wMask, wg, wok := exhaustiveSubsetOracle(counts, total)
 		if mask != wMask || g != wg || ok != wok {
 			t.Fatalf("counts=%v: got (%b, %v, %v), oracle (%b, %v, %v)", counts, mask, g, ok, wMask, wg, wok)
+		}
+		fMask, fg, fok := exhaustiveSubset(toFloat(counts), toFloat([][]int{total})[0])
+		if fMask != mask || fg != g || fok != ok {
+			t.Fatalf("counts=%v: float64 counts give (%b, %v, %v), int (%b, %v, %v)", counts, fMask, fg, fok, mask, g, ok)
 		}
 	}
 }

@@ -430,19 +430,12 @@ func (b *rbuilder) decide(n *rnode) []*rnode {
 	right.tn.SetCounts(rc)
 	// A child's AVC-group has at most one entry per record per attribute,
 	// and no more entries than the parent's.
-	left.estEntries = minI64(int64(left.tn.N)*int64(b.na), n.entries)
-	right.estEntries = minI64(int64(right.tn.N)*int64(b.na), n.entries)
+	left.estEntries = min(int64(left.tn.N)*int64(b.na), n.entries)
+	right.estEntries = min(int64(right.tn.N)*int64(b.na), n.entries)
 	sp := best
 	n.tn.Split = &sp
 	n.tn.Left, n.tn.Right = left.tn, right.tn
 	n.children = []*rnode{left, right}
 	n.state = rsResolved
 	return []*rnode{left, right}
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -190,7 +190,7 @@ func (b *sprintBuilder) process(nd node) []node {
 	// Build the rid hash for the splitting attribute's list, then partition
 	// every attribute list by probing it.
 	goesLeft := make(map[int32]bool, tn.N)
-	b.st.HashBytesPeak = maxI64(b.st.HashBytesPeak, int64(tn.N)*9) // rid + flag
+	b.st.HashBytesPeak = max(b.st.HashBytesPeak, int64(tn.N)*9) // rid + flag
 	sl := &nd.lists[split.Attr]
 	for i := 0; i < sl.len(); i++ {
 		v := sl.vals[i]
@@ -286,11 +286,4 @@ func (b *sprintBuilder) bestSplit(nd *node) (tree.Split, float64, bool) {
 		}
 	}
 	return best, bestG, found
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

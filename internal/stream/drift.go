@@ -1,12 +1,16 @@
 package stream
 
-import "math"
+import (
+	"math"
+
+	"cmpdt/internal/gini"
+)
 
 // Drift handling: with a positive HalfLife every node's class counts and
 // every frozen leaf's histograms decay exponentially at batch boundaries,
 // so the tree's statistics track a sliding window of roughly
 // HalfLife/ln(2) recent records. A committed split whose gain — recomputed
-// from the decayed child distributions — collapses below StaleFraction of
+// from the decayed child distributions — collapses below staleFraction of
 // its commit-time gain has stopped separating the current concept; the
 // topmost such subtree is torn down and regrown from a fresh warming leaf.
 
@@ -63,17 +67,15 @@ func (b *Builder) regrowStale(v *snode) {
 // splits (whose children are still filling) out of the comparison.
 func (b *Builder) isStale(v *snode) bool {
 	l, r := v.left, v.right
-	nl, nr := sum(l.counts), sum(r.counts)
-	n := nl + nr
-	if n < float64(b.cfg.Warmup) {
+	if sum(l.counts)+sum(r.counts) < float64(b.cfg.Warmup) {
 		return false
 	}
 	parent := make([]float64, len(l.counts))
 	for c := range parent {
 		parent[c] = l.counts[c] + r.counts[c]
 	}
-	gain := gini(parent, n) - (nl*gini(l.counts, nl)+nr*gini(r.counts, nr))/n
-	return gain < b.cfg.StaleFraction*v.committedGain
+	gain := gini.Index(parent) - gini.Split(l.counts, r.counts)
+	return gain < staleFraction*v.committedGain
 }
 
 // collapse tears an internal node's subtree down to a fresh warming leaf,

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"cmpdt/internal/dataset"
+	"cmpdt/internal/gini"
 	"cmpdt/internal/quantile"
 	"cmpdt/internal/tree"
 )
@@ -242,101 +243,77 @@ func (b *Builder) attemptSplit(v *snode) {
 }
 
 // bestForAttr finds attribute a's best candidate split from the leaf's
-// histogram: bin-boundary thresholds for numeric attributes, greedy
-// prefix subsets (values ordered by first-class share) for categorical
-// ones. Ties keep the earliest candidate, which is what makes the choice
-// deterministic.
+// histogram, scored with the batch builders' gini kernel: bin-boundary
+// thresholds for numeric attributes, gini.BestSubsetSplit over the values
+// for categorical ones. A candidate leaving either side under minLeaf is
+// not offered. Ties keep the earliest candidate, which is what makes the
+// choice deterministic.
 func (b *Builder) bestForAttr(lf *leafState, a int) (candidate, bool) {
 	h := lf.hist[a]
 	bins := lf.bins(a)
 	classes := len(h) / bins
+	row := func(bin int) []float64 { return h[bin*classes : (bin+1)*classes] }
 	parent := make([]float64, classes)
 	for bin := 0; bin < bins; bin++ {
-		row := h[bin*classes : (bin+1)*classes]
-		for c := range parent {
-			parent[c] += row[c]
+		for c, n := range row(bin) {
+			parent[c] += n
 		}
 	}
 	nTot := sum(parent)
-	if nTot < 2*b.cfg.MinLeaf {
+	if nTot < 2*minLeaf {
 		return candidate{}, false
 	}
-	parentGini := gini(parent, nTot)
-
-	numeric := lf.cuts[a] != nil
-	order := make([]int, bins)
-	for i := range order {
-		order[i] = i
-	}
-	if !numeric {
-		// Order category values by their first-class share so prefix
-		// subsets sweep the optimal (two-class) subset frontier.
-		share := make([]float64, bins)
-		for bin := 0; bin < bins; bin++ {
-			row := h[bin*classes : (bin+1)*classes]
-			if t := sum(row); t > 0 {
-				share[bin] = row[0] / t
-			}
-		}
-		// Insertion sort: tiny bins counts, and stable ordering with
-		// index tie-break keeps determinism explicit.
-		for i := 1; i < bins; i++ {
-			for j := i; j > 0 && share[order[j]] > share[order[j-1]]; j-- {
-				order[j], order[j-1] = order[j-1], order[j]
-			}
-		}
-	}
+	parentGini := gini.Index(parent)
 
 	left := make([]float64, classes)
-	right := make([]float64, classes)
-	bestGain, bestIdx := 0.0, -1
-	var bestLeft, bestRight []float64
-	for i := 0; i < bins-1; i++ {
-		row := h[order[i]*classes : (order[i]+1)*classes]
-		for c := range left {
-			left[c] += row[c]
+	var c candidate
+	if lf.cuts[a] != nil {
+		bestIdx := -1
+		for i := 0; i < bins-1; i++ {
+			for k, n := range row(i) {
+				left[k] += n
+			}
+			if nl := sum(left); nl < minLeaf || nTot-nl < minLeaf {
+				continue
+			}
+			if gain := parentGini - gini.SplitBelow(left, parent); gain > c.gain {
+				c.gain, bestIdx = gain, i
+				c.lcounts = append(c.lcounts[:0], left...)
+			}
 		}
-		nl := sum(left)
-		nr := nTot - nl
-		if nl < b.cfg.MinLeaf || nr < b.cfg.MinLeaf {
-			continue
+		if bestIdx < 0 {
+			return candidate{}, false
 		}
-		for c := range right {
-			right[c] = parent[c] - left[c]
-		}
-		gain := parentGini - (nl*gini(left, nl)+nr*gini(right, nr))/nTot
-		if gain > bestGain {
-			bestGain, bestIdx = gain, i
-			bestLeft = append(bestLeft[:0], left...)
-			bestRight = append(bestRight[:0], right...)
-		}
-	}
-	if bestIdx < 0 {
-		return candidate{}, false
-	}
-	c := candidate{gain: bestGain, lcounts: bestLeft, rcounts: bestRight}
-	if numeric {
 		c.split = tree.Split{Kind: tree.SplitNumeric, Attr: a, Threshold: lf.cuts[a].Boundary(bestIdx)}
 	} else {
-		var subset uint64
-		for i := 0; i <= bestIdx; i++ {
-			subset |= 1 << uint(order[i])
+		rows := make([][]float64, bins)
+		for bin := range rows {
+			rows[bin] = row(bin)
 		}
-		c.split = tree.Split{Kind: tree.SplitCategorical, Attr: a, Subset: subset}
+		mask, g, ok := gini.BestSubsetSplit(rows)
+		if !ok {
+			return candidate{}, false
+		}
+		for v, r := range rows {
+			if mask&(1<<uint(v)) != 0 {
+				for k, n := range r {
+					left[k] += n
+				}
+			}
+		}
+		// The side check also rejects the all-left partition, which
+		// rounding in decayed counts can let through.
+		if nl := sum(left); nl < minLeaf || nTot-nl < minLeaf || parentGini-g <= 0 {
+			return candidate{}, false
+		}
+		c = candidate{gain: parentGini - g, lcounts: left}
+		c.split = tree.Split{Kind: tree.SplitCategorical, Attr: a, Subset: mask}
+	}
+	c.rcounts = make([]float64, classes)
+	for k := range parent {
+		c.rcounts[k] = parent[k] - c.lcounts[k]
 	}
 	return c, true
-}
-
-func gini(counts []float64, n float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	s := 0.0
-	for _, c := range counts {
-		p := c / n
-		s += p * p
-	}
-	return 1 - s
 }
 
 func sum(xs []float64) float64 {

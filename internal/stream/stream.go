@@ -39,7 +39,7 @@ import (
 )
 
 // Config tunes the online builder. The zero value of any field selects the
-// default noted on it.
+// default noted on it; New rejects negative and other out-of-range values.
 type Config struct {
 	// Schema describes the record stream (required).
 	Schema *dataset.Schema
@@ -49,20 +49,17 @@ type Config struct {
 	// BatchSize is how many records are buffered before a commit pass
 	// (default 512). Larger batches amortize the fork-join.
 	BatchSize int
-	// Subchunk is the fixed partition unit inside a batch (default 128).
-	// It, not Workers, defines the delta boundaries, which is what keeps
-	// the result worker-count independent.
-	Subchunk int
 	// Warmup is how many records a leaf buffers before freezing its cut
 	// points (default 400).
 	Warmup int
 	// Bins is the equal-depth interval count per numeric attribute
-	// (default 128).
+	// (default 128; at least 2).
 	Bins int
 	// Grace is how many records a frozen leaf absorbs between split
 	// attempts (default 150).
 	Grace int
-	// Delta is the Hoeffding bound's failure probability (default 1e-6).
+	// Delta is the Hoeffding bound's failure probability, in (0, 1)
+	// (default 1e-6).
 	Delta float64
 	// Tau is the tie-break threshold: when the confidence radius shrinks
 	// below Tau the best attribute wins even if the runner-up is within
@@ -70,63 +67,63 @@ type Config struct {
 	Tau float64
 	// MaxDepth bounds the tree (default 24).
 	MaxDepth int
-	// MinLeaf is the minimum per-side record mass for a split candidate
-	// (default 5).
-	MinLeaf float64
-	// Eps is the GK sketch rank-error fraction (default 0.01).
-	Eps float64
 	// HalfLife enables drift handling when positive: all node counts and
 	// leaf histograms decay exponentially with this half-life, measured
 	// in records (0 = no decay, no regrow).
 	HalfLife int
-	// StaleFraction triggers a subtree regrow when a committed split's
-	// current gain (recomputed from decayed child counts) falls below
-	// this fraction of its gain at commit time (default 0.1; only active
-	// with HalfLife > 0).
-	StaleFraction float64
 }
 
-func (c Config) withDefaults() Config {
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
+const (
+	// subchunk is the fixed partition unit inside a batch. It, not
+	// Workers, defines the delta boundaries, which is what keeps the
+	// result worker-count independent.
+	subchunk = 64
+	// minLeaf is the minimum per-side record mass for a split candidate.
+	minLeaf = 5.0
+	// gkEps is the GK sketch rank-error fraction; it lies in (0, 0.5), so
+	// quantile.NewGK never fails.
+	gkEps = 0.01
+	// staleFraction triggers a subtree regrow when a committed split's
+	// current gain (recomputed from decayed child counts) falls below
+	// this fraction of its gain at commit time (only with HalfLife > 0).
+	staleFraction = 0.1
+)
+
+// withDefaults rejects settings outside each field's range and replaces
+// every zero field with its default.
+func (c Config) withDefaults() (Config, error) {
+	for _, f := range []struct {
+		name string
+		v    *int
+		def  int
+	}{
+		{"Workers", &c.Workers, runtime.GOMAXPROCS(0)}, {"BatchSize", &c.BatchSize, 512},
+		{"Warmup", &c.Warmup, 400}, {"Bins", &c.Bins, 128}, {"Grace", &c.Grace, 150},
+		{"MaxDepth", &c.MaxDepth, 24}, {"HalfLife", &c.HalfLife, 0},
+	} {
+		if *f.v < 0 {
+			return c, fmt.Errorf("stream: %s must not be negative, got %d", f.name, *f.v)
+		}
+		if *f.v == 0 {
+			*f.v = f.def
+		}
 	}
-	if c.Workers < 1 {
-		c.Workers = 1
+	if c.Bins == 1 {
+		return c, errors.New("stream: Bins must be 0 or at least 2, got 1")
 	}
-	if c.BatchSize <= 0 {
-		c.BatchSize = 512
+	if !(c.Delta == 0 || c.Delta > 0 && c.Delta < 1) {
+		return c, fmt.Errorf("stream: Delta must be 0 or in (0, 1), got %v", c.Delta)
 	}
-	if c.Subchunk <= 0 {
-		c.Subchunk = 64
+	if !(c.Tau >= 0) {
+		return c, fmt.Errorf("stream: Tau must not be negative, got %v", c.Tau)
 	}
-	if c.Warmup <= 0 {
-		c.Warmup = 400
-	}
-	if c.Bins <= 1 {
-		c.Bins = 128
-	}
-	if c.Grace <= 0 {
-		c.Grace = 150
-	}
-	if c.Delta <= 0 {
+	if c.Delta == 0 {
 		c.Delta = 1e-6
 	}
-	if c.Tau <= 0 {
+	if c.Tau == 0 {
 		c.Tau = 0.1
 	}
-	if c.MaxDepth <= 0 {
-		c.MaxDepth = 24
-	}
-	if c.MinLeaf <= 0 {
-		c.MinLeaf = 5
-	}
-	if c.Eps <= 0 {
-		c.Eps = 0.01
-	}
-	if c.StaleFraction <= 0 {
-		c.StaleFraction = 0.1
-	}
-	return c
+	return c, nil
 }
 
 // Stats reports what the builder has done so far.
@@ -180,7 +177,10 @@ func New(cfg Config) (*Builder, error) {
 	if err := cfg.Schema.Validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	b := &Builder{
 		cfg:    cfg,
 		k:      cfg.Schema.NumAttrs(),
@@ -208,7 +208,7 @@ func (b *Builder) newLeaf(depth, fallback int) *snode {
 		lf.sketch = make([]*quantile.GK, b.k)
 		for a := 0; a < b.k; a++ {
 			if b.cfg.Schema.Attrs[a].Kind == dataset.Numeric {
-				lf.sketch[a], _ = quantile.NewGK(b.cfg.Eps)
+				lf.sketch[a], _ = quantile.NewGK(gkEps)
 			}
 		}
 	}
@@ -289,12 +289,9 @@ type subDelta struct {
 // before commit returns.
 func (b *Builder) commit(ctx context.Context) error {
 	m := b.m
-	numSub := (m + b.cfg.Subchunk - 1) / b.cfg.Subchunk
+	numSub := (m + subchunk - 1) / subchunk
 	deltas := make([]*subDelta, numSub)
-	workers := b.cfg.Workers
-	if workers > numSub {
-		workers = numSub
-	}
+	workers := min(b.cfg.Workers, numSub)
 
 	if workers <= 1 {
 		for s := 0; s < numSub; s++ {
@@ -346,12 +343,8 @@ func (b *Builder) commit(ctx context.Context) error {
 
 // subRange returns subchunk s's record index range within the batch.
 func (b *Builder) subRange(s int) (int, int) {
-	lo := s * b.cfg.Subchunk
-	hi := lo + b.cfg.Subchunk
-	if hi > b.m {
-		hi = b.m
-	}
-	return lo, hi
+	lo := s * subchunk
+	return lo, min(lo+subchunk, b.m)
 }
 
 // record returns batch record i's values (a view into the batch buffer).
@@ -394,7 +387,7 @@ func (b *Builder) precompute(s int) *subDelta {
 				ld = &leafDelta{leaf: v, gen: lf.gen, sketch: make([]*quantile.GK, b.k)}
 				for a := 0; a < b.k; a++ {
 					if lf.sketch[a] != nil {
-						ld.sketch[a], _ = quantile.NewGK(b.cfg.Eps)
+						ld.sketch[a], _ = quantile.NewGK(gkEps)
 					}
 				}
 				byLeaf[v] = ld
@@ -520,11 +513,4 @@ func measure(v *snode) (nodes, leaves, depth int, bytes int64) {
 	depth = 1 + max(ld, rd)
 	bytes += lb + rb
 	return nodes, leaves, depth, bytes
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

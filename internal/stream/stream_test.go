@@ -215,6 +215,42 @@ func TestStreamValidation(t *testing.T) {
 	}
 }
 
+// TestStreamConfigRange: New rejects every out-of-range setting with an
+// error naming the field, where it used to replace it silently; zero keeps
+// selecting the default.
+func TestStreamConfigRange(t *testing.T) {
+	cases := []struct {
+		field string
+		cfg   Config
+	}{
+		{"Workers", Config{Workers: -1}},
+		{"BatchSize", Config{BatchSize: -1}},
+		{"Warmup", Config{Warmup: -1}},
+		{"Grace", Config{Grace: -1}},
+		{"MaxDepth", Config{MaxDepth: -1}},
+		{"HalfLife", Config{HalfLife: -1}},
+		{"Bins", Config{Bins: 1}},
+		{"Bins", Config{Bins: -2}},
+		{"Delta", Config{Delta: -1e-6}},
+		{"Delta", Config{Delta: 1}},
+		{"Delta", Config{Delta: math.NaN()}},
+		{"Tau", Config{Tau: -0.1}},
+	}
+	for _, c := range cases {
+		c.cfg.Schema = synth.Schema()
+		if _, err := New(c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%+v: New returned %v, want an error naming %s", c.cfg, err, c.field)
+		}
+	}
+	b, err := New(Config{Schema: synth.Schema(), Bins: 2, Delta: 0.5})
+	if err != nil {
+		t.Fatalf("in-range settings rejected: %v", err)
+	}
+	if b.cfg.Workers < 1 || b.cfg.BatchSize != 512 || b.cfg.MaxDepth != 24 || b.cfg.Tau != 0.1 {
+		t.Errorf("zero fields did not select their defaults: %+v", b.cfg)
+	}
+}
+
 func BenchmarkIngest(bm *testing.B) {
 	tbl := synth.Generate(synth.F2, 50_000, 1)
 	b, err := New(Config{Schema: synth.Schema(), Workers: 1})

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"cmpdt/internal/dataset"
+	"cmpdt/internal/gini"
 )
 
 // SplitKind discriminates the three split forms.
@@ -135,7 +136,6 @@ func (n *Node) SetCounts(counts []int) {
 	n.ClassCounts = counts
 	n.N = 0
 	best, bestN := 0, -1
-	sumSq := 0.0
 	for c, k := range counts {
 		n.N += k
 		if k > bestN {
@@ -143,15 +143,7 @@ func (n *Node) SetCounts(counts []int) {
 		}
 	}
 	n.Class = best
-	if n.N > 0 {
-		for _, k := range counts {
-			p := float64(k) / float64(n.N)
-			sumSq += p * p
-		}
-		n.Gini = 1 - sumSq
-	} else {
-		n.Gini = 0
-	}
+	n.Gini = gini.Index(counts)
 }
 
 // Errors returns the number of training records at the node not of its
