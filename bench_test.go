@@ -328,3 +328,33 @@ func BenchmarkForestIndexed(b *testing.B) {
 	}
 	b.ReportMetric(float64(benchN)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
+
+// BenchmarkQuantizedTreeFile times the model training of perfbench's
+// serve-predict set-up: one quantized CMP-B tree (Workers 2) over 50k
+// Function-7 records with 5% label noise, read from a CMPDT2 file. The
+// quantize pass (sample sort, cuts, encode) is about half of it. Profile
+// it with
+//
+//	go test -run '^$' -bench BenchmarkQuantizedTreeFile -benchtime 20x -cpuprofile cpu.out .
+func BenchmarkQuantizedTreeFile(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "f7.rec")
+	w, err := storage.CreateFile(path, synth.Schema())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := synth.GenerateTo(w, synth.F7, benchN, 1, synth.Options{Noise: 0.05}); err != nil {
+		w.Abort()
+		b.Fatal(err)
+	}
+	if _, err := w.Close(); err != nil {
+		b.Fatal(err)
+	}
+	cfg := cmpdt.Config{Algorithm: cmpdt.CMPB, Quantize: true, Workers: 2}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := cmpdt.TrainFile(path, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(benchN)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}

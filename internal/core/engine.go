@@ -331,15 +331,33 @@ func (e *engine[N]) discretize(src storage.Source, attrs []int, bins int) (disc 
 	if sampleCap >= n {
 		e.stats.Scans++
 	}
+	// The attributes are independent, so their discretizers are built
+	// concurrently. Each sample belongs to this pass and is sorted in
+	// place, through one radix scratch buffer per worker.
 	disc = make([]*quantile.Discretizer, e.na)
-	for _, a := range attrs {
+	errs := make([]error, len(attrs))
+	workers := min(e.cfg.Workers, len(attrs))
+	scratch := make(chan []float64, max(workers, 1))
+	for w := 0; w < cap(scratch); w++ {
+		scratch <- nil
+	}
+	doParallel(workers, len(attrs), func(i int) {
+		a := attrs[i]
 		if sketches != nil {
-			disc[a], err = sketches[a].Discretizer(bins)
-		} else {
-			disc[a], err = quantile.EqualDepth(samples[a], bins)
+			disc[a], errs[i] = sketches[a].Discretizer(bins)
+			return
 		}
+		buf := <-scratch
+		if len(buf) < len(samples[a]) {
+			buf = make([]float64, len(samples[a]))
+		}
+		quantile.SortFloat64s(samples[a], buf)
+		scratch <- buf
+		disc[a], errs[i] = quantile.EqualDepthSorted(samples[a], bins)
+	})
+	for i, err := range errs {
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: discretizing %s: %w", e.schema.Attrs[a].Name, err)
+			return nil, nil, nil, fmt.Errorf("core: discretizing %s: %w", e.schema.Attrs[attrs[i]].Name, err)
 		}
 	}
 	return disc, lo, hi, nil

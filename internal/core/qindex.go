@@ -16,9 +16,11 @@ package core
 // count and split it once; expanded in row order, the weighted store is
 // the masked view's code store.
 //
-// The one divergence is a column mixing -0 and +0: the index orders the two
-// zeros by record id, where sort.Float64s left their order unspecified, so
-// a cut or the top-bin representative may carry the other zero's sign.
+// Both paths sort with quantile.RadixSort, which ties -0 and +0 and keeps
+// tied values in input order: the index orders the two zeros by record id,
+// and discretize's sample in the view's record order. A column mixing them
+// is still the one place the two may differ, and then only in the sign of
+// a zero cut or of the top-bin representative.
 
 import (
 	"context"
@@ -150,7 +152,7 @@ func NewIndex(ctx context.Context, src storage.RangeSource, parallel int) (*Inde
 		go func(a int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			col := sortEntries(dropSlots(cols[a], ix.invalid))
+			col := quantile.RadixSort(dropSlots(cols[a], ix.invalid), nil, entryValue)
 			rank := make([]int32, n)
 			for u := range rank {
 				rank[u] = -1
@@ -206,59 +208,10 @@ type indexEntry struct {
 	u int32
 }
 
-// sortKey maps a finite value to a uint64 whose unsigned order is the
-// values' numeric order, with -0 and +0 mapped alike so that they tie.
-func sortKey(v float64) uint64 {
-	if v == 0 {
-		v = 0 // +0
-	}
-	bits := math.Float64bits(v)
-	if bits>>63 != 0 {
-		return ^bits
-	}
-	return bits | 1<<63
-}
-
-// sortEntries sorts col, which holds entries in ascending record order, by
-// (value, record id): a least-significant-digit radix sort over sortKey,
-// one byte per pass. Each pass is stable, so equal values keep their
-// record order. Passes on a byte every key shares are skipped. The sorted
-// entries are returned in col or in a buffer of the same length.
-func sortEntries(col []indexEntry) []indexEntry {
-	if len(col) < 2 {
-		return col
-	}
-	var counts [8][256]int
-	for _, e := range col {
-		k := sortKey(e.v)
-		for d := range counts {
-			counts[d][byte(k>>(8*d))]++
-		}
-	}
-	var buf []indexEntry
-	for d := range counts {
-		c := &counts[d]
-		if c[byte(sortKey(col[0].v)>>(8*d))] == len(col) {
-			continue
-		}
-		if buf == nil {
-			buf = make([]indexEntry, len(col))
-		}
-		off := 0
-		for i, k := range c {
-			c[i] = off
-			off += k
-		}
-		shift := 8 * d
-		for _, e := range col {
-			b := byte(sortKey(e.v) >> shift)
-			buf[c[b]] = e
-			c[b]++
-		}
-		col, buf = buf, col
-	}
-	return col
-}
+// entryValue is the value an index entry sorts by. quantile.RadixSort is
+// stable, and NewIndex hands it entries in ascending record order, so the
+// entries come out in (value, record id) order.
+func entryValue(e indexEntry) float64 { return e.v }
 
 // Schema returns the indexed store's schema.
 func (ix *Index) Schema() *dataset.Schema { return ix.schema }

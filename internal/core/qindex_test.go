@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cmpdt/internal/dataset"
+	"cmpdt/internal/quantile"
 	"cmpdt/internal/storage"
 )
 
@@ -548,7 +549,7 @@ func TestSortEntries(t *testing.T) {
 			}
 			return want[i].u < want[j].u
 		})
-		got := sortEntries(col)
+		got := quantile.RadixSort(col, nil, entryValue)
 		for i := range want {
 			if got[i].u != want[i].u || math.Float64bits(got[i].v) != math.Float64bits(want[i].v) {
 				t.Fatalf("n=%d position %d: (%v, %d), want (%v, %d)", n, i, got[i].v, got[i].u, want[i].v, want[i].u)

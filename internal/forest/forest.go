@@ -170,14 +170,8 @@ func TrainContext(ctx context.Context, src storage.RangeSource, cfg Config) (*Re
 	}
 	start := time.Now()
 	n := src.NumRecords()
+	// Each tree draws its own mask, on its own goroutine below.
 	masks := make([]*storage.Mask, cfg.Trees)
-	for i := range masks {
-		if cfg.NoBootstrap {
-			masks[i] = storage.FullMask(n)
-		} else {
-			masks[i] = storage.BootstrapMask(n, treeSeed(cfg.Seed, 2*int64(i)))
-		}
-	}
 
 	// Quantized classification trees quantize their views from one
 	// value-sorted index of the store instead of sorting and scanning it
@@ -211,6 +205,11 @@ func TrainContext(ctx context.Context, src storage.RangeSource, cfg Config) (*Re
 				errs[i] = fmt.Errorf("forest: tree %d: %w", i, err)
 				return
 			}
+			if cfg.NoBootstrap {
+				masks[i] = storage.FullMask(n)
+			} else {
+				masks[i] = storage.BootstrapMask(n, treeSeed(cfg.Seed, 2*int64(i)))
+			}
 			trees[i], viewIO[i], reports[i], errs[i] = buildOne(ctx, src, idx, masks[i], cfg, target, i)
 		}(i)
 	}
@@ -238,7 +237,7 @@ func TrainContext(ctx context.Context, src storage.RangeSource, cfg Config) (*Re
 	}
 	if !cfg.NoBootstrap {
 		var oobStats storage.Stats
-		if err := computeOOB(ctx, src, f, masks, &oobStats); err != nil {
+		if err := computeOOB(ctx, src, f, masks, cfg.Parallel, &oobStats); err != nil {
 			return nil, err
 		}
 		res.IO.Add(oobStats)
@@ -446,27 +445,26 @@ func newSplitmixPerm(seed int64, n int) []int {
 	return p
 }
 
-// computeOOB runs the out-of-bag estimate with ONE serial pass over the
-// underlying store: for each record, the trees whose bootstrap never drew
-// it predict, and their vote (classification) or mean (regression) is
-// scored against the truth. A classification forest skips the records
-// Schema.RecordDefect rejects, as its trees' training did. The pass is
-// serial by construction so the floating-point accumulation order — and
-// therefore the estimate — is independent of every worker-count knob.
-func computeOOB(ctx context.Context, src storage.RangeSource, f *Forest, masks []*storage.Mask, stats *storage.Stats) error {
+// computeOOB runs the out-of-bag estimate with ONE pass over the underlying
+// store, read in at most parallel contiguous ranges at once: for each
+// record, the trees whose bootstrap never drew it predict, and their vote
+// (classification) or mean (regression) is stored as the record's outcome.
+// A classification forest skips the records Schema.RecordDefect rejects,
+// as its trees' training did. The outcomes are then reduced in record
+// order, so the floating-point accumulation — and therefore the estimate —
+// is independent of every worker-count knob. The pass is metered into
+// stats with its pages counted over the whole pass, and it is not a scan.
+func computeOOB(ctx context.Context, src storage.RangeSource, f *Forest, masks []*storage.Mask, parallel int, stats *storage.Stats) error {
 	n := src.NumRecords()
 	nc := f.Schema.NumClasses()
-	votes := make([]int, nc)
-	wrong := 0
-	sqErr := 0.0
-	count := 0
-	checkEvery := 1 << 14
-	err := src.ScanRange(0, n, stats, func(rid int, vals []float64, label int) error {
-		if rid%checkEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
+	// A record's outcome, and for regression its residual.
+	outcome := make([]oobOutcome, n)
+	var resid []float64
+	if f.Target >= 0 {
+		resid = make([]float64, n)
+	}
+	votes := make([][]int, max(parallel, 1))
+	err := storage.ParallelScan(ctx, oobMeter{src, stats}, parallel, func(w, rid int, vals []float64, label int) error {
 		if f.Target >= 0 {
 			sum := 0.0
 			oob := 0
@@ -476,24 +474,24 @@ func computeOOB(ctx context.Context, src storage.RangeSource, f *Forest, masks [
 					oob++
 				}
 			}
-			if oob == 0 {
-				return nil
+			if oob > 0 {
+				outcome[rid] = oobScored
+				resid[rid] = sum/float64(oob) - vals[f.Target]
 			}
-			count++
-			d := sum/float64(oob) - vals[f.Target]
-			sqErr += d * d
 			return nil
 		}
 		if f.Schema.RecordDefect(vals, label) != "" {
 			return nil
 		}
-		for c := range votes {
-			votes[c] = 0
+		if votes[w] == nil {
+			votes[w] = make([]int, nc)
 		}
+		v := votes[w]
+		clear(v)
 		oob := 0
 		for ti, m := range masks {
 			if m.Count(rid) == 0 {
-				votes[f.Trees[ti].Predict(vals)]++
+				v[f.Trees[ti].Predict(vals)]++
 				oob++
 			}
 		}
@@ -502,18 +500,32 @@ func computeOOB(ctx context.Context, src storage.RangeSource, f *Forest, masks [
 		}
 		best := 0
 		for c := 1; c < nc; c++ {
-			if votes[c] > votes[best] {
+			if v[c] > v[best] {
 				best = c
 			}
 		}
-		count++
+		outcome[rid] = oobScored
 		if best != label {
-			wrong++
+			outcome[rid] = oobMissed
 		}
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	count, wrong := 0, 0
+	sqErr := 0.0
+	for rid, o := range outcome {
+		if o == oobNone {
+			continue
+		}
+		count++
+		if o == oobMissed {
+			wrong++
+		}
+		if resid != nil {
+			sqErr += resid[rid] * resid[rid]
+		}
 	}
 	f.OOBCount = count
 	if count > 0 {
@@ -524,4 +536,26 @@ func computeOOB(ctx context.Context, src storage.RangeSource, f *Forest, masks [
 		}
 	}
 	return nil
+}
+
+// oobOutcome is what the out-of-bag pass made of one record.
+type oobOutcome uint8
+
+const (
+	oobNone   oobOutcome = iota // no out-of-bag tree, or a skipped record
+	oobScored                   // predicted: the vote winner is right, or a regression residual
+	oobMissed                   // voted, and the winner is not the record's label
+)
+
+// oobMeter is a RangeSource whose completed parallel passes are metered
+// into stats without counting a scan: the out-of-bag pass reads the store
+// but is not one of the build's scans.
+type oobMeter struct {
+	storage.RangeSource
+	stats *storage.Stats
+}
+
+func (m oobMeter) AddStats(s storage.Stats) {
+	s.Scans = 0
+	m.stats.Add(s)
 }

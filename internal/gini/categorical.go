@@ -90,28 +90,36 @@ func exhaustiveSubset[T Count](counts [][]T, total []T) (mask uint64, best float
 	return mask, best, ok
 }
 
+// greedySubset grows the subset from the occupied values only: an empty
+// value is never picked, and trying it adds zero counts, which changes
+// nothing.
 func greedySubset[T Count](counts [][]T, total []T) (mask uint64, best float64, ok bool) {
 	v := len(counts)
 	nc := len(total)
 	left := make([]T, nc)
+	var occ []int
+	for val, h := range counts {
+		for _, n := range h {
+			if n > 0 {
+				occ = append(occ, val)
+				break
+			}
+		}
+	}
 	cur := uint64(0)
 	best = 2.0
 	for round := 0; round < v-1; round++ {
 		pickVal := -1
 		pickG := 2.0
-		for val := 0; val < v; val++ {
+		for _, val := range occ {
 			if cur&(1<<uint(val)) != 0 {
 				continue
 			}
-			nz := false
 			for c, n := range counts[val] {
 				left[c] += n
-				if n > 0 {
-					nz = true
-				}
 			}
 			// Skip the degenerate all-records-left partition.
-			if nz && !slices.Equal(left, total) {
+			if !slices.Equal(left, total) {
 				if g := SplitBelow(left, total); g < pickG {
 					pickG, pickVal = g, val
 				}

@@ -31,7 +31,7 @@ type Discretizer struct {
 // modified.
 func EqualDepth(vals []float64, q int) (*Discretizer, error) {
 	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
+	SortFloat64s(sorted, nil)
 	return EqualDepthSorted(sorted, q)
 }
 

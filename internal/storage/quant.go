@@ -39,6 +39,7 @@ type Quantizer struct {
 	schema  *dataset.Schema
 	attrs   []QuantAttr
 	cuts    [][]float64 // per attr; nil for categorical
+	grids   []cutGrid   // per attr: Encode's starting codes
 	bins    []int
 	width   []int
 	recSize int64
@@ -63,6 +64,7 @@ func NewQuantizer(schema *dataset.Schema, attrs []QuantAttr) (*Quantizer, error)
 		schema: schema,
 		attrs:  make([]QuantAttr, len(attrs)),
 		cuts:   make([][]float64, len(attrs)),
+		grids:  make([]cutGrid, len(attrs)),
 		bins:   make([]int, len(attrs)),
 		width:  make([]int, len(attrs)),
 	}
@@ -102,6 +104,7 @@ func NewQuantizer(schema *dataset.Schema, attrs []QuantAttr) (*Quantizer, error)
 			if q.cuts[a] == nil {
 				q.cuts[a] = []float64{} // distinguish "numeric, 1 bin" from categorical
 			}
+			q.grids[a] = newCutGrid(q.cuts[a])
 		}
 		q.width[a] = 1
 		if q.bins[a] > 256 {
@@ -137,15 +140,91 @@ func (q *Quantizer) Tables() []QuantAttr {
 
 // Encode maps one raw record to bin codes. codes must have NumAttrs entries.
 // Values are assumed valid (categorical integral and in range, numeric not
-// NaN) — callers validate upstream, this is the per-record hot path.
+// NaN) — callers validate upstream, this is the per-record hot path. A
+// numeric code is the number of cuts below the value, sort.SearchFloat64s's
+// answer, read off the attribute's cutGrid.
 func (q *Quantizer) Encode(vals []float64, codes []uint16) {
 	for a, cuts := range q.cuts {
 		if cuts == nil {
 			codes[a] = uint16(vals[a])
 			continue
 		}
-		codes[a] = uint16(sort.SearchFloat64s(cuts, vals[a]))
+		codes[a] = uint16(q.grids[a].code(cuts, vals[a]))
 	}
+}
+
+// maxGridCells caps a cutGrid's size, which is otherwise gridCellsPerCut
+// cells per cut: at 65536 bins a grid holds about four cuts per cell.
+const (
+	gridCellsPerCut = 4
+	maxGridCells    = 1 << 14
+)
+
+// cutGrid narrows the code search over ascending cuts: it splits
+// [cuts[0], cuts[last]] into equal-width cells and keeps, per cell, the
+// code of the cell's lower edge. A value's code is then its cell's
+// starting code corrected against the cuts, a step or two where the cuts
+// are spread evenly over the cells.
+type cutGrid struct {
+	lo, scale float64 // a value v falls in cell int((v-lo)*scale)
+	start     []uint16
+}
+
+// newCutGrid builds the grid over cuts. Fewer than two cuts, or a range
+// whose width does not scale to a finite positive factor, get no grid and
+// leave code to a binary search.
+func newCutGrid(cuts []float64) cutGrid {
+	n := len(cuts)
+	if n < 2 {
+		return cutGrid{}
+	}
+	cells := min(gridCellsPerCut*n, maxGridCells)
+	lo := cuts[0]
+	scale := float64(cells) / (cuts[n-1] - lo)
+	if !(scale > 0) || math.IsInf(scale, 0) {
+		return cutGrid{}
+	}
+	g := cutGrid{lo: lo, scale: scale, start: make([]uint16, cells)}
+	c := 0
+	for i := range g.start {
+		edge := lo + float64(i)/scale
+		for c < n && cuts[c] < edge {
+			c++
+		}
+		// The codes code reads the grid for lie in [1, n-1]; clamping
+		// keeps a rounded-up last edge from starting past the cuts.
+		g.start[i] = uint16(min(c, n-1))
+	}
+	return g
+}
+
+// code returns the number of cuts below v: sort.SearchFloat64s(cuts, v).
+// The cell computed for v may be off by one either way through rounding,
+// so the starting code is corrected in both directions.
+func (g *cutGrid) code(cuts []float64, v float64) int {
+	n := len(cuts)
+	if n == 0 || v <= cuts[0] {
+		return 0
+	}
+	if !(v <= cuts[n-1]) {
+		return n // above every cut, or NaN
+	}
+	if g.start == nil {
+		return sort.SearchFloat64s(cuts, v)
+	}
+	// cuts[0] < v <= cuts[n-1], so the walks below stay inside cuts.
+	i := len(g.start) - 1
+	if f := (v - g.lo) * g.scale; f < float64(i) {
+		i = int(f)
+	}
+	c := int(g.start[i])
+	for cuts[c] < v {
+		c++
+	}
+	for c > 0 && cuts[c-1] >= v {
+		c--
+	}
+	return c
 }
 
 // Decode maps bin codes back to representative raw values: cut c for

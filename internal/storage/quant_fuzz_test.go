@@ -2,8 +2,10 @@ package storage
 
 import (
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"cmpdt/internal/dataset"
@@ -158,6 +160,93 @@ func FuzzQuantRoundTrip(f *testing.F) {
 		})
 		if err != nil || count != n {
 			t.Fatalf("scan err=%v count=%d want=%d", err, count, n)
+		}
+	})
+}
+
+// fuzzCuts draws n strictly ascending finite cuts of the given shape:
+// spread uniformly, a few ULPs apart around x, clustered with widely
+// varying gaps, straddling both zeros among subnormals, or spanning the
+// whole float range.
+func fuzzCuts(rng *rand.Rand, n int, shape uint8, x float64) []float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e300 {
+		x = 0
+	}
+	cuts := make([]float64, 0, n)
+	v := x
+	for len(cuts) < n {
+		switch shape % 5 {
+		case 0:
+			v += 1 + rng.Float64()*10
+		case 1:
+			for k := rng.Intn(3); k >= 0; k-- {
+				v = math.Nextafter(v, math.Inf(1))
+			}
+		case 2:
+			v += math.Pow(10, float64(rng.Intn(12)-6))
+		case 3:
+			if len(cuts) == 0 {
+				v = -float64(n/2) * math.SmallestNonzeroFloat64
+			}
+			v = math.Nextafter(v, math.Inf(1))
+		default:
+			v = -1e300 + 2e300*float64(len(cuts)+1)/float64(n+1)
+		}
+		if len(cuts) > 0 && v <= cuts[len(cuts)-1] {
+			// A step too small to move v, or a zero crossing: take the
+			// next float up instead.
+			v = math.Nextafter(cuts[len(cuts)-1], math.Inf(1))
+		}
+		cuts = append(cuts, v)
+	}
+	return cuts
+}
+
+// FuzzQuantizerEncode holds Encode's grid search to sort.SearchFloat64s
+// over every cut, the values one ULP either side of it, the midpoints
+// between cuts, both zeros, both infinities, values outside the cut range
+// and random values inside it, for one-cut tables up to 65535 cuts.
+func FuzzQuantizerEncode(f *testing.F) {
+	f.Add(int64(1), uint16(0), uint8(0), 0.0)
+	f.Add(int64(2), uint16(1), uint8(1), 1.5)
+	f.Add(int64(3), uint16(200), uint8(1), -3.0)
+	f.Add(int64(4), uint16(700), uint8(2), 1e6)
+	f.Add(int64(5), uint16(40), uint8(3), 0.0)
+	f.Add(int64(6), uint16(99), uint8(4), 0.0)
+	f.Add(int64(7), uint16(65534), uint8(0x80), 7.0)
+	f.Fuzz(func(t *testing.T, seed int64, ncuts uint16, shape uint8, x float64) {
+		n := 1 + int(ncuts)%4096
+		if shape&0x80 != 0 {
+			n = 1 + int(min(ncuts, 65534))
+		}
+		rng := rand.New(rand.NewSource(seed))
+		cuts := fuzzCuts(rng, n, shape, x)
+		schema := &dataset.Schema{
+			Attrs:   []dataset.Attribute{{Name: "a", Kind: dataset.Numeric}},
+			Classes: []string{"n", "y"},
+		}
+		last := cuts[len(cuts)-1]
+		q, err := NewQuantizer(schema, []QuantAttr{{Cuts: cuts, Max: math.Nextafter(last, math.Inf(1))}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probes := []float64{math.Copysign(0, -1), 0, math.Inf(-1), math.Inf(1), x,
+			math.Nextafter(cuts[0], math.Inf(-1)), cuts[0] - 1, last + 1, -math.MaxFloat64, math.MaxFloat64}
+		for i, c := range cuts {
+			probes = append(probes, c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)))
+			if i > 0 {
+				probes = append(probes, cuts[i-1]+(c-cuts[i-1])/2)
+			}
+		}
+		for k := 0; k < 64; k++ {
+			probes = append(probes, cuts[0]+(last-cuts[0])*rng.Float64())
+		}
+		codes := make([]uint16, 1)
+		for _, v := range probes {
+			q.Encode([]float64{v}, codes)
+			if want := sort.SearchFloat64s(cuts, v); int(codes[0]) != want {
+				t.Fatalf("%d cuts (shape %d): Encode(%v) = %d, want %d", n, shape%5, v, codes[0], want)
+			}
 		}
 	})
 }

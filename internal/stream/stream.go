@@ -291,35 +291,25 @@ func (b *Builder) commit(ctx context.Context) error {
 	m := b.m
 	numSub := (m + subchunk - 1) / subchunk
 	deltas := make([]*subDelta, numSub)
-	workers := min(b.cfg.Workers, numSub)
+	workers := max(min(b.cfg.Workers, numSub), 1)
 
-	if workers <= 1 {
-		for s := 0; s < numSub; s++ {
-			if err := ctx.Err(); err != nil {
-				b.closed = true
-				return err
-			}
-			deltas[s] = b.precompute(s)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for s := w; s < numSub; s += workers {
-					if ctx.Err() != nil {
-						return
-					}
-					deltas[s] = b.precompute(s)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for s := w; s < numSub; s += workers {
+				if ctx.Err() != nil {
+					return
 				}
-			}(w)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			b.closed = true
-			return err
-		}
+				deltas[s] = b.precompute(s)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		b.closed = true
+		return err
 	}
 
 	for s := 0; s < numSub; s++ {
