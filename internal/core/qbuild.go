@@ -689,11 +689,12 @@ func (b *qbuilder) pend(*qnode, *view, *numEval, decideKind) int { return 0 }
 func (b *qbuilder) bestObliqueSplit(*view) (obliqueLine, bool) { return obliqueLine{}, false }
 
 // finish grows a collect node's subtree over its buffered codes
-// (finishCodes). The finisher's midpoint thresholds land between integer
-// codes, which translate resolves like any boundary: code <= t is
+// (exact.FinishCodes). The finisher's midpoint thresholds land between
+// integer codes, which translate resolves like any boundary: code <= t is
 // code <= floor(t) for integer codes.
 func (b *qbuilder) finish(n *qnode, cfg exact.Config) *tree.Node {
-	return finishCodes(&n.buffer, b.schema, cfg)
+	buf := &n.buffer
+	return exact.FinishCodes(buf.codes, buf.k, buf.labels, buf.weights, b.schema, cfg)
 }
 
 // translate rewrites every numeric threshold from code space to raw feature

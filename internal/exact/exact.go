@@ -1,19 +1,19 @@
-// Package exact implements a straightforward in-memory decision-tree
-// builder that evaluates the gini index at every distinct attribute value —
-// the "exact algorithm" the paper compares CMP's split selection against in
-// Table 1. It is also used by the raw CMP builder and the comparators to
-// finish small subtrees in memory once a node's records fit a buffer, the
-// standard practice for disk-oriented tree builders. (Quantized CMP builds
-// finish on bin codes instead, growing the same trees; see
-// internal/core/qfinish.go.)
+// Package exact is the in-memory decision-tree builder that evaluates the
+// gini index at every distinct attribute value: the "exact algorithm" the
+// paper compares CMP's split selection against in Table 1. Every builder
+// finishes a node here once its records fit a buffer, the standard practice
+// for disk-oriented tree builders: the raw CMP builder, the comparators and
+// windowing through the float front end (BuildSubtree, BuildTable,
+// BestSplit), and quantized CMP builds through the code front end
+// (FinishCodes). Both front ends rank-code their rows once and grow the
+// tree with one finisher (finish.go).
 package exact
 
 import (
-	"sort"
+	"slices"
 
 	"cmpdt/internal/dataset"
-	"cmpdt/internal/gini"
-	"cmpdt/internal/prune"
+	"cmpdt/internal/quantile"
 	"cmpdt/internal/tree"
 )
 
@@ -63,17 +63,9 @@ func BuildTable(t *dataset.Table, cfg Config) *tree.Tree {
 }
 
 // BuildSubtree builds an exact subtree over the given rows and returns its
-// root node. The rows are copied into scratch index arrays; the container is
-// not modified.
+// root node. The container is not modified.
 func BuildSubtree(rows Rows, schema *dataset.Schema, cfg Config) *tree.Node {
-	n := rows.Len()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	b := newBuilder(rows, schema, cfg)
-	root, _ := b.build(idx, b.classCounts(idx), 0)
-	return root
+	return rankRows(rows, schema, cfg).grow()
 }
 
 // BestSplit evaluates every attribute of the rows exactly and returns the
@@ -81,148 +73,114 @@ func BuildSubtree(rows Rows, schema *dataset.Schema, cfg Config) *tree.Node {
 // rows. This is the primitive Table 1's "Exact Algo." columns are produced
 // with.
 func BestSplit(rows Rows, schema *dataset.Schema) (tree.Split, float64, bool) {
-	n := rows.Len()
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	b := newBuilder(rows, schema, DefaultConfig())
-	return b.bestSplit(idx, b.classCounts(idx))
+	f := rankRows(rows, schema, DefaultConfig())
+	h := f.get()
+	f.fill(h, f.idx)
+	split, _, g, ok := f.bestSplit(h, f.idx, f.rootCounts())
+	return split, g, ok
 }
 
-type builder struct {
-	rows   Rows
-	schema *dataset.Schema
-	cfg    Config
-	mdl    prune.MDL
+// allowed reports whether cfg lets attribute a split.
+func allowed(cfg Config, a int) bool { return cfg.AllowedAttrs == nil || cfg.AllowedAttrs[a] }
+
+// rankedValue is one row's value of a numeric attribute, for rank coding.
+type rankedValue struct {
+	v   float64
+	row uint32
 }
 
-func newBuilder(rows Rows, schema *dataset.Schema, cfg Config) *builder {
-	mdl := prune.MDL{NumAttrs: schema.NumAttrs(), NumClasses: schema.NumClasses()}
-	return &builder{rows: rows, schema: schema, cfg: cfg, mdl: mdl}
-}
-
-func (b *builder) classCounts(idx []int) []int {
-	counts := make([]int, b.schema.NumClasses())
-	for _, i := range idx {
-		counts[b.rows.Label(i)]++
+// rankRows is the float front end: it sorts each allowed numeric attribute
+// of rows once and numbers its distinct values in ascending order, equal
+// values (by ==, so -0 and +0 alike) sharing a rank. Categorical values
+// are their category indices already. Every row stands for one record.
+func rankRows(rows Rows, schema *dataset.Schema, cfg Config) *finisher {
+	n, k := rows.Len(), schema.NumAttrs()
+	labels := make([]int32, n)
+	weights := make([]uint32, n)
+	for i := range labels {
+		labels[i] = int32(rows.Label(i))
+		weights[i] = 1
 	}
-	return counts
-}
-
-// build grows the subtree over the rows in idx, whose class counts are
-// counts, and returns its root with the root's MDL cost when Prune is set.
-// With Prune it makes prune.MDL's three cuts: a node whose leaf cost lc is no
-// worse than the bound stays a leaf; so does one whose split cannot beat lc
-// even if each child reaches its floor (tested again with the left child's
-// actual cost); and a grown node collapses when PUBLIC1 would collapse it.
-func (b *builder) build(idx, counts []int, depth int) (*tree.Node, float64) {
-	node := &tree.Node{}
-	node.SetCounts(counts)
-	var lc float64
-	if b.cfg.Prune {
-		lc = b.mdl.Leaf(node.Errors())
-	}
-	if node.Gini == 0 || node.N < b.cfg.MinSplitRecords || depth >= b.cfg.MaxDepth {
-		return node, lc
-	}
-	if b.cfg.PurityStop > 0 && float64(node.ClassCounts[node.Class]) >= b.cfg.PurityStop*float64(node.N) {
-		return node, lc
-	}
-	if b.cfg.Prune && lc <= b.mdl.Bound(counts, node.N) {
-		return node, lc
-	}
-	split, g, ok := b.bestSplit(idx, counts)
-	if !ok || node.Gini-g < b.cfg.MinGiniGain {
-		return node, lc
-	}
-	nc := len(counts)
-	cc := make([]int, 2*nc)
-	leftCounts, rightCounts := cc[:nc:nc], cc[nc:]
-	var left, right []int
-	for _, i := range idx {
-		if split.GoesLeft(b.rows.Row(i)) {
-			left = append(left, i)
-			leftCounts[b.rows.Label(i)]++
-		} else {
-			right = append(right, i)
-			rightCounts[b.rows.Label(i)]++
-		}
-	}
-	if len(left) == 0 || len(right) == 0 {
-		return node, lc
-	}
-	var floorR float64
-	if b.cfg.Prune {
-		floorR = b.mdl.Floor(rightCounts, len(right))
-		if lc <= b.mdl.Internal(&split, node.N, b.mdl.Floor(leftCounts, len(left)), floorR) {
-			return node, lc
-		}
-	}
-	l, costL := b.build(left, leftCounts, depth+1)
-	if b.cfg.Prune && lc <= b.mdl.Internal(&split, node.N, costL, floorR) {
-		return node, lc
-	}
-	r, costR := b.build(right, rightCounts, depth+1)
-	cost := b.mdl.Internal(&split, node.N, costL, costR)
-	if b.cfg.Prune && lc <= cost {
-		return node, lc
-	}
-	node.Split, node.Left, node.Right = &split, l, r
-	return node, cost
-}
-
-// bestSplit scans every attribute for the best exact split of the rows in
-// idx, whose class counts are total.
-func (b *builder) bestSplit(idx, total []int) (tree.Split, float64, bool) {
-	var best tree.Split
-	bestG := 2.0
-	found := false
-	zeros := make([]int, len(total))
-
-	vals := make([]float64, len(idx))
-	labels := make([]int, len(idx))
-	order := make([]int, len(idx))
-
-	for a := 0; a < b.schema.NumAttrs(); a++ {
-		if b.cfg.AllowedAttrs != nil && !b.cfg.AllowedAttrs[a] {
+	cols := make([][]uint32, k)
+	vals := make([][]float64, k)
+	var pairs, scratch []rankedValue
+	var distinct []float64
+	for a := 0; a < k; a++ {
+		if !allowed(cfg, a) {
 			continue
 		}
-		attr := &b.schema.Attrs[a]
-		if attr.Kind == dataset.Categorical {
-			counts := make([][]int, attr.Cardinality())
-			for v := range counts {
-				counts[v] = make([]int, len(total))
-			}
-			for _, i := range idx {
-				counts[int(b.rows.Row(i)[a])][b.rows.Label(i)]++
-			}
-			mask, g, ok := gini.BestSubsetSplit(counts)
-			if ok && g < bestG {
-				bestG = g
-				best = tree.Split{Kind: tree.SplitCategorical, Attr: a, Subset: mask}
-				found = true
+		col := make([]uint32, n)
+		cols[a] = col
+		if schema.Attrs[a].Kind == dataset.Categorical {
+			for i := range col {
+				col[i] = uint32(rows.Row(i)[a])
 			}
 			continue
 		}
-		for j, i := range idx {
-			order[j] = j
-			vals[j] = b.rows.Row(i)[a]
-			labels[j] = b.rows.Label(i)
+		if pairs == nil {
+			pairs, scratch, distinct = make([]rankedValue, n), make([]rankedValue, n), make([]float64, 0, n)
 		}
-		sort.Slice(order, func(x, y int) bool { return vals[order[x]] < vals[order[y]] })
-		sortedVals := make([]float64, len(idx))
-		sortedLabels := make([]int, len(idx))
-		for j, o := range order {
-			sortedVals[j] = vals[o]
-			sortedLabels[j] = labels[o]
+		for i := range pairs {
+			pairs[i] = rankedValue{rows.Row(i)[a], uint32(i)}
 		}
-		thresh, g, ok := gini.BestSplitSorted(sortedVals, sortedLabels, zeros, total, false)
-		if ok && g < bestG {
-			bestG = g
-			best = tree.Split{Kind: tree.SplitNumeric, Attr: a, Threshold: thresh}
-			found = true
+		distinct = distinct[:0]
+		for _, p := range quantile.RadixSort(pairs, scratch, func(p rankedValue) float64 { return p.v }) {
+			if len(distinct) == 0 || p.v != distinct[len(distinct)-1] {
+				distinct = append(distinct, p.v)
+			}
+			col[p.row] = uint32(len(distinct) - 1)
 		}
+		vals[a] = slices.Clone(distinct)
 	}
-	return best, bestG, found
+	// The rows' bytes: eight per value, four per label.
+	return newFinisher(schema, cfg, cols, vals, labels, weights, n*(8*k+4))
+}
+
+// FinishCodes is the code front end: it grows the subtree over rows of bin
+// codes, k per row in codes, each row with its label and the number of
+// records it stands for (at least 1), and returns its root. A numeric
+// attribute's occupied codes are numbered in ascending order, each rank
+// standing for its code's value; the tree is the one BuildSubtree grows
+// over the codes widened to float64 and each row repeated as often as it is
+// weighted. A numeric threshold is the midpoint between two occupied codes.
+func FinishCodes(codes []uint16, k int, labels []int32, weights []uint32, schema *dataset.Schema, cfg Config) *tree.Node {
+	n := len(labels)
+	cols := make([][]uint32, k)
+	vals := make([][]float64, k)
+	for a := 0; a < k; a++ {
+		if !allowed(cfg, a) {
+			continue
+		}
+		col := make([]uint32, n)
+		for i := range col {
+			col[i] = uint32(codes[i*k+a])
+		}
+		cols[a] = col
+		if schema.Attrs[a].Kind == dataset.Categorical || n == 0 {
+			continue
+		}
+		// Mark the occupied codes in [lo, hi], number them in code order
+		// and replace each code with its number.
+		lo, hi := col[0], col[0]
+		for _, c := range col {
+			lo, hi = min(lo, c), max(hi, c)
+		}
+		rank := make([]uint32, hi-lo+1)
+		for _, c := range col {
+			rank[c-lo] = 1
+		}
+		var distinct []float64
+		for c, seen := range rank {
+			if seen != 0 {
+				rank[c] = uint32(len(distinct))
+				distinct = append(distinct, float64(int(lo)+c))
+			}
+		}
+		for i, c := range col {
+			col[i] = rank[c-lo]
+		}
+		vals[a] = distinct
+	}
+	// The buffer's bytes: two per code, four per label and per weight.
+	return newFinisher(schema, cfg, cols, vals, labels, weights, n*(2*k+8)).grow()
 }

@@ -2,7 +2,6 @@ package gini
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 )
 
@@ -41,26 +40,6 @@ func BenchmarkEstimateInterval(b *testing.B) {
 				EstimateInterval(x, y, total)
 			}
 		})
-	}
-}
-
-func BenchmarkBestSplitSorted(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	const n = 10_000
-	vals := make([]float64, n)
-	labels := make([]int, n)
-	total := make([]int, 2)
-	for i := range vals {
-		vals[i] = rng.Float64() * 1000
-		labels[i] = rng.Intn(2)
-		total[labels[i]]++
-	}
-	sort.Float64s(vals)
-	zeros := []int{0, 0}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BestSplitSorted(vals, labels, zeros, total, false)
 	}
 }
 

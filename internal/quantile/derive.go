@@ -98,5 +98,5 @@ func Derive(parent *Discretizer, counts []int, lo, hi float64, bins int, domainM
 		}
 		cuts = append(cuts, c)
 	}
-	return &Discretizer{cuts: cuts}, nil
+	return fromCuts(cuts), nil
 }

@@ -220,5 +220,5 @@ func (s *GK) Discretizer(q int) (*Discretizer, error) {
 		}
 		cuts = append(cuts, c)
 	}
-	return &Discretizer{cuts: cuts}, nil
+	return fromCuts(cuts), nil
 }

@@ -10,6 +10,7 @@ package quantile
 
 import (
 	"errors"
+	"math"
 	"sort"
 )
 
@@ -20,6 +21,12 @@ type Discretizer struct {
 	// (heavy point masses isolated by EqualDepth). The hill-climbing gini
 	// estimate is meaningless inside them — no interior split point exists.
 	single []bool
+	grid   cutGrid
+}
+
+// fromCuts returns the discretizer over cuts, which it keeps.
+func fromCuts(cuts []float64) *Discretizer {
+	return &Discretizer{cuts: cuts, grid: newCutGrid(cuts)}
 }
 
 // EqualDepth builds an equal-depth (quantile) discretizer from a sample of
@@ -77,7 +84,7 @@ func EqualDepthSorted(sorted []float64, q int) (*Discretizer, error) {
 		add(c)
 	}
 	sort.Float64s(cuts)
-	d := &Discretizer{cuts: cuts}
+	d := fromCuts(cuts)
 	d.markSingles(sorted)
 	return d, nil
 }
@@ -141,7 +148,7 @@ func EqualWidth(min, max float64, q int) (*Discretizer, error) {
 	for k := 1; k < q; k++ {
 		cuts = append(cuts, min+float64(k)*w)
 	}
-	return &Discretizer{cuts: cuts}, nil
+	return fromCuts(cuts), nil
 }
 
 // FromCuts builds a discretizer from explicit ascending cut points. It is
@@ -153,17 +160,16 @@ func FromCuts(cuts []float64) (*Discretizer, error) {
 			return nil, errors.New("quantile: cuts not strictly ascending")
 		}
 	}
-	return &Discretizer{cuts: append([]float64(nil), cuts...)}, nil
+	return fromCuts(append([]float64(nil), cuts...)), nil
 }
 
 // Bins returns the number of intervals.
 func (d *Discretizer) Bins() int { return len(d.cuts) + 1 }
 
-// Interval returns the interval index of v in [0, Bins()).
-func (d *Discretizer) Interval(v float64) int {
-	// Smallest i with cuts[i] >= v; values equal to a cut stay below it.
-	return sort.SearchFloat64s(d.cuts, v)
-}
+// Interval returns the interval index of v in [0, Bins()): the number of
+// cuts below v, sort.SearchFloat64s's answer, so values equal to a cut
+// stay below it and NaN falls past every cut.
+func (d *Discretizer) Interval(v float64) int { return d.grid.code(d.cuts, v) }
 
 // Boundary returns cut point i, the value C of split candidate "a <= C"
 // between intervals i and i+1. i must be in [0, Bins()-1).
@@ -192,5 +198,84 @@ func (d *Discretizer) Slice(lo, hi int) *Discretizer {
 	if lo < 0 || hi > d.Bins() || lo >= hi {
 		panic("quantile: bad slice range")
 	}
-	return &Discretizer{cuts: append([]float64(nil), d.cuts[lo:hi-1]...)}
+	return fromCuts(append([]float64(nil), d.cuts[lo:hi-1]...))
+}
+
+// maxGridCells caps a cutGrid's size, which is otherwise gridCellsPerCut
+// cells per cut: at 65536 intervals a grid holds about four cuts per cell.
+const (
+	gridCellsPerCut = 4
+	maxGridCells    = 1 << 14
+)
+
+// cutGrid narrows the interval search over ascending cuts: it splits
+// [cuts[0], cuts[last]] into equal-width cells and keeps, per cell, the
+// interval of the cell's lower edge. A value's interval is then its cell's
+// starting interval corrected against the cuts, a step or two where the
+// cuts are spread evenly over the cells.
+type cutGrid struct {
+	lo, scale float64 // a value v falls in cell int((v-lo)*scale)
+	start     []uint32
+}
+
+// newCutGrid builds the grid over cuts. Fewer than two cuts, cuts not
+// strictly ascending, or a range whose width does not scale to a finite
+// positive factor get no grid and leave code to a binary search.
+func newCutGrid(cuts []float64) cutGrid {
+	n := len(cuts)
+	if n < 2 {
+		return cutGrid{}
+	}
+	for i := 1; i < n; i++ {
+		if !(cuts[i] > cuts[i-1]) {
+			return cutGrid{}
+		}
+	}
+	cells := min(gridCellsPerCut*n, maxGridCells)
+	lo := cuts[0]
+	scale := float64(cells) / (cuts[n-1] - lo)
+	if !(scale > 0) || math.IsInf(scale, 0) {
+		return cutGrid{}
+	}
+	g := cutGrid{lo: lo, scale: scale, start: make([]uint32, cells)}
+	c := 0
+	for i := range g.start {
+		edge := lo + float64(i)/scale
+		for c < n && cuts[c] < edge {
+			c++
+		}
+		// The intervals code reads the grid for lie in [1, n-1]; clamping
+		// keeps a rounded-up last edge from starting past the cuts.
+		g.start[i] = uint32(min(c, n-1))
+	}
+	return g
+}
+
+// code returns the number of cuts below v: sort.SearchFloat64s(cuts, v).
+// The cell computed for v may be off by one either way through rounding,
+// so the starting interval is corrected in both directions.
+func (g *cutGrid) code(cuts []float64, v float64) int {
+	if g.start == nil {
+		return sort.SearchFloat64s(cuts, v)
+	}
+	n := len(cuts)
+	if v <= cuts[0] {
+		return 0
+	}
+	if !(v <= cuts[n-1]) {
+		return n // above every cut, or NaN
+	}
+	// cuts[0] < v <= cuts[n-1], so the walks below stay inside cuts.
+	i := len(g.start) - 1
+	if f := (v - g.lo) * g.scale; f < float64(i) {
+		i = int(f)
+	}
+	c := int(g.start[i])
+	for cuts[c] < v {
+		c++
+	}
+	for c > 0 && cuts[c-1] >= v {
+		c--
+	}
+	return c
 }

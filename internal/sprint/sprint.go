@@ -248,13 +248,30 @@ func (b *sprintBuilder) process(nd node) []node {
 	return []node{left, right}
 }
 
+// bestThreshold scans numeric attribute list l, sorted by value, for its
+// best split: candidates lie between adjacent distinct values, and the
+// threshold is their midpoint.
+func (b *sprintBuilder) bestThreshold(l *attrList, total []int) (thresh, best float64, ok bool) {
+	cum := make([]int, len(total))
+	best = 2.0
+	for i := 0; i+1 < l.len(); i++ {
+		cum[b.labels[l.rids[i]]]++
+		if l.vals[i+1] == l.vals[i] {
+			continue
+		}
+		if g := gini.SplitBelow(cum, total); g < best {
+			thresh, best, ok = l.vals[i]+(l.vals[i+1]-l.vals[i])/2, g, true
+		}
+	}
+	return thresh, best, ok
+}
+
 // bestSplit evaluates every attribute list of the node exactly.
 func (b *sprintBuilder) bestSplit(nd *node) (tree.Split, float64, bool) {
 	var best tree.Split
 	bestG := 2.0
 	found := false
 	total := nd.tn.ClassCounts
-	zeros := make([]int, b.nc)
 
 	for a := range nd.lists {
 		l := &nd.lists[a]
@@ -275,11 +292,7 @@ func (b *sprintBuilder) bestSplit(nd *node) (tree.Split, float64, bool) {
 			}
 			continue
 		}
-		labels := make([]int, l.len())
-		for i := range labels {
-			labels[i] = int(b.labels[l.rids[i]])
-		}
-		if th, g, ok := gini.BestSplitSorted(l.vals, labels, zeros, total, false); ok && g < bestG {
+		if th, g, ok := b.bestThreshold(l, total); ok && g < bestG {
 			bestG = g
 			best = tree.Split{Kind: tree.SplitNumeric, Attr: a, Threshold: th}
 			found = true

@@ -9,9 +9,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 
 	"cmpdt/internal/dataset"
+	"cmpdt/internal/quantile"
 )
 
 // magicQ1 identifies a CMPDQ1 quantized record store: the CMPDT2 page layout
@@ -37,9 +37,8 @@ type QuantAttr struct {
 // a record is the concatenated codes plus a 2-byte class label.
 type Quantizer struct {
 	schema  *dataset.Schema
-	attrs   []QuantAttr
-	cuts    [][]float64 // per attr; nil for categorical
-	grids   []cutGrid   // per attr: Encode's starting codes
+	disc    []*quantile.Discretizer // per attr over its cuts; nil for categorical
+	max     []float64               // per attr: QuantAttr.Max
 	bins    []int
 	width   []int
 	recSize int64
@@ -62,9 +61,8 @@ func NewQuantizer(schema *dataset.Schema, attrs []QuantAttr) (*Quantizer, error)
 	}
 	q := &Quantizer{
 		schema: schema,
-		attrs:  make([]QuantAttr, len(attrs)),
-		cuts:   make([][]float64, len(attrs)),
-		grids:  make([]cutGrid, len(attrs)),
+		disc:   make([]*quantile.Discretizer, len(attrs)),
+		max:    make([]float64, len(attrs)),
 		bins:   make([]int, len(attrs)),
 		width:  make([]int, len(attrs)),
 	}
@@ -97,14 +95,13 @@ func NewQuantizer(schema *dataset.Schema, attrs []QuantAttr) (*Quantizer, error)
 		if q.bins[a] < 1 || q.bins[a] > math.MaxUint16+1 {
 			return nil, fmt.Errorf("storage: attribute %q has %d bins, want 1..65536", attr.Name, q.bins[a])
 		}
-		q.attrs[a] = QuantAttr{Cuts: append([]float64(nil), cuts...), Max: attrs[a].Max}
-		q.cuts[a] = nil
+		q.max[a] = attrs[a].Max
 		if attr.Kind == dataset.Numeric {
-			q.cuts[a] = q.attrs[a].Cuts
-			if q.cuts[a] == nil {
-				q.cuts[a] = []float64{} // distinguish "numeric, 1 bin" from categorical
+			d, err := quantile.FromCuts(cuts)
+			if err != nil {
+				return nil, err
 			}
-			q.grids[a] = newCutGrid(q.cuts[a])
+			q.disc[a] = d
 		}
 		q.width[a] = 1
 		if q.bins[a] > 256 {
@@ -131,9 +128,12 @@ func (q *Quantizer) RecordBytes() int64 { return q.recSize }
 
 // Tables returns a deep copy of the per-attribute tables.
 func (q *Quantizer) Tables() []QuantAttr {
-	out := make([]QuantAttr, len(q.attrs))
-	for a := range q.attrs {
-		out[a] = QuantAttr{Cuts: append([]float64(nil), q.attrs[a].Cuts...), Max: q.attrs[a].Max}
+	out := make([]QuantAttr, len(q.disc))
+	for a, d := range q.disc {
+		out[a].Max = q.max[a]
+		if d != nil {
+			out[a].Cuts = d.Cuts()
+		}
 	}
 	return out
 }
@@ -141,90 +141,16 @@ func (q *Quantizer) Tables() []QuantAttr {
 // Encode maps one raw record to bin codes. codes must have NumAttrs entries.
 // Values are assumed valid (categorical integral and in range, numeric not
 // NaN) — callers validate upstream, this is the per-record hot path. A
-// numeric code is the number of cuts below the value, sort.SearchFloat64s's
-// answer, read off the attribute's cutGrid.
+// numeric code is the number of cuts below the value, the attribute's
+// Discretizer.Interval.
 func (q *Quantizer) Encode(vals []float64, codes []uint16) {
-	for a, cuts := range q.cuts {
-		if cuts == nil {
+	for a, d := range q.disc {
+		if d == nil {
 			codes[a] = uint16(vals[a])
 			continue
 		}
-		codes[a] = uint16(q.grids[a].code(cuts, vals[a]))
+		codes[a] = uint16(d.Interval(vals[a]))
 	}
-}
-
-// maxGridCells caps a cutGrid's size, which is otherwise gridCellsPerCut
-// cells per cut: at 65536 bins a grid holds about four cuts per cell.
-const (
-	gridCellsPerCut = 4
-	maxGridCells    = 1 << 14
-)
-
-// cutGrid narrows the code search over ascending cuts: it splits
-// [cuts[0], cuts[last]] into equal-width cells and keeps, per cell, the
-// code of the cell's lower edge. A value's code is then its cell's
-// starting code corrected against the cuts, a step or two where the cuts
-// are spread evenly over the cells.
-type cutGrid struct {
-	lo, scale float64 // a value v falls in cell int((v-lo)*scale)
-	start     []uint16
-}
-
-// newCutGrid builds the grid over cuts. Fewer than two cuts, or a range
-// whose width does not scale to a finite positive factor, get no grid and
-// leave code to a binary search.
-func newCutGrid(cuts []float64) cutGrid {
-	n := len(cuts)
-	if n < 2 {
-		return cutGrid{}
-	}
-	cells := min(gridCellsPerCut*n, maxGridCells)
-	lo := cuts[0]
-	scale := float64(cells) / (cuts[n-1] - lo)
-	if !(scale > 0) || math.IsInf(scale, 0) {
-		return cutGrid{}
-	}
-	g := cutGrid{lo: lo, scale: scale, start: make([]uint16, cells)}
-	c := 0
-	for i := range g.start {
-		edge := lo + float64(i)/scale
-		for c < n && cuts[c] < edge {
-			c++
-		}
-		// The codes code reads the grid for lie in [1, n-1]; clamping
-		// keeps a rounded-up last edge from starting past the cuts.
-		g.start[i] = uint16(min(c, n-1))
-	}
-	return g
-}
-
-// code returns the number of cuts below v: sort.SearchFloat64s(cuts, v).
-// The cell computed for v may be off by one either way through rounding,
-// so the starting code is corrected in both directions.
-func (g *cutGrid) code(cuts []float64, v float64) int {
-	n := len(cuts)
-	if n == 0 || v <= cuts[0] {
-		return 0
-	}
-	if !(v <= cuts[n-1]) {
-		return n // above every cut, or NaN
-	}
-	if g.start == nil {
-		return sort.SearchFloat64s(cuts, v)
-	}
-	// cuts[0] < v <= cuts[n-1], so the walks below stay inside cuts.
-	i := len(g.start) - 1
-	if f := (v - g.lo) * g.scale; f < float64(i) {
-		i = int(f)
-	}
-	c := int(g.start[i])
-	for cuts[c] < v {
-		c++
-	}
-	for c > 0 && cuts[c-1] >= v {
-		c--
-	}
-	return c
 }
 
 // Decode maps bin codes back to representative raw values: cut c for
@@ -232,15 +158,15 @@ func (g *cutGrid) code(cuts []float64, v float64) int {
 // to a cut fall below it), Max for the top bin, the category index for
 // categorical attributes.
 func (q *Quantizer) Decode(codes []uint16, vals []float64) {
-	for a, cuts := range q.cuts {
-		if cuts == nil {
+	for a, d := range q.disc {
+		if d == nil {
 			vals[a] = float64(codes[a])
 			continue
 		}
-		if c := int(codes[a]); c < len(cuts) {
-			vals[a] = cuts[c]
+		if c := int(codes[a]); c < d.Bins()-1 {
+			vals[a] = d.Boundary(c)
 		} else {
-			vals[a] = q.attrs[a].Max
+			vals[a] = q.max[a]
 		}
 	}
 }
@@ -248,7 +174,7 @@ func (q *Quantizer) Decode(codes []uint16, vals []float64) {
 // Threshold returns the raw-unit split threshold of numeric attribute a's
 // bin boundary c: raw value v satisfies v <= Threshold(a, c) exactly when
 // its bin code satisfies code <= c. c must be in [0, Bins(a)-1).
-func (q *Quantizer) Threshold(a, c int) float64 { return q.cuts[a][c] }
+func (q *Quantizer) Threshold(a, c int) float64 { return q.disc[a].Boundary(c) }
 
 // encodeRecord packs codes+label into buf using the per-attribute widths.
 func (q *Quantizer) encodeRecord(codes []uint16, label int, buf []byte) {

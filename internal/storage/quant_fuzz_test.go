@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cmpdt/internal/dataset"
+	"cmpdt/internal/quantile"
 )
 
 // FuzzOpenQuantFile throws arbitrary bytes at the CMPDQ1 header parser and,
@@ -204,8 +205,10 @@ func fuzzCuts(rng *rand.Rand, n int, shape uint8, x float64) []float64 {
 
 // FuzzQuantizerEncode holds Encode's grid search to sort.SearchFloat64s
 // over every cut, the values one ULP either side of it, the midpoints
-// between cuts, both zeros, both infinities, values outside the cut range
-// and random values inside it, for one-cut tables up to 65535 cuts.
+// between cuts, both zeros, both infinities, NaN, values outside the cut
+// range and random values inside it, for one-cut tables up to 65535 cuts.
+// The same probes hold quantile.Discretizer.Interval to the search over
+// discretizers made by FromCuts, EqualDepth, EqualWidth and Slice.
 func FuzzQuantizerEncode(f *testing.F) {
 	f.Add(int64(1), uint16(0), uint8(0), 0.0)
 	f.Add(int64(2), uint16(1), uint8(1), 1.5)
@@ -248,5 +251,57 @@ func FuzzQuantizerEncode(f *testing.F) {
 				t.Fatalf("%d cuts (shape %d): Encode(%v) = %d, want %d", n, shape%5, v, codes[0], want)
 			}
 		}
+		probes = append(probes, math.NaN())
+		for _, nd := range fuzzDiscretizers(t, rng, cuts) {
+			dc := nd.d.Cuts()
+			own := probes
+			for _, c := range dc {
+				own = append(own, c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)))
+			}
+			for _, v := range own {
+				if got, want := nd.d.Interval(v), sort.SearchFloat64s(dc, v); got != want {
+					t.Fatalf("%s over %d cuts (shape %d): Interval(%v) = %d, want %d", nd.name, len(dc), shape%5, v, got, want)
+				}
+			}
+		}
 	})
+}
+
+// namedDiscretizer is one discretizer fuzzDiscretizers made, with how.
+type namedDiscretizer struct {
+	name string
+	d    *quantile.Discretizer
+}
+
+// fuzzDiscretizers makes discretizers of every kind around cuts: over the
+// cuts themselves, equal-depth over a sample of the cuts and the values
+// between them, equal-width over the cuts' range and a slice of each.
+func fuzzDiscretizers(t *testing.T, rng *rand.Rand, cuts []float64) []namedDiscretizer {
+	t.Helper()
+	d, err := quantile.FromCuts(cuts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := []namedDiscretizer{{"FromCuts", d}}
+	sample := make([]float64, 0, 2*len(cuts))
+	for i, c := range cuts {
+		sample = append(sample, c)
+		if i > 0 && rng.Intn(2) == 0 {
+			sample = append(sample, cuts[i-1]+(c-cuts[i-1])/2)
+		}
+	}
+	q := 2 + rng.Intn(min(len(sample), 4096)+1)
+	if d, err := quantile.EqualDepth(sample, q); err == nil {
+		out = append(out, namedDiscretizer{"EqualDepth", d})
+	}
+	if d, err := quantile.EqualWidth(cuts[0], cuts[len(cuts)-1], q); err == nil {
+		out = append(out, namedDiscretizer{"EqualWidth", d})
+	}
+	for _, nd := range out {
+		if bins := nd.d.Bins(); bins >= 3 {
+			lo := rng.Intn(bins - 1)
+			out = append(out, namedDiscretizer{nd.name + ".Slice", nd.d.Slice(lo, lo+2+rng.Intn(bins-lo-1))})
+		}
+	}
+	return out
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"cmpdt/internal/dataset"
@@ -233,21 +232,22 @@ func TestStreamNumericSplitNearExactOptimum(t *testing.T) {
 		}
 		committed := gini.SplitBelow(left, total)
 
-		optG, optAttr, optThresh := 2.0, -1, 0.0
-		for _, a := range schema.NumericAttrs() {
-			order := make([]int, prefix)
-			for i := range order {
-				order[i] = i
-			}
-			sort.SliceStable(order, func(x, y int) bool { return tbl.Row(order[x])[a] < tbl.Row(order[y])[a] })
-			vals, labels := make([]float64, prefix), make([]int, prefix)
-			for j, i := range order {
-				vals[j], labels[j] = tbl.Row(i)[a], tbl.Label(i)
-			}
-			if th, g, ok := gini.BestSplitSorted(vals, labels, make([]int, len(total)), total, false); ok && g < optG {
-				optG, optAttr, optThresh = g, a, th
-			}
+		// The exact optimum over the numeric attributes: the root split of
+		// a one-level exact tree over the prefix.
+		first := make([]int, prefix)
+		for i := range first {
+			first[i] = i
 		}
+		numeric := make([]bool, schema.NumAttrs())
+		for _, a := range schema.NumericAttrs() {
+			numeric[a] = true
+		}
+		opt := exact.BuildSubtree(tableRows{tbl.Slice(first)}, schema,
+			exact.Config{MinSplitRecords: 2, MaxDepth: 1, AllowedAttrs: numeric})
+		if opt.Split == nil {
+			t.Fatalf("%s: no exact numeric split of the first %d records", fn, prefix)
+		}
+		optG, optAttr, optThresh := gini.SplitBelow(opt.Left.ClassCounts, total), opt.Split.Attr, opt.Split.Threshold
 		binMass := sum(frozen.histRow(optAttr, frozen.cuts[optAttr].Interval(optThresh)))
 		rankErr := gkEps * float64(b.cfg.Warmup)
 		bound := 2 * (rankErr + binMass) / float64(prefix)

@@ -28,7 +28,10 @@ type Config struct {
 	MaxAdditions int
 	// MaxIterations bounds the refinement loop (default 5).
 	MaxIterations int
-	// Exact configures the in-memory tree built on each window.
+	// Exact configures the in-memory tree built on each window. A zero
+	// MaxDepth takes exact.DefaultConfig's stopping rules: MaxDepth, and
+	// MinSplitRecords and MinGiniGain where they are zero; the other
+	// fields are kept.
 	Exact exact.Config
 	// Seed drives the sampling.
 	Seed int64
@@ -85,7 +88,14 @@ func Build(src storage.Source, cfg Config) (*Result, error) {
 		cfg.MaxAdditions = cfg.InitialWindow / 2
 	}
 	if cfg.Exact.MaxDepth == 0 {
-		cfg.Exact = exact.DefaultConfig()
+		def := exact.DefaultConfig()
+		cfg.Exact.MaxDepth = def.MaxDepth
+		if cfg.Exact.MinSplitRecords == 0 {
+			cfg.Exact.MinSplitRecords = def.MinSplitRecords
+		}
+		if cfg.Exact.MinGiniGain == 0 {
+			cfg.Exact.MinGiniGain = def.MinGiniGain
+		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 

@@ -1,10 +1,12 @@
 package window
 
 import (
+	"bytes"
 	"testing"
 
 	"cmpdt/internal/core"
 	"cmpdt/internal/dataset"
+	"cmpdt/internal/exact"
 	"cmpdt/internal/storage"
 	"cmpdt/internal/synth"
 )
@@ -101,5 +103,34 @@ func TestWindowingEmptyInput(t *testing.T) {
 	empty := dataset.MustNew(synth.Schema())
 	if _, err := Build(storage.NewMem(empty), DefaultConfig()); err == nil {
 		t.Error("empty training set accepted")
+	}
+}
+
+// TestWindowingKeepsExactSettings holds an Exact config with only
+// PurityStop set to the tree its default-filled counterpart grows: filling
+// the unset stopping rules must keep the purity stop.
+func TestWindowingKeepsExactSettings(t *testing.T) {
+	src := storage.NewMem(synth.Generate(synth.F2, 5_000, 4))
+	build := func(ex exact.Config) []byte {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.Exact = ex
+		res, err := Build(src, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := res.Tree.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	got := build(exact.Config{PurityStop: 0.6})
+	want := build(exact.Config{PurityStop: 0.6, MaxDepth: 32, MinSplitRecords: 2, MinGiniGain: 1e-4})
+	if !bytes.Equal(got, want) {
+		t.Fatal("Exact{PurityStop: 0.6} grows a different tree from its default-filled counterpart")
+	}
+	if bytes.Equal(got, build(exact.Config{})) {
+		t.Fatal("PurityStop 0.6 grows the default tree; the check would not see it dropped")
 	}
 }
