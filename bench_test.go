@@ -239,7 +239,7 @@ func BenchmarkAblationPruning(b *testing.B) {
 			noisy := newNoisy(b)
 			for i := 0; i < b.N; i++ {
 				cfg := core.Default(core.CMPS)
-				cfg.Prune = prune
+				cfg.DisablePruning = !prune
 				res, err := core.Build(storage.NewMem(noisy), cfg)
 				if err != nil {
 					b.Fatal(err)

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
 	"strings"
 
 	"cmpdt/internal/cli"
@@ -72,7 +71,7 @@ func main() {
 		}
 	}
 	opts.Intervals = *intervals
-	opts.Eval.Workers = *workers
+	opts.Eval.Tree.Workers = *workers
 	opts.Seed = *seed
 	opts.UseDisk = *disk
 	opts.Dir = *dir
@@ -81,18 +80,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cmpbench:", err)
 		os.Exit(1)
 	}
-	opts.Eval.CacheBytes = cacheBytes
+	opts.Eval.Tree.CacheBytes = cacheBytes
 
 	// One collector aggregates every build the selected experiments run;
 	// CMP-family rounds from successive builds append in execution order.
 	var col *obs.Collector
 	if *metricsJSON != "" || *httpAddr != "" {
-		w := *workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
+		tc, err := opts.Eval.Tree.Validate()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "cmpbench:", err)
+			os.Exit(1)
 		}
-		col = obs.NewCollector(w)
-		opts.Eval.Obs = col
+		col = obs.NewCollector(tc.Workers)
+		opts.Eval.Tree.Obs = col
 	}
 	if *httpAddr != "" {
 		go func() {

@@ -161,7 +161,7 @@ func runStore(ctx context.Context, modelPath, dataPath string, cacheBytes int64,
 		rep.Build.Records = total
 		rep.Build.WallNs = time.Since(start).Nanoseconds()
 		rep.Metrics = reg.Snapshot()
-		rep.IO = eval.IOSummary(f.Stats())
+		rep.IO = f.Stats().Summary()
 		return writeMetrics(metricsJSON, rep)
 	}
 	return nil

@@ -19,37 +19,37 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
-	"cmpdt"
 	"cmpdt/internal/cli"
+	"cmpdt/internal/core"
 	"cmpdt/internal/eval"
+	"cmpdt/internal/forest"
 	"cmpdt/internal/obs"
 	"cmpdt/internal/storage"
 )
 
 func main() {
+	d := core.Default(core.CMPS)
 	algo := flag.String("algo", "cmp", "algorithm: "+strings.Join(eval.Algorithms(), ", "))
 	data := flag.String("data", "", "binary record store to train on (required)")
-	intervals := flag.Int("intervals", 100, "equal-depth intervals per numeric attribute")
-	alive := flag.Int("alive", 2, "maximum alive intervals per split")
+	intervals := flag.Int("intervals", 0, fmt.Sprintf("equal-depth intervals per numeric attribute (0 = library default, %d)", d.Intervals))
+	alive := flag.Int("alive", 0, fmt.Sprintf("maximum alive intervals per split (0 = library default, %d)", d.MaxAlive))
 	allPairs := flag.Bool("all-pairs", false, "full CMP: matrices for every numeric attribute pair (an error with any other -algo or with -quantize)")
 	noPrune := flag.Bool("no-prune", false, "disable MDL pruning")
 	workers := flag.Int("workers", 0, "build parallelism for the CMP family (0 = GOMAXPROCS, 1 = serial; any value yields the identical tree)")
-	seed := flag.Int64("seed", 1, "training seed")
+	seed := flag.Int64("seed", 0, fmt.Sprintf("training seed (0 = library default, %d)", d.Seed))
 	timeout := flag.Duration("timeout", 0, "abort the build after this duration (0 = no limit)")
-	skipInvalid := flag.Bool("skip-invalid", false, "drop records with NaN/Inf features or out-of-range labels instead of aborting (CMP family)")
+	skipInvalid := flag.Bool("skip-invalid", false, "drop records with NaN/Inf features or out-of-range labels instead of aborting (CMP family; an error with any other -algo)")
 	cache := flag.String("cache", "0", `page-cache capacity for the record store, e.g. "64m", "1g", plain bytes ("0" = uncached)`)
-	quantize := flag.Bool("quantize", false, "bin-coded dense-histogram build for the CMP family (thresholds stay in raw units)")
-	quantizeBins := flag.Int("quantize-bins", 0, "code-table resolution for -quantize (0 = -intervals)")
+	quantize := flag.Bool("quantize", false, "bin-coded dense-histogram build for cmp-s and cmp-b (thresholds stay in raw units; an error with any other -algo)")
+	quantizeBins := flag.Int("quantize-bins", 0, "code-table resolution for -quantize (0 = -intervals; an error without -quantize)")
 	quiet := flag.Bool("quiet", false, "suppress the tree printout")
 	save := flag.String("save", "", "write the trained model as JSON to this path")
 	metricsJSON := flag.String("metrics-json", "", `write the observability report as JSON to this path ("-" for stdout)`)
 	forestMode := flag.Bool("forest", false, "train a bagged forest of CMP trees instead of a single tree")
-	trees := flag.Int("trees", 16, "ensemble size for -forest")
-	featureFrac := flag.Float64("feature-frac", 1.0, "fraction of attributes each -forest tree may split on (0 < f <= 1)")
+	trees := flag.Int("trees", 0, fmt.Sprintf("ensemble size for -forest (0 = library default, %d)", forest.DefaultTrees))
+	featureFrac := flag.Float64("feature-frac", 0, "fraction of attributes each -forest tree may split on (0 < f <= 1; 0 = every attribute)")
 	noBootstrap := flag.Bool("no-bootstrap", false, "train every -forest tree on the full set (disables out-of-bag estimation)")
 	flag.Parse()
 
@@ -60,111 +60,79 @@ func main() {
 	if err != nil {
 		cli.Fatal("cmptrain", err)
 	}
-	opts := eval.Options{
+	cfg := core.Config{
 		Intervals:       *intervals,
 		MaxAlive:        *alive,
 		ObliqueAllPairs: *allPairs,
-		PruneOff:        *noPrune,
+		DisablePruning:  *noPrune,
 		Workers:         *workers,
 		Seed:            *seed,
-		SkipInvalid:     *skipInvalid,
 		CacheBytes:      cacheBytes,
 		Quantize:        *quantize,
 		QuantizeBins:    *quantizeBins,
 	}
-	if *forestMode {
-		fcfg := forestOptions{
-			algo:        *algo,
-			trees:       *trees,
-			featureFrac: *featureFrac,
-			noBootstrap: *noBootstrap,
-			eval:        opts,
-		}
-		if err := runForest(ctx, fcfg, *data, *save, *metricsJSON, os.Stdout); err != nil {
-			stop()
-			cli.Fatal("cmptrain", err)
-		}
-		return
+	if *skipInvalid {
+		cfg.Validation = core.ValidateSkip
 	}
-	if err := run(ctx, *algo, *data, *save, *metricsJSON, *quiet, opts, os.Stdout); err != nil {
+	if *forestMode {
+		fc := forest.Config{Trees: *trees, FeatureFrac: *featureFrac, NoBootstrap: *noBootstrap, Tree: cfg}
+		err = runForest(ctx, *algo, fc, *data, *save, *metricsJSON, os.Stdout)
+	} else {
+		err = run(ctx, *algo, *data, *save, *metricsJSON, *quiet, eval.Options{Tree: cfg}, os.Stdout)
+	}
+	if err != nil {
 		stop()
 		cli.Fatal("cmptrain", err)
 	}
 }
 
-// forestOptions carries the -forest flags plus the shared tree knobs.
-type forestOptions struct {
-	algo        string
-	trees       int
-	featureFrac float64
-	noBootstrap bool
-	eval        eval.Options
-}
-
-// runForest trains a bagged ensemble through the public forest API and
-// prints its summary. Only the CMP family can serve as the member
-// algorithm: the forest layer drives per-tree feature subsets through
-// SplitAttrs, which the baseline classifiers do not support.
-func runForest(ctx context.Context, fo forestOptions, data, save, metricsJSON string, stdout io.Writer) error {
-	if data == "" {
-		return fmt.Errorf("-data is required")
-	}
-	var algo cmpdt.Algorithm
-	switch fo.algo {
-	case eval.AlgoCMPS:
-		algo = cmpdt.CMPS
-	case eval.AlgoCMPB:
-		algo = cmpdt.CMPB
-	case eval.AlgoCMP:
-		algo = cmpdt.CMP
+// runForest trains a bagged ensemble of the named CMP variant and prints
+// its summary. Only the CMP family can serve as the member algorithm: the
+// forest layer drives per-tree feature subsets through SplitAttrs, which
+// the baseline classifiers do not support.
+func runForest(ctx context.Context, algo string, fc forest.Config, data, save, metricsJSON string, stdout io.Writer) error {
+	switch algo {
+	case eval.AlgoCMPS, eval.AlgoCMPB, eval.AlgoCMP:
 	default:
-		return fmt.Errorf("-forest requires a CMP-family -algo (cmp-s, cmp-b, cmp), got %q", fo.algo)
+		return fmt.Errorf("-forest requires a CMP-family -algo (cmp-s, cmp-b, cmp), got %q", algo)
 	}
-	cfg := cmpdt.ForestConfig{
-		Trees:       fo.trees,
-		FeatureFrac: fo.featureFrac,
-		NoBootstrap: fo.noBootstrap,
-		Seed:        fo.eval.Seed,
-		Tree: cmpdt.Config{
-			Algorithm:       algo,
-			Intervals:       fo.eval.Intervals,
-			MaxAlive:        fo.eval.MaxAlive,
-			ObliqueAllPairs: fo.eval.ObliqueAllPairs,
-			DisablePruning:  fo.eval.PruneOff,
-			Workers:         fo.eval.Workers,
-			Seed:            fo.eval.Seed,
-			CacheBytes:      fo.eval.CacheBytes,
-			Quantize:        fo.eval.Quantize,
-			QuantizeBins:    fo.eval.QuantizeBins,
-		},
-	}
-	if fo.eval.SkipInvalid {
-		cfg.Tree.Validation = cmpdt.ValidateSkip
-	}
-	if metricsJSON != "" {
-		cfg.Observer = cmpdt.NewObserver()
-	}
-	start := time.Now()
-	f, err := cmpdt.TrainForestFileContext(ctx, data, cfg)
+	opts, err := eval.Options{Tree: fc.Tree}.Validate(algo)
 	if err != nil {
 		return err
 	}
-	wall := time.Since(start)
+	fc.Tree = opts.Tree
+	fc.CollectObs = metricsJSON != ""
+	if data == "" {
+		return fmt.Errorf("-data is required")
+	}
+	src, err := storage.OpenFile(data)
+	if err != nil {
+		return err
+	}
+	res, err := forest.TrainContext(ctx, src, fc)
+	if err != nil {
+		return err
+	}
+	f := res.Forest
 	if metricsJSON != "" {
-		if err := writeMetrics(metricsJSON, cfg.Observer.Report()); err != nil {
+		rep := res.Report
+		rep.Build.Records = src.NumRecords()
+		rep.Build.Seed = f.Seed
+		rep.Build.WallNs = res.Wall.Nanoseconds()
+		if err := writeMetrics(metricsJSON, rep); err != nil {
 			return err
 		}
 	}
-	fmt.Fprintf(stdout, "algorithm   %s forest\n", fo.algo)
+	fmt.Fprintf(stdout, "algorithm   %s forest\n", algo)
 	fmt.Fprintf(stdout, "trees       %d (feature_frac %.2f, bootstrap %v)\n",
-		f.NumTrees(), fo.featureFrac, !fo.noBootstrap)
-	fmt.Fprintf(stdout, "wall time   %v\n", wall)
+		f.NumTrees(), f.FeatureFrac, f.Bootstrap)
+	fmt.Fprintf(stdout, "wall time   %v\n", res.Wall)
 	fmt.Fprintf(stdout, "nodes       %d across the ensemble\n", f.TotalNodes())
-	if f.OOBCount() > 0 {
-		fmt.Fprintf(stdout, "oob error   %.4f over %d records\n", f.OOBError(), f.OOBCount())
+	if f.OOBCount > 0 {
+		fmt.Fprintf(stdout, "oob error   %.4f over %d records\n", f.OOBError, f.OOBCount)
 	}
 	if save != "" {
-		if err := f.SaveModel(save); err != nil {
+		if err := saveModel(save, f.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "model saved to %s\n", save)
@@ -176,24 +144,24 @@ func run(ctx context.Context, algo, data, save, metricsJSON string, quiet bool, 
 	if data == "" {
 		return fmt.Errorf("-data is required")
 	}
+	opts, err := opts.Validate(algo)
+	if err != nil {
+		return err
+	}
 	src, err := storage.OpenFile(data)
 	if err != nil {
 		return err
 	}
 	if metricsJSON != "" {
-		workers := opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		opts.Obs = obs.NewCollector(workers)
+		opts.Tree.Obs = obs.NewCollector(opts.Tree.Workers)
 	}
 	res, tree, err := eval.RunContext(ctx, algo, src, nil, nil, opts)
 	if err != nil {
 		return err
 	}
 	if metricsJSON != "" {
-		rep := eval.MetricsReport(opts.Obs, res)
-		rep.Build.Seed = opts.Seed
+		rep := eval.MetricsReport(opts.Tree.Obs, res)
+		rep.Build.Seed = opts.Tree.Seed
 		if err := writeMetrics(metricsJSON, rep); err != nil {
 			return err
 		}
@@ -213,15 +181,7 @@ func run(ctx context.Context, algo, data, save, metricsJSON string, quiet bool, 
 		fmt.Fprintf(stdout, "io retries  %d transient read failure(s) absorbed\n", res.Retries)
 	}
 	if save != "" {
-		f, err := os.Create(save)
-		if err != nil {
-			return err
-		}
-		if err := tree.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := saveModel(save, tree.WriteJSON); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "model saved to %s\n", save)
@@ -231,6 +191,19 @@ func run(ctx context.Context, algo, data, save, metricsJSON string, quiet bool, 
 		fmt.Fprint(stdout, tree.String())
 	}
 	return nil
+}
+
+// saveModel writes a model's JSON to path.
+func saveModel(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // writeMetrics emits the observability report as indented JSON to path, or

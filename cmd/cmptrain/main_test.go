@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -12,7 +13,9 @@ import (
 	"strings"
 	"testing"
 
+	"cmpdt/internal/core"
 	"cmpdt/internal/eval"
+	"cmpdt/internal/forest"
 	"cmpdt/internal/obs"
 	"cmpdt/internal/storage"
 	"cmpdt/internal/synth"
@@ -32,12 +35,17 @@ func trainData(t *testing.T) string {
 }
 
 // runMetrics trains with -metrics-json and returns the decoded report both
-// as the typed struct and as raw JSON.
+// as the typed struct and as raw JSON: full CMP raw, CMP-B quantized (no
+// linear split is searched on codes).
 func runMetrics(t *testing.T, data string, quantize bool) (*obs.Report, []byte) {
 	t.Helper()
 	metrics := filepath.Join(t.TempDir(), "metrics.json")
-	opts := eval.Options{Workers: 1, Seed: 1, Quantize: quantize}
-	if err := run(context.Background(), "cmp", data, "", metrics, true, opts, &bytes.Buffer{}); err != nil {
+	algo := eval.AlgoCMP
+	if quantize {
+		algo = eval.AlgoCMPB
+	}
+	opts := eval.Options{Tree: core.Config{Workers: 1, Seed: 1, Quantize: quantize}}
+	if err := run(context.Background(), algo, data, "", metrics, true, opts, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	return readReport(t, metrics)
@@ -198,13 +206,12 @@ func TestMetricsScanTotalsMatchStorage(t *testing.T) {
 // block (enabled, code tables, summed quantize time), not a zero one.
 func TestForestMetricsQuantBlock(t *testing.T) {
 	metrics := filepath.Join(t.TempDir(), "metrics.json")
-	fo := forestOptions{
-		algo:        eval.AlgoCMPB,
-		trees:       3,
-		featureFrac: 0.7,
-		eval:        eval.Options{Workers: 1, Seed: 1, Quantize: true},
+	fc := forest.Config{
+		Trees:       3,
+		FeatureFrac: 0.7,
+		Tree:        core.Config{Workers: 1, Seed: 1, Quantize: true},
 	}
-	if err := runForest(context.Background(), fo, trainData(t), "", metrics, &bytes.Buffer{}); err != nil {
+	if err := runForest(context.Background(), eval.AlgoCMPB, fc, trainData(t), "", metrics, &bytes.Buffer{}); err != nil {
 		t.Fatal(err)
 	}
 	rep, _ := readReport(t, metrics)
@@ -231,19 +238,41 @@ func TestAllPairsRejectedOutsideRawCMP(t *testing.T) {
 		algo     string
 		quantize bool
 	}{{eval.AlgoCMPS, false}, {eval.AlgoCMPB, false}, {eval.AlgoCMP, true}} {
-		opts := eval.Options{Workers: 1, Seed: 1, ObliqueAllPairs: true, Quantize: c.quantize}
-		err := run(context.Background(), c.algo, data, "", "", true, opts, &bytes.Buffer{})
+		tc := core.Config{Workers: 1, Seed: 1, ObliqueAllPairs: true, Quantize: c.quantize}
+		err := run(context.Background(), c.algo, data, "", "", true, eval.Options{Tree: tc}, &bytes.Buffer{})
 		if err == nil || !strings.Contains(err.Error(), "ObliqueAllPairs") {
 			t.Errorf("-algo %s -quantize=%v -all-pairs: err %v, want the ObliqueAllPairs error", c.algo, c.quantize, err)
 		}
-		fo := forestOptions{algo: c.algo, trees: 2, eval: opts}
-		err = runForest(context.Background(), fo, data, "", "", &bytes.Buffer{})
+		err = runForest(context.Background(), c.algo, forest.Config{Trees: 2, Tree: tc}, data, "", "", &bytes.Buffer{})
 		if err == nil || !strings.Contains(err.Error(), "ObliqueAllPairs") {
 			t.Errorf("-forest -algo %s -quantize=%v -all-pairs: err %v, want the ObliqueAllPairs error", c.algo, c.quantize, err)
 		}
 	}
-	opts := eval.Options{Workers: 1, Seed: 1, ObliqueAllPairs: true}
+	opts := eval.Options{Tree: core.Config{Workers: 1, Seed: 1, ObliqueAllPairs: true}}
 	if err := run(context.Background(), eval.AlgoCMP, data, "", "", true, opts, &bytes.Buffer{}); err != nil {
 		t.Errorf("-algo cmp -all-pairs: %v", err)
+	}
+}
+
+// TestQuantizeRejectedForFullCMP: -quantize with the default -algo (cmp)
+// fails, single tree or -forest, and names cmp-b, the build a quantized
+// full CMP would silently have been; -quantize-bins without -quantize and
+// a NaN -feature-frac fail too, naming their knob.
+func TestQuantizeRejectedForFullCMP(t *testing.T) {
+	data := trainData(t)
+	quantized := core.Config{Workers: 1, Quantize: true}
+	if err := run(context.Background(), eval.AlgoCMP, data, "", "", true, eval.Options{Tree: quantized}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "cmp-b") {
+		t.Errorf("-quantize: err %v, want an error naming cmp-b", err)
+	}
+	if err := runForest(context.Background(), eval.AlgoCMP, forest.Config{Trees: 2, Tree: quantized}, data, "", "", &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "cmp-b") {
+		t.Errorf("-forest -quantize: err %v, want an error naming cmp-b", err)
+	}
+	bins := core.Config{Workers: 1, QuantizeBins: 300}
+	if err := run(context.Background(), eval.AlgoCMPB, data, "", "", true, eval.Options{Tree: bins}, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "QuantizeBins") {
+		t.Errorf("-quantize-bins without -quantize: err %v, want an error naming QuantizeBins", err)
+	}
+	nan := forest.Config{Trees: 2, FeatureFrac: math.NaN(), Tree: core.Config{Workers: 1}}
+	if err := runForest(context.Background(), eval.AlgoCMPB, nan, data, "", "", &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "FeatureFrac") {
+		t.Errorf("-feature-frac NaN: err %v, want an error naming FeatureFrac", err)
 	}
 }

@@ -63,18 +63,7 @@ const (
 )
 
 // String names the variant the way the paper does.
-func (a Algorithm) String() string { return coreAlgo(a).String() }
-
-func coreAlgo(a Algorithm) core.Algorithm {
-	switch a {
-	case CMPB:
-		return core.CMPB
-	case CMP:
-		return core.CMPFull
-	default:
-		return core.CMPS
-	}
-}
+func (a Algorithm) String() string { return core.Algorithm(a).String() }
 
 // Attr describes one predictive attribute. A nil Values slice means the
 // attribute is numeric (ordered); otherwise it is categorical with the
@@ -218,23 +207,24 @@ type Config struct {
 	// deterministically and counts them in Stats.SkippedRecords.
 	Validation ValidationPolicy
 	// CacheBytes, when positive, attaches a page cache of that capacity to
-	// disk-resident training (TrainFile/TrainFileContext), so repeated scan
-	// rounds re-read resident pages from memory. The trained tree and all
-	// logical scan accounting are bit-identical with or without the cache;
-	// only the physical I/O counters (cache hits/misses/evictions/
-	// prefetches in the observability report) change. Ignored for
-	// in-memory datasets.
+	// disk-resident training (TrainFile, TrainForestFile and their Context
+	// forms), so repeated scan rounds re-read resident pages from memory.
+	// The trained tree and all logical scan accounting are bit-identical
+	// with or without the cache; only the physical I/O counters (cache
+	// hits/misses/evictions/prefetches in the observability report) change.
+	// An in-memory dataset has no pages to cache: Train, TrainForest and
+	// CrossValidate reject a positive value.
 	CacheBytes int64
 	// Quantize routes training through the bin-coded dense-histogram path:
 	// one extra pass maps each numeric value to its equal-depth bin code,
 	// scan rounds then accumulate dense per-code histograms over the compact
 	// encoding. Emitted thresholds stay in raw feature units (they land on
-	// the bin breakpoints), trees remain bit-identical across worker counts
-	// and cache settings, and under CMPFull the linear-split search is
-	// skipped (the build behaves as CMP-B).
+	// the bin breakpoints), and trees remain bit-identical across worker
+	// counts and cache settings. No linear split is searched on codes, so
+	// Quantize with CMP is an error naming CMPB.
 	Quantize bool
 	// QuantizeBins is the per-numeric-attribute code-table resolution for
-	// Quantize (default: Intervals).
+	// Quantize (default: Intervals); set without Quantize it is an error.
 	QuantizeBins int
 	// Observer, when non-nil, collects the build's observability report:
 	// per-round phase timings (scan, buffer sort, exact-split resolution,
@@ -280,40 +270,28 @@ const (
 	ValidateSkip
 )
 
+// internal copies c into the core knob table, which validates it.
 func (c Config) internal() core.Config {
-	cfg := core.Default(coreAlgo(c.Algorithm))
-	if c.Intervals != 0 {
-		cfg.Intervals = c.Intervals
+	return core.Config{
+		Algorithm:           core.Algorithm(c.Algorithm),
+		Intervals:           c.Intervals,
+		MaxAlive:            c.MaxAlive,
+		MaxDepth:            c.MaxDepth,
+		InMemoryNodeRecords: c.InMemoryNodeRecords,
+		DisablePruning:      c.DisablePruning,
+		ObliqueAllPairs:     c.ObliqueAllPairs,
+		Workers:             c.Workers,
+		Seed:                c.Seed,
+		Validation:          core.ValidationPolicy(c.Validation),
+		CacheBytes:          c.CacheBytes,
+		Quantize:            c.Quantize,
+		QuantizeBins:        c.QuantizeBins,
 	}
-	if c.MaxAlive != 0 {
-		cfg.MaxAlive = c.MaxAlive
-	}
-	if c.MaxDepth != 0 {
-		cfg.MaxDepth = c.MaxDepth
-	}
-	if c.InMemoryNodeRecords != 0 {
-		cfg.InMemoryNodeRecords = c.InMemoryNodeRecords
-	}
-	cfg.Prune = !c.DisablePruning
-	cfg.ObliqueAllPairs = c.ObliqueAllPairs
-	if c.Workers != 0 {
-		cfg.Workers = c.Workers
-	}
-	if c.Seed != 0 {
-		cfg.Seed = c.Seed
-	}
-	if c.Validation == ValidateSkip {
-		cfg.Validation = core.ValidateSkip
-	}
-	if c.CacheBytes > 0 {
-		cfg.CacheBytes = c.CacheBytes
-	}
-	cfg.Quantize = c.Quantize
-	if c.QuantizeBins != 0 {
-		cfg.QuantizeBins = c.QuantizeBins
-	}
-	return cfg
 }
+
+// errMemCache rejects Config.CacheBytes for an in-memory dataset, which
+// has no pages to cache.
+var errMemCache = errors.New("cmpdt: Config.CacheBytes needs disk-resident training (TrainFile, TrainForestFile); an in-memory dataset has no page cache")
 
 // Stats reports how a training run behaved.
 type Stats struct {
@@ -402,6 +380,9 @@ func TrainStatsContext(ctx context.Context, ds *Dataset, cfg Config) (*Tree, *St
 	if ds == nil || ds.Len() == 0 {
 		return nil, nil, errors.New("cmpdt: empty dataset")
 	}
+	if cfg.CacheBytes > 0 {
+		return nil, nil, errMemCache
+	}
 	return trainSource(ctx, storage.NewMem(ds.tbl), cfg)
 }
 
@@ -425,15 +406,14 @@ func TrainFileContext(ctx context.Context, path string, cfg Config) (*Tree, *Sta
 }
 
 func trainSource(ctx context.Context, src storage.Source, cfg Config) (*Tree, *Stats, error) {
-	ccfg := cfg.internal()
+	ccfg, err := cfg.internal().Validate()
+	if err != nil {
+		return nil, nil, err
+	}
 	var col *obs.Collector
 	var start time.Time
 	if cfg.Observer != nil {
-		workers := ccfg.Workers
-		if workers < 1 {
-			workers = 1
-		}
-		col = obs.NewCollector(workers)
+		col = obs.NewCollector(ccfg.Workers)
 		ccfg.Obs = col
 		start = time.Now()
 	}
@@ -454,7 +434,7 @@ func trainSource(ctx context.Context, src storage.Source, cfg Config) (*Tree, *S
 		rep.Build.WallNs = time.Since(start).Nanoseconds()
 		res.Stats.FillSummary(&rep.Build)
 		res.Stats.FillQuant(&rep.Quant)
-		rep.IO = eval.IOSummary(res.IO)
+		rep.IO = res.IO.Summary()
 		cfg.Observer.rep = rep
 	}
 	st := &Stats{
@@ -564,20 +544,21 @@ func (t *Tree) Evaluate(ds *Dataset) Report {
 }
 
 // CrossValidate runs k-fold cross-validation of the configured algorithm
-// over the dataset and returns the per-fold test accuracies.
+// over the dataset and returns the per-fold test accuracies. Every knob of
+// cfg applies to each fold's tree; CacheBytes and Observer, which an
+// in-memory cross-validation cannot honour, are errors.
 func CrossValidate(ds *Dataset, cfg Config, k int) (accuracies []float64, mean float64, err error) {
-	algoName := map[Algorithm]string{CMPS: "cmp-s", CMPB: "cmp-b", CMP: "cmp"}[cfg.Algorithm]
-	opts := eval.Options{
-		Intervals:           cfg.Intervals,
-		MaxAlive:            cfg.MaxAlive,
-		InMemoryNodeRecords: cfg.InMemoryNodeRecords,
-		ObliqueAllPairs:     cfg.ObliqueAllPairs,
-		PruneOff:            cfg.DisablePruning,
-		Seed:                cfg.Seed,
-		MaxDepth:            cfg.MaxDepth,
-		Workers:             cfg.Workers,
+	algoName, ok := map[Algorithm]string{CMPS: eval.AlgoCMPS, CMPB: eval.AlgoCMPB, CMP: eval.AlgoCMP}[cfg.Algorithm]
+	if !ok {
+		return nil, 0, fmt.Errorf("cmpdt: unknown Algorithm %d", int(cfg.Algorithm))
 	}
-	cv, err := eval.CrossValidate(algoName, ds.tbl, k, opts)
+	if cfg.CacheBytes > 0 {
+		return nil, 0, errMemCache
+	}
+	if cfg.Observer != nil {
+		return nil, 0, errors.New("cmpdt: CrossValidate collects no report; Config.Observer must be nil")
+	}
+	cv, err := eval.CrossValidate(algoName, ds.tbl, k, eval.Options{Tree: cfg.internal()})
 	if err != nil {
 		return nil, 0, err
 	}

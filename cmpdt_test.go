@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"cmpdt/internal/eval"
 )
 
 func loanSchema() Schema {
@@ -280,6 +283,9 @@ func TestCrossValidatePublic(t *testing.T) {
 	if _, _, err := CrossValidate(ds, Config{}, 1); err == nil {
 		t.Error("k=1 accepted")
 	}
+	if _, _, err := CrossValidate(ds, Config{Observer: NewObserver()}, 4); err == nil || !strings.Contains(err.Error(), "Observer") {
+		t.Errorf("Observer: err %v, want an error naming it", err)
+	}
 }
 
 func TestStratifiedSplitPublic(t *testing.T) {
@@ -382,6 +388,58 @@ func TestCompiledTreeAPI(t *testing.T) {
 	for i := 0; i < ds.Len(); i++ {
 		if preds[i] != tree.Predict(ds.tbl.Row(i)) {
 			t.Fatalf("PredictBatch[%d] disagrees with Predict", i)
+		}
+	}
+}
+
+// TestCrossValidateQuantizedMatchesEval: CrossValidate passes every knob
+// through, Quantize and QuantizeBins included: its folds are eval's under
+// the same core config, and differ from the raw tree's.
+func TestCrossValidateQuantizedMatchesEval(t *testing.T) {
+	ds := loanDataset(t, 3000)
+	cfg := Config{Algorithm: CMPB, Quantize: true, QuantizeBins: 4, Workers: 1}
+	got, _, err := CrossValidate(ds, cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eval.CrossValidate(eval.AlgoCMPB, ds.tbl, 3, eval.Options{Tree: cfg.internal()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, f := range want.Folds {
+		if got[i] != f.Report.Accuracy {
+			t.Errorf("fold %d: CrossValidate %v, eval.CrossValidate %v", i, got[i], f.Report.Accuracy)
+		}
+	}
+	raw, _, err := CrossValidate(ds, Config{Algorithm: CMPB, Workers: 1}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(raw, got) {
+		t.Errorf("quantized folds %v equal the raw tree's: Quantize had no effect", got)
+	}
+}
+
+// TestUnknownEnumsRejected: an Algorithm or Validation value outside its
+// constants is an error naming the value, at every entry point, instead of
+// a silent CMP-S or ValidateStrict build.
+func TestUnknownEnumsRejected(t *testing.T) {
+	ds := loanDataset(t, 500)
+	for _, c := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Algorithm: 7}, "Algorithm 7"},
+		{Config{Validation: 5}, "Validation policy 5"},
+	} {
+		if _, err := Train(ds, c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Train %+v: err %v, want %q", c.cfg, err, c.want)
+		}
+		if _, err := TrainForest(ds, ForestConfig{Trees: 2, Tree: c.cfg}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("TrainForest %+v: err %v, want %q", c.cfg, err, c.want)
+		}
+		if _, _, err := CrossValidate(ds, c.cfg, 2); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("CrossValidate %+v: err %v, want %q", c.cfg, err, c.want)
 		}
 	}
 }

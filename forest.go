@@ -62,16 +62,19 @@ type ForestConfig struct {
 	// Tree is the per-tree training configuration. Its Seed is offset by
 	// the tree index so members differ; its CacheBytes sizes the shared
 	// store's page cache once for the whole build (disk-resident training
-	// only). Its Observer must be nil: a forest's report is collected
-	// through ForestConfig.Observer, and TrainForest rejects a per-tree one.
+	// only: TrainForest rejects it). Its Observer must be nil: a forest's
+	// report is collected through ForestConfig.Observer, and TrainForest
+	// rejects a per-tree one.
 	Tree Config
 	// Observer, when non-nil, collects the merged per-tree observability
 	// report (phase timings summed across members, I/O totalled).
 	Observer *Observer
 }
 
+// internal copies c into the forest layer's configuration, which
+// validates it.
 func (c ForestConfig) internal() forest.Config {
-	fc := forest.Config{
+	return forest.Config{
 		Trees:       c.Trees,
 		FeatureFrac: c.FeatureFrac,
 		NoBootstrap: c.NoBootstrap,
@@ -81,12 +84,6 @@ func (c ForestConfig) internal() forest.Config {
 		Tree:        c.Tree.internal(),
 		CollectObs:  c.Observer != nil,
 	}
-	if fc.Seed == 0 {
-		fc.Seed = fc.Tree.Seed
-	}
-	fc.CacheBytes = fc.Tree.CacheBytes
-	fc.Tree.CacheBytes = 0
-	return fc
 }
 
 // Forest is a trained bagged ensemble of CMP trees. All prediction methods
@@ -208,6 +205,9 @@ func TrainForestContext(ctx context.Context, ds *Dataset, cfg ForestConfig) (*Fo
 	if ds == nil || ds.Len() == 0 {
 		return nil, errors.New("cmpdt: empty dataset")
 	}
+	if cfg.Tree.CacheBytes > 0 {
+		return nil, errMemCache
+	}
 	return trainForestSource(ctx, storage.NewMem(ds.tbl), cfg)
 }
 
@@ -244,7 +244,7 @@ func trainForestSource(ctx context.Context, src storage.RangeSource, cfg ForestC
 	if cfg.Observer != nil {
 		rep := res.Report
 		rep.Build.Records = src.NumRecords()
-		rep.Build.Seed = cfg.internal().Seed
+		rep.Build.Seed = res.Forest.Seed
 		rep.Build.WallNs = res.Wall.Nanoseconds()
 		cfg.Observer.rep = rep
 	}

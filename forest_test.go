@@ -172,7 +172,9 @@ func TestTrainForestFileMatchesMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromMem, err := TrainForest(ds, cfg)
+	memCfg := cfg
+	memCfg.Tree.CacheBytes = 0 // an in-memory dataset has no page cache
+	fromMem, err := TrainForest(ds, memCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

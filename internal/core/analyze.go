@@ -34,7 +34,7 @@ type AttributeCurve struct {
 // attribute (by name) over the source, using the given configuration's
 // discretization — Figure 2's view of estimation and alive intervals.
 func AnalyzeAttribute(src storage.Source, cfg Config, attrName string) (*AttributeCurve, error) {
-	cfg, err := cfg.normalize()
+	cfg, err := cfg.Validate()
 	if err != nil {
 		return nil, err
 	}

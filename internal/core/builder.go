@@ -46,7 +46,9 @@ func BuildContext(ctx context.Context, src storage.Source, cfg Config) (res *Res
 			res, err = nil, fmt.Errorf("core: build panicked: %v", r)
 		}
 	}()
-	cfg, err = cfg.normalize()
+	_, preQuantized := src.(storage.CodeSource)
+	cfg.Quantize = cfg.Quantize || preQuantized
+	cfg, err = cfg.Validate()
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +63,7 @@ func BuildContext(ctx context.Context, src storage.Source, cfg Config) (res *Res
 			c.SetCacheBytes(cfg.CacheBytes)
 		}
 	}
-	if _, preQuantized := src.(storage.CodeSource); cfg.Quantize || preQuantized {
+	if cfg.Quantize {
 		res, err := buildQuantized(ctx, src.Schema(), cfg, func(b *qbuilder) (func(), error) {
 			return b.quantizeSource(src)
 		})

@@ -77,8 +77,10 @@ const (
 	ValidateSkip
 )
 
-// Config tunes a build. The zero value is not usable; call Default first or
-// use Build's normalization.
+// Config tunes a build. It is the one knob table of a CMP build: every
+// entry point (cmpdt, eval, forest, cmptrain) passes it through, and
+// Validate fills its defaults and checks it. The zero value, with an
+// Algorithm, is the paper's configuration (Default).
 type Config struct {
 	// Algorithm selects CMP-S, CMP-B or full CMP.
 	Algorithm Algorithm
@@ -132,11 +134,12 @@ type Config struct {
 	// out strategy for disk-oriented builders. Negative disables; zero means
 	// the default.
 	InMemoryNodeRecords int
-	// Prune applies PUBLIC(1) pruning after each round and once the build
-	// ends. It also bounds the in-memory finishers' subtree growth: they
-	// stop splitting a node the final prune is certain to collapse, so the
-	// tree is the same, reached with less work (see prune.MDL).
-	Prune bool
+	// DisablePruning turns off PUBLIC(1) pruning. Pruning runs after each
+	// round and once the build ends; it also bounds the in-memory
+	// finishers' subtree growth: they stop splitting a node the final prune
+	// is certain to collapse, so the tree is the same, reached with less
+	// work (see prune.MDL).
+	DisablePruning bool
 	// DiscretizeSample bounds the prefix sample used to compute equal-depth
 	// interval boundaries. Zero means the default; a negative value runs a
 	// full pass through bounded-memory Greenwald-Khanna sketches instead of
@@ -150,7 +153,9 @@ type Config struct {
 	// count: several workers count into private histogram/buffer shards
 	// merged in worker-index order, and node-level resolution work is
 	// precomputed from pure node-local state before being applied in
-	// deterministic order.
+	// deterministic order. Since no worker count can change a tree, every
+	// algorithm of the eval harness accepts it (the baselines build
+	// serially).
 	Workers int
 	// Seed drives the discretization sample and the root's random X-axis.
 	Seed int64
@@ -181,7 +186,8 @@ type Config struct {
 	// negative leaves the source's cache configuration untouched. The cache
 	// changes only the physical I/O counters (Stats.CacheHits/CacheMisses/
 	// Evictions/PrefetchedPages); trees and logical scan accounting are
-	// bit-identical with or without it.
+	// bit-identical with or without it. Since it cannot change a tree, every
+	// algorithm of the eval harness accepts it.
 	CacheBytes int64
 	// Quantize selects the bin-coded build path: one quantization pass maps
 	// each numeric attribute to small integer bin codes via the equal-depth
@@ -192,17 +198,21 @@ type Config struct {
 	// translated back to raw feature units from the breakpoint tables, and
 	// the determinism invariant (fixed seed ⇒ identical tree at any worker
 	// count, cache on or off) holds exactly as on the raw path. Linear-
-	// combination splits are not searched in code space: CMPFull builds
-	// behave as CMP-B when quantized.
+	// combination splits are not searched in code space, so a quantized
+	// build (Quantize, a pre-quantized source, BuildIndexed) with CMPFull
+	// fails with an error that points to CMP-B.
 	Quantize bool
 	// QuantizeBins is the target number of bin codes per numeric attribute
 	// for quantized builds. Zero means Intervals (so quantized and raw
 	// builds see the same split-point resolution); the maximum is 65536.
-	// Attributes with at most 256 codes are stored in one byte each.
+	// Attributes with at most 256 codes are stored in one byte each. Set
+	// without Quantize on a raw source it is an error; a pre-quantized
+	// source keeps its own code tables.
 	QuantizeBins int
 }
 
-// Default returns the configuration used throughout the evaluation.
+// Default returns the configuration used throughout the evaluation: the
+// value Validate gives every zero field.
 func Default(algo Algorithm) Config {
 	return Config{
 		Algorithm:           algo,
@@ -217,45 +227,63 @@ func Default(algo Algorithm) Config {
 		ObliqueMinRecords:   200,
 		ObliqueMaxDepth:     4,
 		InMemoryNodeRecords: 4096,
-		Prune:               true,
 		DiscretizeSample:    50_000,
 		Workers:             runtime.GOMAXPROCS(0),
 		Seed:                1,
 	}
 }
 
-// normalize fills unset fields with defaults and validates the rest.
-func (c Config) normalize() (Config, error) {
+// Validate is the one place a CMP build's knobs get their defaults and
+// their checks: it fills every zero field from Default (QuantizeBins only
+// when Quantize is set) and rejects every value outside its field's range,
+// and every knob the configured build could not honour, with an error
+// naming the field. A validated config validates to itself, so each layer
+// may validate what it passes on.
+func (c Config) Validate() (Config, error) {
+	if c.Algorithm != CMPS && c.Algorithm != CMPB && c.Algorithm != CMPFull {
+		return c, fmt.Errorf("core: unknown Algorithm %d", int(c.Algorithm))
+	}
+	if c.Validation != ValidateStrict && c.Validation != ValidateSkip {
+		return c, fmt.Errorf("core: unknown Validation policy %d", int(c.Validation))
+	}
 	d := Default(c.Algorithm)
-	if c.Intervals == 0 {
-		c.Intervals = d.Intervals
+	for _, f := range []struct {
+		name     string
+		v        *int
+		def, min int
+	}{
+		{"Intervals", &c.Intervals, d.Intervals, 2}, {"MaxAlive", &c.MaxAlive, d.MaxAlive, 1},
+		{"MinSplitRecords", &c.MinSplitRecords, d.MinSplitRecords, 1},
+		{"MaxDepth", &c.MaxDepth, d.MaxDepth, 1}, {"MaxRounds", &c.MaxRounds, d.MaxRounds, 1},
+		{"ObliqueMinRecords", &c.ObliqueMinRecords, d.ObliqueMinRecords, 1},
+		{"ObliqueMaxDepth", &c.ObliqueMaxDepth, d.ObliqueMaxDepth, 1},
+		{"Workers", &c.Workers, d.Workers, 1},
+	} {
+		if *f.v == 0 {
+			*f.v = f.def
+		}
+		if *f.v < f.min {
+			return c, fmt.Errorf("core: %s must be 0 (the default) or at least %d, got %d", f.name, f.min, *f.v)
+		}
 	}
-	if c.MaxAlive == 0 {
-		c.MaxAlive = d.MaxAlive
+	for _, f := range []struct {
+		name string
+		v    *float64
+		def  float64
+	}{
+		{"MinGiniGain", &c.MinGiniGain, d.MinGiniGain},
+		{"ObliqueThreshold", &c.ObliqueThreshold, d.ObliqueThreshold},
+		{"ObliqueGain", &c.ObliqueGain, d.ObliqueGain},
+	} {
+		if !(*f.v >= 0) {
+			return c, fmt.Errorf("core: %s must not be negative or NaN, got %v", f.name, *f.v)
+		}
+		if *f.v == 0 {
+			*f.v = f.def
+		}
 	}
-	if c.MinSplitRecords == 0 {
-		c.MinSplitRecords = d.MinSplitRecords
-	}
-	if c.MaxDepth == 0 {
-		c.MaxDepth = d.MaxDepth
-	}
-	if c.MaxRounds == 0 {
-		c.MaxRounds = d.MaxRounds
-	}
-	if c.MinGiniGain == 0 {
-		c.MinGiniGain = d.MinGiniGain
-	}
-	if c.ObliqueThreshold == 0 {
-		c.ObliqueThreshold = d.ObliqueThreshold
-	}
-	if c.ObliqueGain == 0 {
-		c.ObliqueGain = d.ObliqueGain
-	}
-	if c.ObliqueMinRecords == 0 {
-		c.ObliqueMinRecords = d.ObliqueMinRecords
-	}
-	if c.ObliqueMaxDepth == 0 {
-		c.ObliqueMaxDepth = d.ObliqueMaxDepth
+	if !(c.PurityStop >= 0 && c.PurityStop <= 1) {
+		return c, fmt.Errorf("core: PurityStop must be in [0,1], got %v", c.PurityStop)
 	}
 	if c.InMemoryNodeRecords == 0 {
 		c.InMemoryNodeRecords = d.InMemoryNodeRecords
@@ -263,35 +291,26 @@ func (c Config) normalize() (Config, error) {
 	if c.DiscretizeSample == 0 {
 		c.DiscretizeSample = d.DiscretizeSample
 	}
-	if c.Workers == 0 {
-		c.Workers = d.Workers
-	}
 	if c.Seed == 0 {
 		c.Seed = d.Seed
 	}
-	if c.Workers < 1 {
-		return c, fmt.Errorf("core: Workers must be >= 1, got %d", c.Workers)
+	if c.ObliqueAllPairs && (c.Algorithm != CMPFull || c.Quantize) {
+		return c, fmt.Errorf("core: ObliqueAllPairs needs a raw full CMP build, got %v with Quantize=%v", c.Algorithm, c.Quantize)
 	}
-	if c.Intervals < 2 {
-		return c, fmt.Errorf("core: Intervals must be >= 2, got %d", c.Intervals)
+	if c.Quantize && c.Algorithm == CMPFull {
+		return c, errors.New("core: Quantize builds search no linear-combination splits, so they cannot build full CMP; use CMP-B (cmp-b)")
+	}
+	if !c.Quantize {
+		if c.QuantizeBins != 0 {
+			return c, fmt.Errorf("core: QuantizeBins %d needs Quantize", c.QuantizeBins)
+		}
+		return c, nil
 	}
 	if c.QuantizeBins == 0 {
 		c.QuantizeBins = c.Intervals
 	}
 	if c.QuantizeBins < 2 || c.QuantizeBins > 65536 {
 		return c, fmt.Errorf("core: QuantizeBins must be in [2,65536], got %d", c.QuantizeBins)
-	}
-	if c.MaxAlive < 1 {
-		return c, fmt.Errorf("core: MaxAlive must be >= 1, got %d", c.MaxAlive)
-	}
-	if c.Algorithm != CMPS && c.Algorithm != CMPB && c.Algorithm != CMPFull {
-		return c, fmt.Errorf("core: unknown algorithm %d", int(c.Algorithm))
-	}
-	if c.Validation != ValidateStrict && c.Validation != ValidateSkip {
-		return c, fmt.Errorf("core: unknown validation policy %d", int(c.Validation))
-	}
-	if c.ObliqueAllPairs && (c.Algorithm != CMPFull || c.Quantize) {
-		return c, fmt.Errorf("core: ObliqueAllPairs needs a raw full CMP build, got %v with Quantize=%v", c.Algorithm, c.Quantize)
 	}
 	return c, nil
 }

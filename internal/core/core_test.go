@@ -94,7 +94,7 @@ func TestRootSplitFidelity(t *testing.T) {
 		cfg := Default(CMPS)
 		cfg.Intervals = 100
 		cfg.MaxDepth = 1
-		cfg.Prune = false
+		cfg.DisablePruning = true
 		cfg.InMemoryNodeRecords = -1
 		res, err := Build(storage.NewMem(tbl), cfg)
 		if err != nil {
@@ -111,6 +111,9 @@ func TestValidatorCleanRuns(t *testing.T) {
 	defer func() { debugValidate = false }()
 	for _, quantize := range []bool{false, true} {
 		for _, algo := range []Algorithm{CMPS, CMPB, CMPFull} {
+			if quantize && algo == CMPFull {
+				continue // rejected: no linear split is searched on codes
+			}
 			for _, fn := range []synth.Func{synth.F2, synth.F7, synth.FPaper} {
 				tbl := synth.Generate(fn, 30_000, 17)
 				cfg := Default(algo)
@@ -129,13 +132,13 @@ func TestPurityStop(t *testing.T) {
 	tbl := synth.Generate(synth.F2, 20_000, 3)
 	loose := Default(CMPS)
 	loose.PurityStop = 0.9
-	loose.Prune = false
+	loose.DisablePruning = true
 	rl, err := Build(storage.NewMem(tbl), loose)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tight := Default(CMPS)
-	tight.Prune = false
+	tight.DisablePruning = true
 	rt, err := Build(storage.NewMem(tbl), tight)
 	if err != nil {
 		t.Fatal(err)
@@ -238,7 +241,7 @@ func TestExactResolutionOnCraftedGap(t *testing.T) {
 	cfg := Default(CMPS)
 	cfg.Intervals = 10
 	cfg.MaxDepth = 1
-	cfg.Prune = false
+	cfg.DisablePruning = true
 	cfg.InMemoryNodeRecords = -1
 	cfg.DiscretizeSample = -1 // sample everything for a deterministic grid
 	res, err := Build(storage.NewMem(tbl), cfg)

@@ -574,7 +574,7 @@ func (e *engine[N]) finishCollects() {
 			MinGiniGain:     e.cfg.MinGiniGain,
 			PurityStop:      e.cfg.PurityStop,
 			AllowedAttrs:    e.allowed,
-			Prune:           e.cfg.Prune,
+			Prune:           !e.cfg.DisablePruning,
 		})
 		// Graft in place so the parent's pointer to c.tn stays valid.
 		*c.tn = *sub
@@ -663,7 +663,7 @@ func (e *engine[N]) classTotals(n N) []int {
 // expandable and may be finalized by the lower bound; afterwards a plain
 // bottom-up MDL prune runs.
 func (e *engine[N]) applyPrune(during bool) {
-	if !e.cfg.Prune {
+	if e.cfg.DisablePruning {
 		return
 	}
 	span := e.obs.StartSpan(obs.PhasePrune)

@@ -19,7 +19,8 @@ package core
 // engine's (engine.go); this file supplies the code routing and counting,
 // the exact boundary evaluation, the sticky X-axis prediction, the code
 // windows children inherit and the code finisher. Linear-combination splits
-// are not searched in code space: quantized CMPFull builds run as CMP-B.
+// are not searched in code space: Config.Validate rejects quantized CMPFull
+// builds.
 //
 // Determinism matches the raw path: contiguous record ranges per worker,
 // private per-worker accumulators merged in worker-index order, serial
@@ -28,7 +29,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -87,15 +87,10 @@ type qbuilder struct {
 
 // buildQuantized is the bin-coded build shared by BuildContext and
 // BuildIndexed. quantize obtains the code store (setting b.q and b.qsrc)
-// inside round 0's init span. cfg is already normalized and the schema
-// validated by the caller; panics unwind into the caller's recover.
+// inside round 0's init span. cfg is already validated, with Quantize set,
+// and the schema validated by the caller; panics unwind into the caller's recover.
 // Result.IO covers the code store only: callers add their raw source's.
 func buildQuantized(ctx context.Context, schema *dataset.Schema, cfg Config, quantize func(b *qbuilder) (cleanup func(), err error)) (*Result, error) {
-	if cfg.ObliqueAllPairs {
-		// Config.normalize rejects the knob with Quantize; a pre-quantized
-		// source and BuildIndexed quantize without that flag.
-		return nil, errors.New("core: ObliqueAllPairs needs a raw full CMP build, got a quantized one")
-	}
 	b, err := newQBuilder(ctx, schema, cfg)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"path/filepath"
@@ -134,22 +135,31 @@ func TestQuantizedAccuracyAgrawal(t *testing.T) {
 	}
 }
 
-// TestQuantizedCMPFullActsAsCMPB pins the documented restriction: linear
-// splits are not searched in code space, so a quantized CMPFull build
-// produces a CMP-B tree (and still a good one).
-func TestQuantizedCMPFullActsAsCMPB(t *testing.T) {
-	tbl := synth.Generate(synth.F2, 10_000, 7)
+// TestQuantizedCMPFullRejected pins the documented restriction: linear
+// splits are not searched in code space, so every quantized build of full
+// CMP — Quantize, a pre-quantized source, BuildIndexed — fails with an
+// error naming Quantize and pointing to CMP-B, instead of building CMP-B
+// under CMP's name.
+func TestQuantizedCMPFullRejected(t *testing.T) {
+	tbl := synth.Generate(synth.F2, 2_000, 7)
 	cfg := Default(CMPFull)
-	cfg.Quantize = true
-	res, err := Build(storage.NewMem(tbl), cfg)
+	_, qm, _ := quantizeTable(t, tbl, 32, t.TempDir()+"/f2.qrec")
+	ix, err := NewIndex(context.Background(), storage.NewMem(tbl), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.ObliqueSplits != 0 {
-		t.Errorf("quantized CMPFull produced %d linear splits", res.Stats.ObliqueSplits)
-	}
-	if acc := treeAccuracy(res.Tree, tbl); acc < 0.9 {
-		t.Errorf("training accuracy %.3f, want >= 0.9", acc)
+	quantized := cfg
+	quantized.Quantize = true
+	for name, build := range map[string]func() (*Result, error){
+		"Quantize":             func() (*Result, error) { return Build(storage.NewMem(tbl), quantized) },
+		"pre-quantized source": func() (*Result, error) { return Build(qm, cfg) },
+		"BuildIndexed": func() (*Result, error) {
+			return BuildIndexed(context.Background(), ix, storage.FullMask(tbl.NumRecords()), cfg)
+		},
+	} {
+		if _, err := build(); err == nil || !strings.Contains(err.Error(), "Quantize") || !strings.Contains(err.Error(), "cmp-b") {
+			t.Errorf("%s: err %v, want the Quantize error naming cmp-b", name, err)
+		}
 	}
 }
 

@@ -240,7 +240,9 @@ func (ix *Index) memoryBytes() int64 {
 // instead of sorting and scanning, so no raw pass is made: Stats.Scans and
 // Result.IO count only the scans of the tree's code store, and the index's
 // one scan is the caller's to account. Every other Stats field, and
-// Result.IO, counts virtual records, as over the masked view.
+// Result.IO, counts virtual records, as over the masked view. The build is
+// quantized whatever cfg.Quantize says, so cfg is validated as a quantized
+// one: CMPFull and ObliqueAllPairs fail here as they do with Quantize.
 func BuildIndexed(ctx context.Context, ix *Index, mask *storage.Mask, cfg Config) (res *Result, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -250,7 +252,8 @@ func BuildIndexed(ctx context.Context, ix *Index, mask *storage.Mask, cfg Config
 			res, err = nil, fmt.Errorf("core: build panicked: %v", r)
 		}
 	}()
-	cfg, err = cfg.normalize()
+	cfg.Quantize = true
+	cfg, err = cfg.Validate()
 	if err != nil {
 		return nil, err
 	}

@@ -106,7 +106,7 @@ type quantOutcome struct {
 // newTestQBuilder is a qbuilder ready for its quantize step.
 func newTestQBuilder(t testing.TB, schema *dataset.Schema, cfg Config) *qbuilder {
 	t.Helper()
-	cfg, err := cfg.normalize()
+	cfg, err := cfg.Validate()
 	if err != nil {
 		t.Fatal(err)
 	}

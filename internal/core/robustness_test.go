@@ -21,6 +21,9 @@ func TestRobustnessAcrossSeeds(t *testing.T) {
 	defer func() { debugValidate = false }()
 	for _, quantize := range []bool{false, true} {
 		for _, algo := range []Algorithm{CMPS, CMPB, CMPFull} {
+			if quantize && algo == CMPFull {
+				continue // rejected: no linear split is searched on codes
+			}
 			for _, fn := range []synth.Func{synth.F2, synth.F5, synth.F7, synth.FPaper} {
 				for seed := int64(1); seed <= 4; seed++ {
 					name := fmt.Sprintf("%v/%v/seed%d/quantize=%v", algo, fn, seed, quantize)

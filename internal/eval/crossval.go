@@ -98,7 +98,7 @@ func CrossValidate(algo string, tbl *dataset.Table, k int, opts Options) (*Cross
 	if n < k {
 		return nil, fmt.Errorf("eval: %d records cannot fill %d folds", n, k)
 	}
-	perm := rand.New(rand.NewSource(opts.Seed + 1)).Perm(n)
+	perm := rand.New(rand.NewSource(opts.Tree.Seed + 1)).Perm(n)
 
 	out := &CrossValidation{}
 	sum, sumSq := 0.0, 0.0

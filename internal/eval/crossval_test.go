@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cmpdt/internal/core"
 	"cmpdt/internal/dataset"
 	"cmpdt/internal/synth"
 	"cmpdt/internal/tree"
@@ -50,7 +51,7 @@ func TestEvaluateReport(t *testing.T) {
 
 func TestCrossValidate(t *testing.T) {
 	tbl := synth.Generate(synth.F1, 6000, 4)
-	cv, err := CrossValidate(AlgoCMPS, tbl, 5, Options{Intervals: 30})
+	cv, err := CrossValidate(AlgoCMPS, tbl, 5, Options{Tree: core.Config{Intervals: 30}})
 	if err != nil {
 		t.Fatal(err)
 	}

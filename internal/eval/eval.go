@@ -7,12 +7,12 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"cmpdt/internal/clouds"
 	"cmpdt/internal/core"
 	"cmpdt/internal/dataset"
-	"cmpdt/internal/obs"
 	"cmpdt/internal/rainforest"
 	"cmpdt/internal/sliq"
 	"cmpdt/internal/sprint"
@@ -42,72 +42,55 @@ func Algorithms() []string {
 // Options tunes a run. Zero values select the defaults shared across
 // algorithms so comparisons stay apples-to-apples.
 type Options struct {
-	// Intervals for the discretizing algorithms (CMP family, CLOUDS).
-	Intervals int
-	// MaxAlive intervals per split.
-	MaxAlive int
-	// InMemoryNodeRecords bottoms out subtrees in memory (all algorithms).
-	InMemoryNodeRecords int
+	// Tree is the one knob table every algorithm reads, validated (and its
+	// defaults filled) by core.Config.Validate before any algorithm runs.
+	// The CMP family builds with it, Algorithm set from the run's
+	// algorithm name (a nonzero Algorithm must agree with it). The
+	// baselines read Intervals and MaxAlive (CLOUDS), InMemoryNodeRecords,
+	// DisablePruning, Seed, MaxDepth and PurityStop, and reject a nonzero
+	// Algorithm, Quantize, QuantizeBins, ValidateSkip and ObliqueAllPairs,
+	// which they cannot honour. Workers, CacheBytes and Obs are accepted
+	// for every algorithm, because none of them can change a tree: the
+	// baselines build serially and are not instrumented, and CacheBytes
+	// sizes the source's page cache for whichever algorithm scans it.
+	Tree core.Config
 	// RFBufferEntries sizes RainForest's AVC buffer (default 2.5M).
 	RFBufferEntries int
-	// ObliqueAllPairs enables full CMP's all-pairs extension.
-	ObliqueAllPairs bool
-	// Prune applies MDL/PUBLIC(1) pruning (default true via PruneOff=false).
-	PruneOff bool
-	// Seed drives sampling and the CMP root X-axis.
-	Seed int64
-	// MaxDepth caps tree depth (default 32).
-	MaxDepth int
-	// PurityStop, when positive, stops splitting nodes whose majority class
-	// covers at least this fraction of records (applied uniformly to every
-	// algorithm).
-	PurityStop float64
-	// Workers sets the CMP family's build parallelism (goroutines for the
-	// per-round scan and split resolution); zero selects GOMAXPROCS. 1 is
-	// the one-range case of the same partitioned scan. The tree is
-	// identical for every value.
-	Workers int
-	// SkipInvalid drops records the CMP family cannot train on (NaN/Inf
-	// features, out-of-range labels) instead of aborting; the count is
-	// reported in RunResult.Skipped.
-	SkipInvalid bool
-	// Obs, when non-nil, collects per-round phase timings for the CMP
-	// family (see internal/obs); assemble the report with MetricsReport.
-	Obs *obs.Collector
-	// CacheBytes, when positive, attaches a page cache of that capacity to
-	// cacheable sources (storage.File) before the run, so every algorithm's
-	// repeated scans hit memory for resident pages. Trees and logical I/O
-	// accounting are identical with or without it; only the physical cache
-	// counters in RunResult.IOStats change.
-	CacheBytes int64
-	// Quantize routes the CMP family through the bin-coded dense-histogram
-	// build path (see core.Config.Quantize). Ignored by the baselines.
-	Quantize bool
-	// QuantizeBins sets the quantized path's code-table resolution; zero
-	// means Intervals.
-	QuantizeBins int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Intervals == 0 {
-		o.Intervals = 100
+// Validate checks o for the named algorithm and returns it with Tree
+// validated (core.Config.Validate) and, for the CMP family, Algorithm set
+// from the name. RunContext calls it before it dispatches, so a run
+// touches no data under a config it would reject.
+func (o Options) Validate(algo string) (Options, error) {
+	cfg := &o.Tree
+	cmp, isCMP := map[string]core.Algorithm{AlgoCMPS: core.CMPS, AlgoCMPB: core.CMPB, AlgoCMP: core.CMPFull}[algo]
+	switch {
+	case isCMP:
+		if cfg.Algorithm != core.CMPS && cfg.Algorithm != cmp {
+			return o, fmt.Errorf("eval: Tree.Algorithm %v disagrees with algorithm %q", cfg.Algorithm, algo)
+		}
+		cfg.Algorithm = cmp
+	case slices.Contains(Algorithms(), algo):
+		for _, k := range []struct {
+			name string
+			set  bool
+		}{
+			{"Algorithm", cfg.Algorithm != core.CMPS}, {"Quantize", cfg.Quantize},
+			{"QuantizeBins", cfg.QuantizeBins != 0},
+			{"Validation=ValidateSkip", cfg.Validation == core.ValidateSkip},
+			{"ObliqueAllPairs", cfg.ObliqueAllPairs},
+		} {
+			if k.set {
+				return o, fmt.Errorf("eval: %s cannot honour Tree.%s (CMP family only)", algo, k.name)
+			}
+		}
+	default:
+		return o, fmt.Errorf("eval: unknown algorithm %q (have %v)", algo, Algorithms())
 	}
-	if o.MaxAlive == 0 {
-		o.MaxAlive = 2
-	}
-	if o.InMemoryNodeRecords == 0 {
-		o.InMemoryNodeRecords = 4096
-	}
-	if o.RFBufferEntries == 0 {
-		o.RFBufferEntries = 2_500_000
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	if o.MaxDepth == 0 {
-		o.MaxDepth = 32
-	}
-	return o
+	var err error
+	o.Tree, err = o.Tree.Validate()
+	return o, err
 }
 
 // CostModel converts metered I/O into deterministic "simulated seconds", so
@@ -153,7 +136,7 @@ type RunResult struct {
 	Oblique    int
 
 	// Skipped is the number of invalid records dropped per training pass
-	// under Options.SkipInvalid (CMP family only).
+	// under Tree.Validation = ValidateSkip (CMP family only).
 	Skipped int64
 
 	TrainAccuracy float64
@@ -176,10 +159,14 @@ func Run(algo string, src storage.Source, trainTbl, testTbl *dataset.Table, opts
 // batches when ctx is cancelled and returns ctx's error. The remaining
 // algorithms currently run to completion.
 func RunContext(ctx context.Context, algo string, src storage.Source, trainTbl, testTbl *dataset.Table, opts Options) (*RunResult, *tree.Tree, error) {
-	opts = opts.withDefaults()
-	if opts.CacheBytes > 0 {
+	opts, err := opts.Validate(algo)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg := opts.Tree
+	if cfg.CacheBytes > 0 {
 		if c, ok := src.(storage.Cacheable); ok {
-			c.SetCacheBytes(opts.CacheBytes)
+			c.SetCacheBytes(cfg.CacheBytes)
 		}
 	}
 	src.ResetStats()
@@ -189,29 +176,9 @@ func RunContext(ctx context.Context, algo string, src storage.Source, trainTbl, 
 		t   *tree.Tree
 		aux int64
 		mem int64
-		err error
 	)
 	switch algo {
 	case AlgoCMPS, AlgoCMPB, AlgoCMP:
-		cfg := core.Default(coreAlgo(algo))
-		cfg.Intervals = opts.Intervals
-		cfg.MaxAlive = opts.MaxAlive
-		cfg.InMemoryNodeRecords = opts.InMemoryNodeRecords
-		cfg.ObliqueAllPairs = opts.ObliqueAllPairs
-		cfg.Prune = !opts.PruneOff
-		cfg.Seed = opts.Seed
-		cfg.MaxDepth = opts.MaxDepth
-		cfg.PurityStop = opts.PurityStop
-		if opts.Workers != 0 {
-			cfg.Workers = opts.Workers
-		}
-		if opts.SkipInvalid {
-			cfg.Validation = core.ValidateSkip
-		}
-		cfg.Obs = opts.Obs
-		cfg.CacheBytes = opts.CacheBytes
-		cfg.Quantize = opts.Quantize
-		cfg.QuantizeBins = opts.QuantizeBins
 		var res *core.Result
 		res, err = core.BuildContext(ctx, src, cfg)
 		if err == nil {
@@ -228,12 +195,12 @@ func RunContext(ctx context.Context, algo string, src storage.Source, trainTbl, 
 			return r, t, nil
 		}
 	case AlgoSPRINT:
-		cfg := sprint.DefaultConfig()
-		cfg.Prune = !opts.PruneOff
-		cfg.MaxDepth = opts.MaxDepth
-		cfg.PurityStop = opts.PurityStop
+		sc := sprint.DefaultConfig()
+		sc.Prune = !cfg.DisablePruning
+		sc.MaxDepth = cfg.MaxDepth
+		sc.PurityStop = cfg.PurityStop
 		var res *sprint.Result
-		res, err = sprint.Build(src, cfg)
+		res, err = sprint.Build(src, sc)
 		if err == nil {
 			t = res.Tree
 			aux = res.Stats.ListBytesIO
@@ -241,12 +208,12 @@ func RunContext(ctx context.Context, algo string, src storage.Source, trainTbl, 
 			return finish(algo, src, start, t, aux, mem, 0, trainTbl, testTbl), t, nil
 		}
 	case AlgoSLIQ:
-		cfg := sliq.DefaultConfig()
-		cfg.Prune = !opts.PruneOff
-		cfg.MaxDepth = opts.MaxDepth
-		cfg.PurityStop = opts.PurityStop
+		sc := sliq.DefaultConfig()
+		sc.Prune = !cfg.DisablePruning
+		sc.MaxDepth = cfg.MaxDepth
+		sc.PurityStop = cfg.PurityStop
 		var res *sliq.Result
-		res, err = sliq.Build(src, cfg)
+		res, err = sliq.Build(src, sc)
 		if err == nil {
 			t = res.Tree
 			aux = res.Stats.ListBytesIO
@@ -258,16 +225,16 @@ func RunContext(ctx context.Context, algo string, src storage.Source, trainTbl, 
 		if algo == AlgoCLOUDSSS {
 			variant = clouds.SS
 		}
-		cfg := clouds.DefaultConfig(variant)
-		cfg.Intervals = opts.Intervals
-		cfg.MaxAlive = opts.MaxAlive
-		cfg.InMemoryNodeRecords = opts.InMemoryNodeRecords
-		cfg.Prune = !opts.PruneOff
-		cfg.Seed = opts.Seed
-		cfg.MaxDepth = opts.MaxDepth
-		cfg.PurityStop = opts.PurityStop
+		cc := clouds.DefaultConfig(variant)
+		cc.Intervals = cfg.Intervals
+		cc.MaxAlive = cfg.MaxAlive
+		cc.InMemoryNodeRecords = cfg.InMemoryNodeRecords
+		cc.Prune = !cfg.DisablePruning
+		cc.Seed = cfg.Seed
+		cc.MaxDepth = cfg.MaxDepth
+		cc.PurityStop = cfg.PurityStop
 		var res *clouds.Result
-		res, err = clouds.Build(src, cfg)
+		res, err = clouds.Build(src, cc)
 		if err == nil {
 			t = res.Tree
 			aux = res.Stats.NidBytesIO
@@ -275,47 +242,36 @@ func RunContext(ctx context.Context, algo string, src storage.Source, trainTbl, 
 			return finish(algo, src, start, t, aux, mem, 0, trainTbl, testTbl), t, nil
 		}
 	case AlgoWindow:
-		cfg := window.DefaultConfig()
-		cfg.Seed = opts.Seed
-		cfg.Exact.MaxDepth = opts.MaxDepth
-		cfg.Exact.PurityStop = opts.PurityStop
+		wc := window.DefaultConfig()
+		wc.Seed = cfg.Seed
+		wc.Exact.MaxDepth = cfg.MaxDepth
+		wc.Exact.PurityStop = cfg.PurityStop
 		var res *window.Result
-		res, err = window.Build(src, cfg)
+		res, err = window.Build(src, wc)
 		if err == nil {
 			t = res.Tree
 			mem = int64(res.Stats.FinalWindow) * int64(src.Schema().NumAttrs()+1) * 8
 			return finish(algo, src, start, t, 0, mem, 0, trainTbl, testTbl), t, nil
 		}
 	case AlgoRainForest:
-		cfg := rainforest.DefaultConfig()
-		cfg.BufferEntries = opts.RFBufferEntries
-		cfg.InMemoryNodeRecords = opts.InMemoryNodeRecords
-		cfg.Prune = !opts.PruneOff
-		cfg.MaxDepth = opts.MaxDepth
-		cfg.PurityStop = opts.PurityStop
+		rc := rainforest.DefaultConfig()
+		if opts.RFBufferEntries != 0 {
+			rc.BufferEntries = opts.RFBufferEntries
+		}
+		rc.InMemoryNodeRecords = cfg.InMemoryNodeRecords
+		rc.Prune = !cfg.DisablePruning
+		rc.MaxDepth = cfg.MaxDepth
+		rc.PurityStop = cfg.PurityStop
 		var res *rainforest.Result
-		res, err = rainforest.Build(src, cfg)
+		res, err = rainforest.Build(src, rc)
 		if err == nil {
 			t = res.Tree
 			aux = res.Stats.NidBytesIO
 			mem = res.Stats.PeakMemoryBytes
 			return finish(algo, src, start, t, aux, mem, 0, trainTbl, testTbl), t, nil
 		}
-	default:
-		return nil, nil, fmt.Errorf("eval: unknown algorithm %q (have %v)", algo, Algorithms())
 	}
 	return nil, nil, err
-}
-
-func coreAlgo(name string) core.Algorithm {
-	switch name {
-	case AlgoCMPB:
-		return core.CMPB
-	case AlgoCMP:
-		return core.CMPFull
-	default:
-		return core.CMPS
-	}
 }
 
 func finish(algo string, src storage.Source, start time.Time, t *tree.Tree, aux, mem int64, oblique int, trainTbl, testTbl *dataset.Table) *RunResult {

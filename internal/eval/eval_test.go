@@ -1,8 +1,11 @@
 package eval
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
+	"cmpdt/internal/core"
 	"cmpdt/internal/dataset"
 	"cmpdt/internal/storage"
 	"cmpdt/internal/synth"
@@ -14,7 +17,7 @@ import (
 func TestAllAlgorithmsF2(t *testing.T) {
 	full := synth.Generate(synth.F2, 12000, 99)
 	train, test := dataset.TrainTestSplit(full, 0.8, 7)
-	opts := Options{Intervals: 40, InMemoryNodeRecords: 512}
+	opts := Options{Tree: core.Config{Intervals: 40, InMemoryNodeRecords: 512}}
 	for _, algo := range Algorithms() {
 		src := storage.NewMem(train)
 		res, tr, err := Run(algo, src, train, test, opts)
@@ -42,7 +45,7 @@ func TestAllAlgorithmsF2(t *testing.T) {
 func TestCompiledEvalMatchesPointer(t *testing.T) {
 	full := synth.Generate(synth.F7, 6000, 5)
 	train, test := dataset.TrainTestSplit(full, 0.8, 3)
-	_, tr, err := Run(AlgoCMPB, storage.NewMem(train), nil, nil, Options{Intervals: 40})
+	_, tr, err := Run(AlgoCMPB, storage.NewMem(train), nil, nil, Options{Tree: core.Config{Intervals: 40}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,5 +80,33 @@ func TestCompiledEvalMatchesPointer(t *testing.T) {
 	rep := Evaluate(tr, test)
 	if rep.Accuracy != wantAcc {
 		t.Errorf("Evaluate.Accuracy = %v, want %v", rep.Accuracy, wantAcc)
+	}
+}
+
+// TestOptionsValidate: the run's name picks the algorithm (a nonzero
+// Tree.Algorithm must agree with a CMP name, and a baseline takes none),
+// the defaults are core's, and validation is idempotent.
+func TestOptionsValidate(t *testing.T) {
+	cmpb := Options{Tree: core.Config{Algorithm: core.CMPB}}
+	for _, algo := range []string{AlgoCMP, AlgoSPRINT, AlgoWindow} {
+		if _, err := cmpb.Validate(algo); err == nil || !strings.Contains(err.Error(), "Algorithm") {
+			t.Errorf("%s with Tree.Algorithm CMP-B: err %v, want an error naming Algorithm", algo, err)
+		}
+	}
+	for _, algo := range Algorithms() {
+		o, err := Options{}.Validate(algo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := core.Config{Algorithm: o.Tree.Algorithm}.Validate()
+		if !reflect.DeepEqual(o.Tree, want) {
+			t.Errorf("%s: validated Tree %+v, want core's defaults %+v", algo, o.Tree, want)
+		}
+		if again, err := o.Validate(algo); err != nil || !reflect.DeepEqual(again, o) {
+			t.Errorf("%s: Validate is not idempotent: %+v, then %+v (%v)", algo, o, again, err)
+		}
+	}
+	if o, _ := cmpb.Validate(AlgoCMPB); o.Tree.Algorithm != core.CMPB {
+		t.Errorf("cmp-b validated as %v", o.Tree.Algorithm)
 	}
 }

@@ -30,26 +30,8 @@ func MetricsReport(c *obs.Collector, res *RunResult) *obs.Report {
 		st.FillSummary(&rep.Build)
 		st.FillQuant(&rep.Quant)
 	}
-	rep.IO = IOSummary(res.IOStats)
+	rep.IO = res.IOStats.Summary()
 	return rep
-}
-
-// IOSummary mirrors a storage.Stats into the report's I/O section.
-func IOSummary(s storage.Stats) obs.IOSummary {
-	return obs.IOSummary{
-		Scans:           s.Scans,
-		RecordsRead:     s.RecordsRead,
-		BytesRead:       s.BytesRead,
-		PagesRead:       s.PagesRead,
-		BytesWritten:    s.BytesWritten,
-		PagesWritten:    s.PagesWritten,
-		Retries:         s.Retries,
-		CorruptPages:    s.CorruptPages,
-		CacheHits:       s.CacheHits,
-		CacheMisses:     s.CacheMisses,
-		CacheEvictions:  s.Evictions,
-		PrefetchedPages: s.PrefetchedPages,
-	}
 }
 
 // ExportCacheCounters publishes the run's page-cache counters into a metrics

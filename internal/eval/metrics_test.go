@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"cmpdt/internal/core"
 	"cmpdt/internal/dataset"
 	"cmpdt/internal/storage"
 	"cmpdt/internal/synth"
@@ -53,7 +54,7 @@ func TestAccuracyAndConfusion(t *testing.T) {
 
 func TestRunPopulatesEverything(t *testing.T) {
 	tbl := synth.Generate(synth.F2, 6000, 2)
-	res, tr, err := Run(AlgoCMP, storage.NewMem(tbl), tbl, tbl, Options{Intervals: 30})
+	res, tr, err := Run(AlgoCMP, storage.NewMem(tbl), tbl, tbl, Options{Tree: core.Config{Intervals: 30}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,12 +78,12 @@ func TestRunPopulatesEverything(t *testing.T) {
 func TestPurityStopAppliesUniformly(t *testing.T) {
 	tbl := synth.Generate(synth.F2, 20_000, 2)
 	for _, algo := range []string{AlgoCMPS, AlgoSPRINT, AlgoCLOUDS, AlgoRainForest} {
-		strict, _, err := Run(algo, storage.NewMem(tbl), nil, nil, Options{PruneOff: true})
+		strict, _, err := Run(algo, storage.NewMem(tbl), nil, nil, Options{Tree: core.Config{DisablePruning: true}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		loose, _, err := Run(algo, storage.NewMem(tbl), nil, nil,
-			Options{PruneOff: true, PurityStop: 0.8})
+			Options{Tree: core.Config{DisablePruning: true, PurityStop: 0.8}})
 		if err != nil {
 			t.Fatal(err)
 		}

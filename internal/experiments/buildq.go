@@ -61,7 +61,7 @@ func (o Opts) BuildqBench() (*BuildqResult, error) {
 		return nil, fmt.Errorf("experiments: buildq bench needs a file source, got %T", src)
 	}
 
-	cacheBytes := o.Eval.CacheBytes
+	cacheBytes := o.Eval.Tree.CacheBytes
 	if cacheBytes <= 0 {
 		cacheBytes = buildqCacheBytes
 	}

@@ -74,15 +74,15 @@ func (o Opts) CacheBench() (*CacheResult, error) {
 		return nil, fmt.Errorf("experiments: cache bench needs a file source, got %T", src)
 	}
 
-	cacheBytes := o.Eval.CacheBytes
+	cacheBytes := o.Eval.Tree.CacheBytes
 	if cacheBytes <= 0 {
 		cacheBytes = defaultCacheBytes
 	}
 	cfg := core.Default(core.CMPB)
 	cfg.Intervals = o.Intervals
 	cfg.Seed = o.Seed
-	if o.Eval.Workers != 0 {
-		cfg.Workers = o.Eval.Workers
+	if o.Eval.Tree.Workers != 0 {
+		cfg.Workers = o.Eval.Tree.Workers
 	}
 
 	out := &CacheResult{

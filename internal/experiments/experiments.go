@@ -67,11 +67,11 @@ func PaperScale() Opts {
 
 func (o Opts) evalOptions() eval.Options {
 	e := o.Eval
-	if e.Intervals == 0 {
-		e.Intervals = o.Intervals
+	if e.Tree.Intervals == 0 {
+		e.Tree.Intervals = o.Intervals
 	}
-	if e.Seed == 0 {
-		e.Seed = o.Seed
+	if e.Tree.Seed == 0 {
+		e.Tree.Seed = o.Seed
 	}
 	return e
 }
@@ -202,9 +202,9 @@ func (o Opts) FunctionF() ([]Row, error) {
 		// reach that purity in two levels while the univariate trees must
 		// staircase along the diagonal boundary.
 		evalOpts := o.evalOptions()
-		evalOpts.PurityStop = 0.95
+		evalOpts.Tree.PurityStop = 0.95
 		cmpOpts := evalOpts
-		cmpOpts.ObliqueAllPairs = true
+		cmpOpts.Tree.ObliqueAllPairs = true
 		r, err := o.runOne("Figure 18", synth.FPaper, n, eval.AlgoCMP, cmpOpts)
 		if err != nil {
 			return nil, err

@@ -49,7 +49,7 @@ const forestBenchTrees = 16
 // ForestBench trains a bagged forest on Function 2, verifies the
 // determinism invariant across worker counts and cache configurations over
 // one shared on-disk store, and measures the ensemble serving paths.
-// Eval.CacheBytes sets the cached runs' capacity (default 64 MiB).
+// Eval.Tree.CacheBytes sets the cached runs' capacity (default 64 MiB).
 func (o Opts) ForestBench() (*ForestResult, error) {
 	dir := o.Dir
 	if dir == "" {
@@ -67,7 +67,7 @@ func (o Opts) ForestBench() (*ForestResult, error) {
 		return nil, err
 	}
 
-	cacheBytes := o.Eval.CacheBytes
+	cacheBytes := o.Eval.Tree.CacheBytes
 	if cacheBytes <= 0 {
 		cacheBytes = 64 << 20
 	}
@@ -95,7 +95,7 @@ func (o Opts) ForestBench() (*ForestResult, error) {
 	} {
 		c := cfg
 		c.Tree.Workers = combo.workers
-		c.CacheBytes = combo.cache
+		c.Tree.CacheBytes = combo.cache
 		res, err := forest.Train(fsrc, c)
 		if err != nil {
 			return nil, fmt.Errorf("forest bench (workers=%d cache=%d): %w", combo.workers, combo.cache, err)

@@ -73,12 +73,12 @@ func (o Opts) TreesComparison() (univariate, multivariate *tree.Tree, err error)
 	tbl := synth.Generate(synth.FPaper, o.N, o.Seed)
 
 	opts := o.evalOptions()
-	opts.PurityStop = 0.95
+	opts.Tree.PurityStop = 0.95
 	_, univariate, err = eval.Run(eval.AlgoSPRINT, storage.NewMem(tbl), nil, nil, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	opts.ObliqueAllPairs = true
+	opts.Tree.ObliqueAllPairs = true
 	_, multivariate, err = eval.Run(eval.AlgoCMP, storage.NewMem(tbl), nil, nil, opts)
 	if err != nil {
 		return nil, nil, err

@@ -110,8 +110,8 @@ func (o Opts) Inference() (*InferResult, error) {
 	}
 	t := res.Tree
 	c := tree.Compile(t)
-	if o.Eval.Obs != nil {
-		c.SetBatchObserver(o.Eval.Obs.Registry().Histogram("infer_batch_ns", obs.DefaultLatencyBounds))
+	if o.Eval.Tree.Obs != nil {
+		c.SetBatchObserver(o.Eval.Tree.Obs.Registry().Histogram("infer_batch_ns", obs.DefaultLatencyBounds))
 	}
 	n := tbl.NumRecords()
 	dst := make([]int, n)

@@ -72,12 +72,9 @@ func (o Opts) Table1() ([]Table1Row, error) {
 		for _, q := range ds.intervals {
 			cfg := core.Default(core.CMPS)
 			cfg.Intervals = q
-			cfg.MaxAlive = o.Eval.MaxAlive
-			if cfg.MaxAlive == 0 {
-				cfg.MaxAlive = 2
-			}
+			cfg.MaxAlive = o.Eval.Tree.MaxAlive
 			cfg.MaxDepth = 1
-			cfg.Prune = false
+			cfg.DisablePruning = true
 			cfg.InMemoryNodeRecords = -1
 			cfg.Seed = o.Seed
 			res, err := core.Build(storage.NewMem(tbl), cfg)

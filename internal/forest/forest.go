@@ -51,30 +51,32 @@ type Config struct {
 	NoBootstrap bool
 	// Seed drives every random choice the forest layer makes: per-tree
 	// bootstrap masks and per-tree feature subsets each draw from their
-	// own splitmix64-derived stream.
+	// own splitmix64-derived stream. Zero takes the validated Tree.Seed.
 	Seed int64
 	// Parallel bounds how many trees build concurrently; <= 0 selects
 	// GOMAXPROCS. Concurrency never changes the result: each tree's build
 	// depends only on its own masked view and derived seeds.
 	Parallel int
 	// Tree is the per-tree build configuration (algorithm, intervals,
-	// stopping rules, scan workers). Its Seed is offset by the tree index,
-	// its SplitAttrs is overwritten by the per-tree feature subset, and
-	// its CacheBytes/Obs are managed by the forest layer.
+	// stopping rules, scan workers), validated before any record is read.
+	// Its Seed is offset by the tree index. Its CacheBytes, when positive,
+	// sizes the shared source's page cache once before training (a no-op
+	// for non-cacheable sources): the cache serves the raw and regression
+	// trees' per-round scans, and a quantized classification forest, which
+	// reads the store only for its index and for the out-of-bag pass, has
+	// the second served from the pages the first loaded; it only changes
+	// physical I/O counters, never the forest. SplitAttrs and Obs must be
+	// unset: the forest draws each tree's feature subset and, under
+	// CollectObs, gives each tree its own collector. Regression trees
+	// (Target set) read Intervals, MinSplitRecords, MaxDepth, MaxRounds,
+	// Workers and DiscretizeSample, and reject Quantize, ValidateSkip and
+	// ObliqueAllPairs.
 	Tree core.Config
 	// Target, when non-empty, names the numeric attribute to predict:
 	// the forest then grows regression trees with variance-reduction
 	// splits instead of classifiers. Empty trains classifiers on the
 	// dataset's class labels.
 	Target string
-	// CacheBytes, when positive, sizes the shared source's page cache once
-	// before training (a no-op for non-cacheable sources). The cache serves
-	// the raw and regression trees' per-round scans; a quantized
-	// classification forest reads the store only twice, for its index and
-	// for the out-of-bag pass, which the cache then serves from the pages
-	// the index scan loaded. The cache only changes physical I/O counters,
-	// never the forest.
-	CacheBytes int64
 	// CollectObs gathers a per-tree observability report and merges them
 	// into Result.Report (per-tree phase timings summed, I/O summed, wall
 	// time maxed). Off by default: instrumentation is per-tree collectors,
@@ -163,9 +165,9 @@ func TrainContext(ctx context.Context, src storage.RangeSource, cfg Config) (*Re
 	if err != nil {
 		return nil, err
 	}
-	if cfg.CacheBytes > 0 {
+	if cfg.Tree.CacheBytes > 0 {
 		if c, ok := src.(storage.Cacheable); ok {
-			c.SetCacheBytes(cfg.CacheBytes)
+			c.SetCacheBytes(cfg.Tree.CacheBytes)
 		}
 	}
 	start := time.Now()
@@ -249,14 +251,14 @@ func TrainContext(ctx context.Context, src storage.RangeSource, cfg Config) (*Re
 		}
 		// Replace the summed member view with the ensemble total, which
 		// additionally includes the index scan and the out-of-bag pass.
-		res.Report.IO = ioSummary(res.IO)
+		res.Report.IO = res.IO.Summary()
 	}
 	res.Wall = time.Since(start)
 	return res, nil
 }
 
-// normalize fills defaults and validates; returns the regression target
-// attribute index (-1 for classification).
+// normalize fills defaults and validates, reading no record; returns the
+// regression target attribute index (-1 for classification).
 func normalize(src storage.RangeSource, cfg Config) (Config, int, error) {
 	if cfg.Trees == 0 {
 		cfg.Trees = DefaultTrees
@@ -267,11 +269,24 @@ func normalize(src storage.RangeSource, cfg Config) (Config, int, error) {
 	if cfg.FeatureFrac == 0 {
 		cfg.FeatureFrac = 1
 	}
-	if cfg.FeatureFrac < 0 || cfg.FeatureFrac > 1 {
+	if !(cfg.FeatureFrac > 0 && cfg.FeatureFrac <= 1) {
 		return cfg, 0, fmt.Errorf("forest: FeatureFrac %g outside (0,1]", cfg.FeatureFrac)
 	}
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = runtime.GOMAXPROCS(0)
+	}
+	if cfg.Tree.SplitAttrs != nil {
+		return cfg, 0, errors.New("forest: Tree.SplitAttrs must be nil: the forest draws each tree's feature subset (FeatureFrac)")
+	}
+	if cfg.Tree.Obs != nil {
+		return cfg, 0, errors.New("forest: Tree.Obs must be nil: set CollectObs to give each tree its own collector")
+	}
+	var err error
+	if cfg.Tree, err = cfg.Tree.Validate(); err != nil {
+		return cfg, 0, fmt.Errorf("forest: %w", err)
+	}
+	if cfg.Seed == 0 {
+		cfg.Seed = cfg.Tree.Seed
 	}
 	schema := src.Schema()
 	if err := schema.Validate(); err != nil {
@@ -288,6 +303,17 @@ func normalize(src storage.RangeSource, cfg Config) (Config, int, error) {
 		}
 		if schema.Attrs[target].Kind != dataset.Numeric {
 			return cfg, 0, fmt.Errorf("forest: target attribute %q is not numeric", cfg.Target)
+		}
+		for _, k := range []struct {
+			name string
+			set  bool
+		}{
+			{"Quantize", cfg.Tree.Quantize}, {"Validation=ValidateSkip", cfg.Tree.Validation == core.ValidateSkip},
+			{"ObliqueAllPairs", cfg.Tree.ObliqueAllPairs},
+		} {
+			if k.set {
+				return cfg, 0, fmt.Errorf("forest: regression trees cannot honour Tree.%s", k.name)
+			}
 		}
 	}
 	return cfg, target, nil
@@ -391,25 +417,6 @@ func featureSubset(schema *dataset.Schema, cfg Config, target, i int) []int {
 	}
 	sort.Ints(attrs)
 	return attrs
-}
-
-// ioSummary mirrors a storage.Stats into a report's I/O section (forest
-// cannot use eval's identical helper: eval sits above this package).
-func ioSummary(s storage.Stats) obs.IOSummary {
-	return obs.IOSummary{
-		Scans:           s.Scans,
-		RecordsRead:     s.RecordsRead,
-		BytesRead:       s.BytesRead,
-		PagesRead:       s.PagesRead,
-		BytesWritten:    s.BytesWritten,
-		PagesWritten:    s.PagesWritten,
-		Retries:         s.Retries,
-		CorruptPages:    s.CorruptPages,
-		CacheHits:       s.CacheHits,
-		CacheMisses:     s.CacheMisses,
-		CacheEvictions:  s.Evictions,
-		PrefetchedPages: s.PrefetchedPages,
-	}
 }
 
 // treeSeed derives stream s of the forest seed via splitmix64, so per-tree

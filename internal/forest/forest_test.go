@@ -3,10 +3,14 @@ package forest
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cmpdt/internal/core"
+	"cmpdt/internal/obs"
 	"cmpdt/internal/storage"
 	"cmpdt/internal/synth"
 )
@@ -58,7 +62,7 @@ func TestForestDeterminism(t *testing.T) {
 				cfg.Tree.Quantize = quantize
 				cfg.Tree.Workers = workers
 				cfg.Parallel = parallel
-				cfg.CacheBytes = cache
+				cfg.Tree.CacheBytes = cache
 				res, err := Train(fsrc, cfg)
 				if err != nil {
 					t.Fatalf("workers=%d parallel=%d cache=%d: %v", workers, parallel, cache, err)
@@ -248,15 +252,81 @@ func equalInts(a, b []int) bool {
 func TestForestValidation(t *testing.T) {
 	tbl := synth.Generate(synth.F1, 200, 1)
 	src := storage.NewMem(tbl)
-	for name, mut := range map[string]func(*Config){
-		"negative-trees":   func(c *Config) { c.Trees = -1 },
-		"bad-feature-frac": func(c *Config) { c.FeatureFrac = 1.5 },
-		"unknown-target":   func(c *Config) { c.Target = "no-such-attr" },
+	for name, row := range map[string]struct {
+		mut   func(*Config)
+		field string // the error names it
+	}{
+		"negative-trees":   {func(c *Config) { c.Trees = -1 }, "Trees"},
+		"bad-feature-frac": {func(c *Config) { c.FeatureFrac = 1.5 }, "FeatureFrac"},
+		"nan-feature-frac": {func(c *Config) { c.FeatureFrac = math.NaN() }, "FeatureFrac"},
+		"unknown-target":   {func(c *Config) { c.Target = "no-such-attr" }, "no-such-attr"},
+		"invalid-tree":     {func(c *Config) { c.Tree.MaxDepth = -1 }, "MaxDepth"},
+		"split-attrs":      {func(c *Config) { c.Tree.SplitAttrs = []int{0, 1} }, "SplitAttrs"},
+		"tree-obs":         {func(c *Config) { c.Tree.Obs = obs.NewCollector(1) }, "Obs"},
+		"regression-quantize": {func(c *Config) {
+			c.Target, c.Tree.Quantize = "salary", true
+		}, "Quantize"},
+		"regression-skip": {func(c *Config) {
+			c.Target, c.Tree.Validation = "salary", core.ValidateSkip
+		}, "ValidateSkip"},
+		"regression-all-pairs": {func(c *Config) {
+			c.Target, c.Tree.Algorithm, c.Tree.ObliqueAllPairs = "salary", core.CMPFull, true
+		}, "ObliqueAllPairs"},
 	} {
 		cfg := smallConfig(2)
-		mut(&cfg)
-		if _, err := Train(src, cfg); err == nil {
-			t.Errorf("%s accepted", name)
+		row.mut(&cfg)
+		if _, err := Train(src, cfg); err == nil || !strings.Contains(err.Error(), row.field) {
+			t.Errorf("%s: err %v, want an error naming %s", name, err, row.field)
+		}
+	}
+}
+
+// countingSource counts the records its scans deliver, whichever way they
+// are read.
+type countingSource struct {
+	storage.RangeSource
+	read atomic.Int64
+}
+
+func (c *countingSource) Scan(fn func(rid int, vals []float64, label int) error) error {
+	return c.RangeSource.Scan(func(rid int, vals []float64, label int) error {
+		c.read.Add(1)
+		return fn(rid, vals, label)
+	})
+}
+
+func (c *countingSource) ScanRange(lo, hi int, stats *storage.Stats, fn func(rid int, vals []float64, label int) error) error {
+	return c.RangeSource.ScanRange(lo, hi, stats, func(rid int, vals []float64, label int) error {
+		c.read.Add(1)
+		return fn(rid, vals, label)
+	})
+}
+
+// TestForestInvalidTreeReadsNothing: a forest whose Tree config is invalid
+// fails before it reads a record — in particular before a quantized
+// forest scans the store into its index.
+func TestForestInvalidTreeReadsNothing(t *testing.T) {
+	tbl := synth.Generate(synth.F2, 500, 1)
+	for name, mut := range map[string]func(*core.Config){
+		"valid":           func(c *core.Config) {},
+		"intervals=1":     func(c *core.Config) { c.Intervals = 1 },
+		"cmp-quantized":   func(c *core.Config) { c.Algorithm = core.CMPFull },
+		"bins=1":          func(c *core.Config) { c.QuantizeBins = 1 },
+		"purity-stop=1.5": func(c *core.Config) { c.PurityStop = 1.5 },
+	} {
+		src := &countingSource{RangeSource: storage.NewMem(tbl)}
+		cfg := smallConfig(2)
+		cfg.Tree.Quantize = true
+		mut(&cfg.Tree)
+		_, err := Train(src, cfg)
+		if name == "valid" {
+			if err != nil || src.read.Load() == 0 {
+				t.Fatalf("valid forest: err %v after %d records read", err, src.read.Load())
+			}
+			continue
+		}
+		if err == nil || src.read.Load() != 0 {
+			t.Errorf("%s: err %v after %d records read, want an error before any read", name, err, src.read.Load())
 		}
 	}
 }

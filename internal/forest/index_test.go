@@ -264,7 +264,7 @@ func TestForestCancel(t *testing.T) {
 	cfg.Tree.Quantize = true
 	cfg.Tree.Workers = 2
 	cfg.Parallel = 2
-	cfg.CacheBytes = 8 << 20
+	cfg.Tree.CacheBytes = 8 << 20
 
 	check := func(name string, err error, base int) {
 		t.Helper()

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"cmpdt/internal/dataset"
 	"cmpdt/internal/quantile"
@@ -47,30 +46,8 @@ type rnode struct {
 // attributes except the target).
 func buildRegressTree(ctx context.Context, src storage.RangeSource, cfg Config, target int, attrs []int, i int) (*tree.Tree, error) {
 	schema := src.Schema()
-	intervals := cfg.Tree.Intervals
-	if intervals == 0 {
-		intervals = 100
-	}
-	minSplit := cfg.Tree.MinSplitRecords
-	if minSplit == 0 {
-		minSplit = 2
-	}
-	maxDepth := cfg.Tree.MaxDepth
-	if maxDepth == 0 {
-		maxDepth = 32
-	}
-	maxRounds := cfg.Tree.MaxRounds
-	if maxRounds == 0 {
-		maxRounds = 64
-	}
-	workers := cfg.Tree.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sampleCap := cfg.Tree.DiscretizeSample
-	if sampleCap == 0 {
-		sampleCap = 50_000
-	}
+	tc := cfg.Tree // validated by normalize
+	sampleCap := tc.DiscretizeSample
 	if sampleCap < 0 {
 		sampleCap = math.MaxInt
 	}
@@ -139,7 +116,7 @@ func buildRegressTree(ctx context.Context, src storage.RangeSource, cfg Config, 
 	disc := make(map[int]*quantile.Discretizer, len(cands))
 	var usable []int
 	for _, a := range cands {
-		d, err := quantile.EqualDepth(samples[a], intervals)
+		d, err := quantile.EqualDepth(samples[a], tc.Intervals)
 		if err != nil || d.Bins() < 2 {
 			continue
 		}
@@ -169,7 +146,7 @@ func buildRegressTree(ctx context.Context, src storage.RangeSource, cfg Config, 
 	}
 
 	open := []*rnode{{tn: root, depth: 0, value: rootMean}}
-	for round := 1; len(open) > 0 && round <= maxRounds; round++ {
+	for round := 1; len(open) > 0 && round <= tc.MaxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -181,14 +158,14 @@ func buildRegressTree(ctx context.Context, src storage.RangeSource, cfg Config, 
 			n, sum int64
 			h      []int64
 		}
-		shards := make([][]acc, workers)
+		shards := make([][]acc, tc.Workers)
 		for w := range shards {
 			shards[w] = make([]acc, len(open))
 			for oi := range shards[w] {
 				shards[w][oi].h = make([]int64, stride)
 			}
 		}
-		err := storage.ParallelScan(ctx, src, workers, func(w, rid int, vals []float64, label int) error {
+		err := storage.ParallelScan(ctx, src, tc.Workers, func(w, rid int, vals []float64, label int) error {
 			cur := root
 			for cur.Split != nil {
 				if cur.Split.GoesLeft(vals) {
@@ -221,7 +198,7 @@ func buildRegressTree(ctx context.Context, src storage.RangeSource, cfg Config, 
 		}
 		// Merge shards; integer sums, so order is irrelevant to the total.
 		tot := shards[0]
-		for w := 1; w < workers; w++ {
+		for w := 1; w < tc.Workers; w++ {
 			for oi := range tot {
 				tot[oi].n += shards[w][oi].n
 				tot[oi].sum += shards[w][oi].sum
@@ -242,7 +219,7 @@ func buildRegressTree(ctx context.Context, src storage.RangeSource, cfg Config, 
 			}
 			rn.tn.N = int(t.n)
 			rn.tn.Value = dequant(t.sum, t.n)
-			if rn.depth >= maxDepth || t.n < int64(minSplit) {
+			if rn.depth >= tc.MaxDepth || t.n < int64(tc.MinSplitRecords) {
 				continue
 			}
 			base := float64(t.sum) * float64(t.sum) / float64(t.n)

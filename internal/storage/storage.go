@@ -9,7 +9,10 @@
 // independent of the machine they run on.
 package storage
 
-import "cmpdt/internal/dataset"
+import (
+	"cmpdt/internal/dataset"
+	"cmpdt/internal/obs"
+)
 
 // PageSize is the simulated disk page size used for page accounting.
 const PageSize = 8192
@@ -63,6 +66,24 @@ func (s *Stats) Add(other Stats) {
 	s.CacheMisses += other.CacheMisses
 	s.Evictions += other.Evictions
 	s.PrefetchedPages += other.PrefetchedPages
+}
+
+// Summary mirrors s into an observability report's I/O section.
+func (s Stats) Summary() obs.IOSummary {
+	return obs.IOSummary{
+		Scans:           s.Scans,
+		RecordsRead:     s.RecordsRead,
+		BytesRead:       s.BytesRead,
+		PagesRead:       s.PagesRead,
+		BytesWritten:    s.BytesWritten,
+		PagesWritten:    s.PagesWritten,
+		Retries:         s.Retries,
+		CorruptPages:    s.CorruptPages,
+		CacheHits:       s.CacheHits,
+		CacheMisses:     s.CacheMisses,
+		CacheEvictions:  s.Evictions,
+		PrefetchedPages: s.PrefetchedPages,
+	}
 }
 
 // Source is a scannable training set. Implementations meter their I/O.
