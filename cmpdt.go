@@ -65,6 +65,15 @@ const (
 // String names the variant the way the paper does.
 func (a Algorithm) String() string { return core.Algorithm(a).String() }
 
+// check rejects a value that names no CMP variant. The core engine's other
+// algorithms, the CLOUDS comparators, are not part of this API.
+func (a Algorithm) check() error {
+	if a < CMPS || a > CMP {
+		return fmt.Errorf("cmpdt: unknown Algorithm %d", int(a))
+	}
+	return nil
+}
+
 // Attr describes one predictive attribute. A nil Values slice means the
 // attribute is numeric (ordered); otherwise it is categorical with the
 // given value names.
@@ -406,6 +415,9 @@ func TrainFileContext(ctx context.Context, path string, cfg Config) (*Tree, *Sta
 }
 
 func trainSource(ctx context.Context, src storage.Source, cfg Config) (*Tree, *Stats, error) {
+	if err := cfg.Algorithm.check(); err != nil {
+		return nil, nil, err
+	}
 	ccfg, err := cfg.internal().Validate()
 	if err != nil {
 		return nil, nil, err
@@ -548,10 +560,10 @@ func (t *Tree) Evaluate(ds *Dataset) Report {
 // cfg applies to each fold's tree; CacheBytes and Observer, which an
 // in-memory cross-validation cannot honour, are errors.
 func CrossValidate(ds *Dataset, cfg Config, k int) (accuracies []float64, mean float64, err error) {
-	algoName, ok := map[Algorithm]string{CMPS: eval.AlgoCMPS, CMPB: eval.AlgoCMPB, CMP: eval.AlgoCMP}[cfg.Algorithm]
-	if !ok {
-		return nil, 0, fmt.Errorf("cmpdt: unknown Algorithm %d", int(cfg.Algorithm))
+	if err := cfg.Algorithm.check(); err != nil {
+		return nil, 0, err
 	}
+	algoName := map[Algorithm]string{CMPS: eval.AlgoCMPS, CMPB: eval.AlgoCMPB, CMP: eval.AlgoCMP}[cfg.Algorithm]
 	if cfg.CacheBytes > 0 {
 		return nil, 0, errMemCache
 	}

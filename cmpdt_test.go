@@ -66,6 +66,24 @@ func TestTrainAndPredict(t *testing.T) {
 	}
 }
 
+// TestUnknownAlgorithmRejected: an Algorithm that names no CMP variant —
+// including the values of the core engine's internal CLOUDS comparators —
+// fails every training entry point.
+func TestUnknownAlgorithmRejected(t *testing.T) {
+	ds := loanDataset(t, 300)
+	for _, algo := range []Algorithm{-1, CMP + 1, CMP + 2, 7} {
+		cfg := Config{Algorithm: algo}
+		_, err := Train(ds, cfg)
+		_, ferr := TrainForest(ds, ForestConfig{Trees: 2, Tree: cfg})
+		_, _, cerr := CrossValidate(ds, cfg, 2)
+		for _, e := range []error{err, ferr, cerr} {
+			if e == nil || !strings.Contains(e.Error(), "Algorithm") {
+				t.Errorf("Algorithm %d: err %v, want an error naming Algorithm", int(algo), e)
+			}
+		}
+	}
+}
+
 func TestPredictClassAndString(t *testing.T) {
 	ds := loanDataset(t, 5000)
 	tree, err := Train(ds, Config{Algorithm: CMPS})

@@ -237,6 +237,9 @@ func TrainForestFileContext(ctx context.Context, path string, cfg ForestConfig) 
 var errTreeObserver = errors.New("cmpdt: ForestConfig.Tree.Observer is not supported; set ForestConfig.Observer to collect the forest's report")
 
 func trainForestSource(ctx context.Context, src storage.RangeSource, cfg ForestConfig) (*Forest, error) {
+	if err := cfg.Tree.Algorithm.check(); err != nil {
+		return nil, err
+	}
 	res, err := forest.TrainContext(ctx, src, cfg.internal())
 	if err != nil {
 		return nil, err

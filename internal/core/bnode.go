@@ -116,6 +116,10 @@ type pendingSplit struct {
 	// gaps are the alive-interval value ranges (Lo, Hi], ascending,
 	// non-overlapping, with adjacent alive intervals merged.
 	gaps []valueRange
+	// regions are the class counts of the regions between the gaps, from
+	// the decision's marginal: exact for a primary decision, which is what
+	// CLOUDS-SSE resolves from.
+	regions [][]int
 	// The best interval boundary seen at decision time is kept as a
 	// fallback candidate: if no point inside the alive gaps beats it, the
 	// node resolves at this boundary instead (with fresh children, since

@@ -22,6 +22,11 @@
 // discretizers and resolves alive intervals from buffered records; the
 // quantized kernel (qbuild.go, Config.Quantize) scans small bin codes by
 // dense array indexing, where every boundary is exact.
+//
+// CLOUDS, the algorithm CMP-S derives from, runs as two policies of the raw
+// kernel with CMP-S's geometry: CLOUDS-SSE resolves each round's pending
+// splits from one extra gap pass before the next round's scan (the pass
+// CMP-S removes), and CLOUDS-SS splits at the best interval boundary.
 package core
 
 import (
@@ -44,7 +49,17 @@ const (
 	CMPB
 	// CMPFull adds linear-combination splits (Section 2.3).
 	CMPFull
+	// CLOUDSSSE is CLOUDS with estimation (Alsabti, Ranka & Singh, 1998):
+	// CMP-S plus one gap pass per round that has pending splits.
+	CLOUDSSSE
+	// CLOUDSSS is CLOUDS sampling the splitting points: CMP-S splitting at
+	// the best interval boundary, with no alive intervals.
+	CLOUDSSS
 )
+
+// matrices reports whether a builds bivariate histogram matrices (CMP-B and
+// full CMP); the others keep one histogram per attribute.
+func (a Algorithm) matrices() bool { return a == CMPB || a == CMPFull }
 
 // String names the variant the way the paper does.
 func (a Algorithm) String() string {
@@ -55,6 +70,10 @@ func (a Algorithm) String() string {
 		return "CMP-B"
 	case CMPFull:
 		return "CMP"
+	case CLOUDSSSE:
+		return "CLOUDS-SSE"
+	case CLOUDSSS:
+		return "CLOUDS-SS"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
@@ -82,7 +101,7 @@ const (
 // Validate fills its defaults and checks it. The zero value, with an
 // Algorithm, is the paper's configuration (Default).
 type Config struct {
-	// Algorithm selects CMP-S, CMP-B or full CMP.
+	// Algorithm selects CMP-S, CMP-B, full CMP or a CLOUDS variant.
 	Algorithm Algorithm
 	// Intervals is the number of equal-depth intervals per numeric
 	// attribute (the paper uses 100-120 for large datasets).
@@ -123,8 +142,8 @@ type Config struct {
 	// sharing the predicted X-axis. This removes the paper's stated
 	// limitation (i) of Section 2.3 — linear relationships between two
 	// Y-axis attributes are invisible — at O(K^2) histogram cost per node.
-	// Only raw full CMP searches linear splits: with CMP-S, CMP-B or a
-	// quantized build (Quantize, a pre-quantized source, BuildIndexed) the
+	// Only raw full CMP searches linear splits: with any other algorithm or
+	// a quantized build (Quantize, a pre-quantized source, BuildIndexed) the
 	// build fails rather than silently ignore the knob.
 	ObliqueAllPairs bool
 	// InMemoryNodeRecords: nodes with at most this many records are finished
@@ -200,7 +219,8 @@ type Config struct {
 	// count, cache on or off) holds exactly as on the raw path. Linear-
 	// combination splits are not searched in code space, so a quantized
 	// build (Quantize, a pre-quantized source, BuildIndexed) with CMPFull
-	// fails with an error that points to CMP-B.
+	// fails with an error that points to CMP-B; the CLOUDS variants are
+	// policies of the raw kernel, so with them it fails too.
 	Quantize bool
 	// QuantizeBins is the target number of bin codes per numeric attribute
 	// for quantized builds. Zero means Intervals (so quantized and raw
@@ -240,7 +260,7 @@ func Default(algo Algorithm) Config {
 // naming the field. A validated config validates to itself, so each layer
 // may validate what it passes on.
 func (c Config) Validate() (Config, error) {
-	if c.Algorithm != CMPS && c.Algorithm != CMPB && c.Algorithm != CMPFull {
+	if c.Algorithm < CMPS || c.Algorithm > CLOUDSSS {
 		return c, fmt.Errorf("core: unknown Algorithm %d", int(c.Algorithm))
 	}
 	if c.Validation != ValidateStrict && c.Validation != ValidateSkip {
@@ -299,6 +319,9 @@ func (c Config) Validate() (Config, error) {
 	}
 	if c.Quantize && c.Algorithm == CMPFull {
 		return c, errors.New("core: Quantize builds search no linear-combination splits, so they cannot build full CMP; use CMP-B (cmp-b)")
+	}
+	if c.Quantize && c.Algorithm >= CLOUDSSSE {
+		return c, fmt.Errorf("core: %v is a policy of the raw kernel and cannot Quantize", c.Algorithm)
 	}
 	if !c.Quantize {
 		if c.QuantizeBins != 0 {

@@ -22,7 +22,7 @@ import (
 // TestConfigZeroIsDefault: the zero Config is the paper's configuration,
 // and Validate is idempotent.
 func TestConfigZeroIsDefault(t *testing.T) {
-	for _, a := range []core.Algorithm{core.CMPS, core.CMPB, core.CMPFull} {
+	for _, a := range allAlgorithms {
 		zero, err := core.Config{Algorithm: a}.Validate()
 		if err != nil {
 			t.Fatal(err)
@@ -34,7 +34,7 @@ func TestConfigZeroIsDefault(t *testing.T) {
 		if !reflect.DeepEqual(zero, def) {
 			t.Errorf("%v: Config{Algorithm}.Validate() = %+v, Default(a).Validate() = %+v", a, zero, def)
 		}
-		q := core.Config{Algorithm: a, Quantize: a != core.CMPFull}
+		q := core.Config{Algorithm: a, Quantize: a == core.CMPS || a == core.CMPB}
 		for _, c := range []core.Config{zero, q} {
 			once, err := c.Validate()
 			if err != nil {
@@ -47,6 +47,9 @@ func TestConfigZeroIsDefault(t *testing.T) {
 		}
 	}
 }
+
+// allAlgorithms lists every algorithm the core engine builds.
+var allAlgorithms = []core.Algorithm{core.CMPS, core.CMPB, core.CMPFull, core.CLOUDSSSE, core.CLOUDSSS}
 
 // knobEffect is what a run reports of the knobs under test.
 type knobEffect struct {
@@ -179,7 +182,10 @@ func knobEntries(t *testing.T) []knobEntry {
 	qm := preQuantized(t, clean)
 	pub := publicDataset(t, dirty)
 	evalName := func(a core.Algorithm) string {
-		if name, ok := map[core.Algorithm]string{core.CMPS: eval.AlgoCMPS, core.CMPFull: eval.AlgoCMP}[a]; ok {
+		if name, ok := map[core.Algorithm]string{
+			core.CMPS: eval.AlgoCMPS, core.CMPFull: eval.AlgoCMP,
+			core.CLOUDSSSE: eval.AlgoCLOUDS, core.CLOUDSSS: eval.AlgoCLOUDSSS,
+		}[a]; ok {
 			return name
 		}
 		return eval.AlgoCMPB // CMP-B, or an unknown Algorithm eval must reject
@@ -245,10 +251,11 @@ func knobEntries(t *testing.T) []knobEntry {
 		{name: "cmpdt.CrossValidate", public: true, opaque: true, run: func(t *testing.T, cfg core.Config) (knobEffect, error) {
 			// Every knob is passed through: the folds equal eval's under
 			// the same config, and so do its errors (but for CacheBytes,
-			// which cmpdt alone rejects for an in-memory dataset).
+			// which cmpdt alone rejects for an in-memory dataset, and the
+			// CLOUDS algorithms, which cmpdt does not name).
 			got, _, err := cmpdt.CrossValidate(pub, publicConfig(cfg), 2)
 			cv, evalErr := eval.CrossValidate(evalName(cfg.Algorithm), dirty, 2, eval.Options{Tree: cfg})
-			if cfg.CacheBytes == 0 && (err == nil) != (evalErr == nil) {
+			if cfg.CacheBytes == 0 && cfg.Algorithm < core.CLOUDSSSE && (err == nil) != (evalErr == nil) {
 				t.Errorf("cmpdt.CrossValidate err %v, eval.CrossValidate err %v", err, evalErr)
 			}
 			if err != nil {
@@ -280,11 +287,14 @@ func wantKnobError(e knobEntry, c core.Config) string {
 		}
 		return ""
 	}
+	if e.public && c.Algorithm >= core.CLOUDSSSE {
+		return "Algorithm" // cmpdt names the CMP variants only
+	}
 	q := c.Quantize || e.quantized
 	switch {
 	case c.ObliqueAllPairs && (c.Algorithm != core.CMPFull || q):
 		return "ObliqueAllPairs"
-	case q && c.Algorithm == core.CMPFull:
+	case q && (c.Algorithm == core.CMPFull || c.Algorithm >= core.CLOUDSSSE):
 		return "Quantize"
 	case !q && c.QuantizeBins != 0:
 		return "QuantizeBins"
@@ -303,7 +313,7 @@ func wantKnobError(e knobEntry, c core.Config) string {
 // tree.
 func TestConfigHonouredOrRejected(t *testing.T) {
 	entries := knobEntries(t)
-	for _, algo := range []core.Algorithm{core.CMPS, core.CMPB, core.CMPFull} {
+	for _, algo := range allAlgorithms {
 		for _, quantize := range []bool{false, true} {
 			for _, bins := range []int{0, 16} {
 				for _, allPairs := range []bool{false, true} {
@@ -372,6 +382,20 @@ func TestConfigHonouredOrRejected(t *testing.T) {
 			t.Errorf("%s: CacheBytes over a Mem source: %v", e.name, err)
 		}
 	}
+
+	// CLOUDS honours every knob that cannot change its tree, beside
+	// ValidateSkip (checked above).
+	for _, algo := range []core.Algorithm{core.CLOUDSSSE, core.CLOUDSSS} {
+		for _, e := range entries {
+			if e.public || e.baseline || e.quantized {
+				continue
+			}
+			cfg := core.Config{Algorithm: algo, Workers: 2, Validation: core.ValidateSkip, CacheBytes: 1 << 20}
+			if got, err := e.run(t, cfg); err != nil || got.skipped == 0 {
+				t.Errorf("%s/%v: Workers 2, CacheBytes and ValidateSkip: %d skipped, err %v", e.name, algo, got.skipped, err)
+			}
+		}
+	}
 }
 
 // checkKnobRow runs cfg through e and checks the outcome.
@@ -422,7 +446,7 @@ func FuzzConfigValidate(f *testing.F) {
 		inMem, sample int32, workers int8,
 		minGain, purity, oblThreshold, oblGain float64, seed int64) {
 		cfg := core.Config{
-			Algorithm:           core.Algorithm(algo % 4),
+			Algorithm:           core.Algorithm(algo % 6),
 			Quantize:            quantize,
 			ObliqueAllPairs:     allPairs,
 			Validation:          core.ValidationPolicy(validation % 3),

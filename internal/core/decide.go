@@ -403,10 +403,7 @@ func (e *engine[N]) resolve(n N, s *tree.Split, l, r N) {
 func (e *engine[N]) makeResolvedNumeric(n N, v *view, best *numEval, kind decideKind) {
 	attr, k, bins := best.attr, best.bestBoundary, v.marg[best.attr].Bins()
 	leftCounts := append([]int(nil), best.cums[k]...)
-	rightCounts := make([]int, e.nc)
-	for i := range rightCounts {
-		rightCounts[i] = v.totals[i] - leftCounts[i]
-	}
+	rightCounts := minus(v.totals, leftCounts)
 	var lview, rview *view
 	if kind == decidePrimary && v.mats != nil && attr == v.xAttr {
 		lview = e.sliceViewX(v, 0, k+1)
@@ -472,10 +469,7 @@ func (e *engine[N]) makeResolvedCategorical(n N, v *view, attr int, mask uint64)
 			}
 		}
 	}
-	rightCounts := make([]int, e.nc)
-	for i := range rightCounts {
-		rightCounts[i] = v.totals[i] - leftCounts[i]
-	}
+	rightCounts := minus(v.totals, leftCounts)
 	e.resolveWhole(n, v, tree.Split{Kind: tree.SplitCategorical, Attr: attr, Subset: mask}, leftCounts, rightCounts)
 }
 
@@ -511,4 +505,13 @@ func sum(xs []int) int {
 		t += x
 	}
 	return t
+}
+
+// minus returns the per-class counts total - part.
+func minus(total, part []int) []int {
+	d := make([]int, len(total))
+	for i := range d {
+		d[i] = total[i] - part[i]
+	}
+	return d
 }

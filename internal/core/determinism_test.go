@@ -149,3 +149,63 @@ func TestParallelTreePredicts(t *testing.T) {
 		t.Errorf("parallel-built tree training accuracy %.3f, want >= 0.95", acc)
 	}
 }
+
+// TestCLOUDSDeterminism: CLOUDS-SSE and CLOUDS-SS build bit-identical
+// trees, statistics and scan accounting at any worker count, over memory
+// and file sources, so the gap pass's shards merge like a round's. SSE
+// builds CMP-S's tree in CMP-S's rounds, buffering the same records, with
+// at most one gap pass per round on top of CMP-S's scans.
+func TestCLOUDSDeterminism(t *testing.T) {
+	for _, fn := range []synth.Func{synth.F2, synth.F7} {
+		tbl := synth.Generate(fn, 10_000, 7)
+		path := filepath.Join(t.TempDir(), "det.rec")
+		if _, err := storage.WriteTable(path, tbl); err != nil {
+			t.Fatal(err)
+		}
+		file, err := storage.OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range []struct {
+			name string
+			src  storage.Source
+		}{{"mem", storage.NewMem(tbl)}, {"file", file}} {
+			cfg := Default(CMPS)
+			cfg.Workers = 1
+			cmpsTree, cmpsStats, _ := buildOnce(t, sc.src, cfg)
+			for _, algo := range []Algorithm{CLOUDSSSE, CLOUDSSS} {
+				t.Run(fmt.Sprintf("%v/F%d/%s", algo, int(fn), sc.name), func(t *testing.T) {
+					cfg := Default(algo)
+					cfg.Workers = 1
+					wantTree, wantStats, wantIO := buildOnce(t, sc.src, cfg)
+					for _, w := range []int{2, 8} {
+						cfg.Workers = w
+						gotTree, gotStats, gotIO := buildOnce(t, sc.src, cfg)
+						if !bytes.Equal(gotTree, wantTree) {
+							t.Errorf("Workers=%d tree differs from serial build", w)
+						}
+						if !reflect.DeepEqual(gotStats, wantStats) {
+							t.Errorf("Workers=%d stats differ:\n got  %+v\n want %+v", w, gotStats, wantStats)
+						}
+						if gotIO != wantIO {
+							t.Errorf("Workers=%d IO stats differ:\n got  %+v\n want %+v", w, gotIO, wantIO)
+						}
+					}
+					if algo != CLOUDSSSE {
+						return
+					}
+					if !bytes.Equal(wantTree, cmpsTree) {
+						t.Error("CLOUDS-SSE tree differs from CMP-S's")
+					}
+					gaps := wantStats.Scans - cmpsStats.Scans
+					if wantStats.Rounds != cmpsStats.Rounds || wantStats.BufferedRecords != cmpsStats.BufferedRecords ||
+						gaps < 1 || gaps >= wantStats.Rounds {
+						t.Errorf("CLOUDS-SSE %d rounds, %d scans, %d buffered; CMP-S %d, %d, %d",
+							wantStats.Rounds, wantStats.Scans, wantStats.BufferedRecords,
+							cmpsStats.Rounds, cmpsStats.Scans, cmpsStats.BufferedRecords)
+					}
+				})
+			}
+		}
+	}
+}

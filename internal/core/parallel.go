@@ -53,11 +53,13 @@ func (sh *scanShard) nodeFor(b *builder, n *bnode) *bnode {
 // pass performs one pass over the training set, routing every record to its
 // place: histogram update, alive-interval buffer, collect buffer, or settled
 // leaf. Validation shards like routing: each worker counts the invalid
-// records of its own range, and the counts sum to the whole pass's.
-func (b *builder) pass() error {
+// records of its own range, and the counts sum to the whole pass's. A
+// gapOnly pass (CLOUDS-SSE's) fills alive-interval buffers only, reads nid
+// without rewriting it, and is no construction round.
+func (b *builder) pass(gapOnly bool) error {
 	workers := b.cfg.Workers
 	sink := func(_, rid int, vals []float64, label int) {
-		b.route(b.nodes[b.nid[rid]], rid, vals, label)
+		b.routeTo(nil, b.nodes[b.nid[rid]], rid, vals, label, gapOnly)
 	}
 	var shards []*scanShard
 	if workers > 1 {
@@ -66,7 +68,7 @@ func (b *builder) pass() error {
 			shards[w] = &scanShard{nodes: make([]*bnode, len(b.nodes))}
 		}
 		sink = func(w, rid int, vals []float64, label int) {
-			b.routeTo(shards[w], b.nodes[b.nid[rid]], rid, vals, label)
+			b.routeTo(shards[w], b.nodes[b.nid[rid]], rid, vals, label, gapOnly)
 		}
 	}
 	skipped := make([]int64, workers)
@@ -95,6 +97,12 @@ func (b *builder) pass() error {
 	for _, sh := range shards {
 		b.mergeShard(sh.nodes)
 		b.stats.BufferedRecords += sh.buffered
+	}
+	if gapOnly {
+		b.obs.IncScans()
+		b.stats.Scans++
+		b.stats.NidBytesIO += 4 * b.records
+		return nil
 	}
 	b.finishScan()
 	return nil

@@ -372,8 +372,12 @@ func (b *builder) child(n *bnode, v *view, attr, lo, hi, x int, counts []int) *b
 }
 
 // pend selects the alive intervals of e's attribute and, when any are
-// left, installs the pending split over them.
+// left, installs the pending split over them. CLOUDS-SS keeps none: it
+// splits at the best interval boundary.
 func (b *builder) pend(n *bnode, v *view, e *numEval, kind decideKind) int {
+	if b.cfg.Algorithm == CLOUDSSS {
+		return 0
+	}
 	alive := b.selectAlive(e)
 	if len(alive) > 0 {
 		b.makePending(n, v, e, alive, kind)
@@ -401,6 +405,7 @@ func (b *builder) makePending(n *bnode, v *view, e *numEval, alive []int, kind d
 	}
 
 	regionCounts := b.regionCounts(v.marg[e.attr], alive)
+	n.pending.regions = regionCounts
 	n.children = make([]*bnode, A+1)
 	if A >= 2 {
 		// Regions share the parent's discretizers and X-axis so merging at

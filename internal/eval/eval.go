@@ -10,7 +10,6 @@ import (
 	"slices"
 	"time"
 
-	"cmpdt/internal/clouds"
 	"cmpdt/internal/core"
 	"cmpdt/internal/dataset"
 	"cmpdt/internal/rainforest"
@@ -44,29 +43,37 @@ func Algorithms() []string {
 type Options struct {
 	// Tree is the one knob table every algorithm reads, validated (and its
 	// defaults filled) by core.Config.Validate before any algorithm runs.
-	// The CMP family builds with it, Algorithm set from the run's
-	// algorithm name (a nonzero Algorithm must agree with it). The
-	// baselines read Intervals and MaxAlive (CLOUDS), InMemoryNodeRecords,
-	// DisablePruning, Seed, MaxDepth and PurityStop, and reject a nonzero
-	// Algorithm, Quantize, QuantizeBins, ValidateSkip and ObliqueAllPairs,
-	// which they cannot honour. Workers, CacheBytes and Obs are accepted
-	// for every algorithm, because none of them can change a tree: the
-	// baselines build serially and are not instrumented, and CacheBytes
-	// sizes the source's page cache for whichever algorithm scans it.
+	// The CMP family and CLOUDS build with it on the core engine, Algorithm
+	// set from the run's algorithm name (a nonzero Algorithm must agree
+	// with it); core rejects Quantize and ObliqueAllPairs for CLOUDS. The
+	// other baselines read InMemoryNodeRecords, DisablePruning, Seed,
+	// MaxDepth and PurityStop, and reject a nonzero Algorithm, Quantize,
+	// QuantizeBins, ValidateSkip and ObliqueAllPairs, which they cannot
+	// honour. Workers, CacheBytes and Obs are accepted for every
+	// algorithm, because none of them can change a tree: those baselines
+	// build serially and are not instrumented, and CacheBytes sizes the
+	// source's page cache for whichever algorithm scans it.
 	Tree core.Config
 	// RFBufferEntries sizes RainForest's AVC buffer (default 2.5M).
 	RFBufferEntries int
 }
 
+// coreAlgorithms maps the run names the core engine builds to its
+// algorithms.
+var coreAlgorithms = map[string]core.Algorithm{
+	AlgoCMPS: core.CMPS, AlgoCMPB: core.CMPB, AlgoCMP: core.CMPFull,
+	AlgoCLOUDS: core.CLOUDSSSE, AlgoCLOUDSSS: core.CLOUDSSS,
+}
+
 // Validate checks o for the named algorithm and returns it with Tree
-// validated (core.Config.Validate) and, for the CMP family, Algorithm set
-// from the name. RunContext calls it before it dispatches, so a run
-// touches no data under a config it would reject.
+// validated (core.Config.Validate) and, for the core engine's algorithms,
+// Algorithm set from the name. RunContext calls it before it dispatches,
+// so a run touches no data under a config it would reject.
 func (o Options) Validate(algo string) (Options, error) {
 	cfg := &o.Tree
-	cmp, isCMP := map[string]core.Algorithm{AlgoCMPS: core.CMPS, AlgoCMPB: core.CMPB, AlgoCMP: core.CMPFull}[algo]
+	cmp, isCore := coreAlgorithms[algo]
 	switch {
-	case isCMP:
+	case isCore:
 		if cfg.Algorithm != core.CMPS && cfg.Algorithm != cmp {
 			return o, fmt.Errorf("eval: Tree.Algorithm %v disagrees with algorithm %q", cfg.Algorithm, algo)
 		}
@@ -82,7 +89,7 @@ func (o Options) Validate(algo string) (Options, error) {
 			{"ObliqueAllPairs", cfg.ObliqueAllPairs},
 		} {
 			if k.set {
-				return o, fmt.Errorf("eval: %s cannot honour Tree.%s (CMP family only)", algo, k.name)
+				return o, fmt.Errorf("eval: %s cannot honour Tree.%s (core engine only)", algo, k.name)
 			}
 		}
 	default:
@@ -136,7 +143,7 @@ type RunResult struct {
 	Oblique    int
 
 	// Skipped is the number of invalid records dropped per training pass
-	// under Tree.Validation = ValidateSkip (CMP family only).
+	// under Tree.Validation = ValidateSkip (core engine only).
 	Skipped int64
 
 	TrainAccuracy float64
@@ -144,8 +151,8 @@ type RunResult struct {
 
 	// IOStats is the source's full cumulative I/O accounting for the run.
 	IOStats storage.Stats
-	// CoreStats carries the CMP family's build statistics (nil for the
-	// baseline algorithms).
+	// CoreStats carries the core engine's build statistics: the CMP
+	// family's and CLOUDS'. Nil for SPRINT, SLIQ, RainForest and windowing.
 	CoreStats *core.Stats
 }
 
@@ -155,9 +162,9 @@ func Run(algo string, src storage.Source, trainTbl, testTbl *dataset.Table, opts
 	return RunContext(context.Background(), algo, src, trainTbl, testTbl, opts)
 }
 
-// RunContext is Run with cancellation: the CMP family aborts between scan
-// batches when ctx is cancelled and returns ctx's error. The remaining
-// algorithms currently run to completion.
+// RunContext is Run with cancellation: the core engine's algorithms abort
+// between scan batches when ctx is cancelled and return ctx's error. The
+// remaining algorithms currently run to completion.
 func RunContext(ctx context.Context, algo string, src storage.Source, trainTbl, testTbl *dataset.Table, opts Options) (*RunResult, *tree.Tree, error) {
 	opts, err := opts.Validate(algo)
 	if err != nil {
@@ -177,23 +184,22 @@ func RunContext(ctx context.Context, algo string, src storage.Source, trainTbl, 
 		aux int64
 		mem int64
 	)
-	switch algo {
-	case AlgoCMPS, AlgoCMPB, AlgoCMP:
-		var res *core.Result
-		res, err = core.BuildContext(ctx, src, cfg)
-		if err == nil {
-			t = res.Tree
-			aux = res.Stats.NidBytesIO
-			mem = res.Stats.PeakMemoryBytes
-			// res.IO, not src.Stats(): a quantized build's round scans run
-			// against the bin-coded store (possibly a temporary file), whose
-			// accounting lives in res.IO alongside the raw source's passes.
-			r := finishIO(algo, src, res.IO, start, t, aux, mem, res.Stats.ObliqueSplits, trainTbl, testTbl)
-			r.Skipped = res.Stats.SkippedRecords
-			st := res.Stats
-			r.CoreStats = &st
-			return r, t, nil
+	if _, isCore := coreAlgorithms[algo]; isCore {
+		res, err := core.BuildContext(ctx, src, cfg)
+		if err != nil {
+			return nil, nil, err
 		}
+		// res.IO, not src.Stats(): a quantized build's round scans run
+		// against the bin-coded store (possibly a temporary file), whose
+		// accounting lives in res.IO alongside the raw source's passes.
+		r := finishIO(algo, src, res.IO, start, res.Tree, res.Stats.NidBytesIO, res.Stats.PeakMemoryBytes,
+			res.Stats.ObliqueSplits, trainTbl, testTbl)
+		r.Skipped = res.Stats.SkippedRecords
+		st := res.Stats
+		r.CoreStats = &st
+		return r, res.Tree, nil
+	}
+	switch algo {
 	case AlgoSPRINT:
 		sc := sprint.DefaultConfig()
 		sc.Prune = !cfg.DisablePruning
@@ -217,27 +223,6 @@ func RunContext(ctx context.Context, algo string, src storage.Source, trainTbl, 
 		if err == nil {
 			t = res.Tree
 			aux = res.Stats.ListBytesIO
-			mem = res.Stats.PeakMemoryBytes
-			return finish(algo, src, start, t, aux, mem, 0, trainTbl, testTbl), t, nil
-		}
-	case AlgoCLOUDS, AlgoCLOUDSSS:
-		variant := clouds.SSE
-		if algo == AlgoCLOUDSSS {
-			variant = clouds.SS
-		}
-		cc := clouds.DefaultConfig(variant)
-		cc.Intervals = cfg.Intervals
-		cc.MaxAlive = cfg.MaxAlive
-		cc.InMemoryNodeRecords = cfg.InMemoryNodeRecords
-		cc.Prune = !cfg.DisablePruning
-		cc.Seed = cfg.Seed
-		cc.MaxDepth = cfg.MaxDepth
-		cc.PurityStop = cfg.PurityStop
-		var res *clouds.Result
-		res, err = clouds.Build(src, cc)
-		if err == nil {
-			t = res.Tree
-			aux = res.Stats.NidBytesIO
 			mem = res.Stats.PeakMemoryBytes
 			return finish(algo, src, start, t, aux, mem, 0, trainTbl, testTbl), t, nil
 		}

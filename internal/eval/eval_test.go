@@ -88,9 +88,30 @@ func TestCompiledEvalMatchesPointer(t *testing.T) {
 // the defaults are core's, and validation is idempotent.
 func TestOptionsValidate(t *testing.T) {
 	cmpb := Options{Tree: core.Config{Algorithm: core.CMPB}}
-	for _, algo := range []string{AlgoCMP, AlgoSPRINT, AlgoWindow} {
+	for _, algo := range []string{AlgoCMP, AlgoCLOUDS, AlgoSPRINT, AlgoWindow} {
 		if _, err := cmpb.Validate(algo); err == nil || !strings.Contains(err.Error(), "Algorithm") {
 			t.Errorf("%s with Tree.Algorithm CMP-B: err %v, want an error naming Algorithm", algo, err)
+		}
+	}
+	// CLOUDS runs on the raw kernel with CMP-S's geometry: it rejects the
+	// knobs only other builds honour, and takes those that cannot change
+	// a tree.
+	for _, algo := range []string{AlgoCLOUDS, AlgoCLOUDSSS} {
+		for _, r := range []struct {
+			field string
+			cfg   core.Config
+		}{
+			{"Quantize", core.Config{Quantize: true}},
+			{"ObliqueAllPairs", core.Config{ObliqueAllPairs: true}},
+			{"", core.Config{Workers: 3, Validation: core.ValidateSkip, CacheBytes: 1 << 20}},
+		} {
+			_, err := Options{Tree: r.cfg}.Validate(algo)
+			if r.field == "" && err != nil {
+				t.Errorf("%s: %+v: %v", algo, r.cfg, err)
+			}
+			if r.field != "" && (err == nil || !strings.Contains(err.Error(), r.field)) {
+				t.Errorf("%s with %s: err %v, want an error naming it", algo, r.field, err)
+			}
 		}
 	}
 	for _, algo := range Algorithms() {
