@@ -89,7 +89,8 @@ type CrossValidation struct {
 }
 
 // CrossValidate runs k-fold cross-validation of the named algorithm over
-// the table.
+// the table. The folds are a permutation drawn from the validated
+// Tree.Seed, so a zero Seed folds as the default seed does.
 func CrossValidate(algo string, tbl *dataset.Table, k int, opts Options) (*CrossValidation, error) {
 	if k < 2 {
 		return nil, fmt.Errorf("eval: need k >= 2 folds, got %d", k)
@@ -97,6 +98,10 @@ func CrossValidate(algo string, tbl *dataset.Table, k int, opts Options) (*Cross
 	n := tbl.NumRecords()
 	if n < k {
 		return nil, fmt.Errorf("eval: %d records cannot fill %d folds", n, k)
+	}
+	opts, err := opts.Validate(algo)
+	if err != nil {
+		return nil, err
 	}
 	perm := rand.New(rand.NewSource(opts.Tree.Seed + 1)).Perm(n)
 

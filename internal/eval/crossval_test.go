@@ -2,6 +2,7 @@ package eval
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"cmpdt/internal/core"
@@ -68,6 +69,23 @@ func TestCrossValidate(t *testing.T) {
 		if f.TreeSize < 3 {
 			t.Errorf("fold %d degenerate tree", f.Fold)
 		}
+	}
+}
+
+// TestCrossValidateSeedDefault: Seed 0 means the default seed, 1, for the
+// folds as for the trees, so both cross-validate identically.
+func TestCrossValidateSeedDefault(t *testing.T) {
+	tbl := synth.Generate(synth.F2, 2000, 5)
+	var cvs []*CrossValidation
+	for _, seed := range []int64{0, 1} {
+		cv, err := CrossValidate(AlgoCMPS, tbl, 4, Options{Tree: core.Config{Seed: seed}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cvs = append(cvs, cv)
+	}
+	if !reflect.DeepEqual(cvs[0], cvs[1]) {
+		t.Errorf("Seed 0 folds differ from Seed 1's:\n%+v\n%+v", cvs[0].Folds, cvs[1].Folds)
 	}
 }
 
