@@ -10,11 +10,11 @@ import (
 	"slices"
 	"time"
 
+	"cmpdt/internal/attrlist"
 	"cmpdt/internal/core"
 	"cmpdt/internal/dataset"
+	"cmpdt/internal/exact"
 	"cmpdt/internal/rainforest"
-	"cmpdt/internal/sliq"
-	"cmpdt/internal/sprint"
 	"cmpdt/internal/storage"
 	"cmpdt/internal/tree"
 	"cmpdt/internal/window"
@@ -64,6 +64,10 @@ var coreAlgorithms = map[string]core.Algorithm{
 	AlgoCMPS: core.CMPS, AlgoCMPB: core.CMPB, AlgoCMP: core.CMPFull,
 	AlgoCLOUDS: core.CLOUDSSSE, AlgoCLOUDSSS: core.CLOUDSSS,
 }
+
+// listLayouts maps the attribute-list comparators' run names to their
+// layouts.
+var listLayouts = map[string]attrlist.Layout{AlgoSPRINT: attrlist.SPRINT, AlgoSLIQ: attrlist.SLIQ}
 
 // Validate checks o for the named algorithm and returns it with Tree
 // validated (core.Config.Validate) and, for the core engine's algorithms,
@@ -200,31 +204,14 @@ func RunContext(ctx context.Context, algo string, src storage.Source, trainTbl, 
 		return r, res.Tree, nil
 	}
 	switch algo {
-	case AlgoSPRINT:
-		sc := sprint.DefaultConfig()
-		sc.Prune = !cfg.DisablePruning
-		sc.MaxDepth = cfg.MaxDepth
-		sc.PurityStop = cfg.PurityStop
-		var res *sprint.Result
-		res, err = sprint.Build(src, sc)
+	case AlgoSPRINT, AlgoSLIQ:
+		ec := exact.DefaultConfig()
+		ec.MaxDepth, ec.PurityStop, ec.Prune = cfg.MaxDepth, cfg.PurityStop, !cfg.DisablePruning
+		var res *attrlist.Result
+		res, err = attrlist.Build(src, ec, listLayouts[algo])
 		if err == nil {
 			t = res.Tree
-			aux = res.Stats.ListBytesIO
-			mem = res.Stats.PeakMemoryBytes
-			return finish(algo, src, start, t, aux, mem, 0, trainTbl, testTbl), t, nil
-		}
-	case AlgoSLIQ:
-		sc := sliq.DefaultConfig()
-		sc.Prune = !cfg.DisablePruning
-		sc.MaxDepth = cfg.MaxDepth
-		sc.PurityStop = cfg.PurityStop
-		var res *sliq.Result
-		res, err = sliq.Build(src, sc)
-		if err == nil {
-			t = res.Tree
-			aux = res.Stats.ListBytesIO
-			mem = res.Stats.PeakMemoryBytes
-			return finish(algo, src, start, t, aux, mem, 0, trainTbl, testTbl), t, nil
+			return finish(algo, src, start, t, res.ListBytesIO, res.PeakMemoryBytes, 0, trainTbl, testTbl), t, nil
 		}
 	case AlgoWindow:
 		wc := window.DefaultConfig()

@@ -42,6 +42,17 @@ func DefaultConfig() Config {
 	return Config{MinSplitRecords: 2, MaxDepth: 32, MinGiniGain: 1e-4}
 }
 
+// Stops reports whether the stopping rules keep node, depth edges below
+// the starting node, a leaf without a split search: it is pure, has fewer
+// than MinSplitRecords records, is MaxDepth deep, or its majority class
+// reaches PurityStop.
+func (c Config) Stops(node *tree.Node, depth int) bool {
+	if node.Gini == 0 || node.N < c.MinSplitRecords || depth >= c.MaxDepth {
+		return true
+	}
+	return c.PurityStop > 0 && float64(node.ClassCounts[node.Class]) >= c.PurityStop*float64(node.N)
+}
+
 // Rows is the minimal row container the builder needs; *dataset.Table and
 // the CMP builder's record buffers both satisfy it trivially via adapters.
 type Rows interface {
@@ -49,6 +60,9 @@ type Rows interface {
 	Row(i int) []float64
 	Label(i int) int
 }
+
+// TableRows returns t's records as Rows.
+func TableRows(t *dataset.Table) Rows { return tableRows{t} }
 
 type tableRows struct{ t *dataset.Table }
 

@@ -64,7 +64,7 @@ func (o Opts) Table1() ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		split, exactG, ok := exact.BestSplit(tableRows{tbl}, tbl.Schema())
+		split, exactG, ok := exact.BestSplit(exact.TableRows(tbl), tbl.Schema())
 		if !ok {
 			return nil, fmt.Errorf("table1: no exact split for %s", ds.name)
 		}
@@ -105,12 +105,6 @@ func exactSplitAttr(s tree.Split) int {
 	}
 	return s.Attr
 }
-
-type tableRows struct{ t *dataset.Table }
-
-func (r tableRows) Len() int            { return r.t.NumRecords() }
-func (r tableRows) Row(i int) []float64 { return r.t.Row(i) }
-func (r tableRows) Label(i int) int     { return r.t.Label(i) }
 
 // PrintTable1 renders Table 1 rows the way the paper lays them out: '-'
 // marks agreement with the exact algorithm.

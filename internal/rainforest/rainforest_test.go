@@ -4,7 +4,8 @@ import (
 	"testing"
 
 	"cmpdt/internal/dataset"
-	"cmpdt/internal/sprint"
+	"cmpdt/internal/exact"
+	"cmpdt/internal/prune"
 	"cmpdt/internal/storage"
 	"cmpdt/internal/synth"
 	"cmpdt/internal/tree"
@@ -112,7 +113,8 @@ func TestRainForestCategorical(t *testing.T) {
 }
 
 // TestRainForestMatchesSPRINT: RF-Hybrid evaluates the same exact criterion
-// as SPRINT, so both must grow identical trees; they differ only in how
+// as SPRINT, whose tree is the exact in-memory builder's pruned by
+// PUBLIC1, so both must grow identical trees; they differ only in how
 // statistics reach memory.
 func TestRainForestMatchesSPRINT(t *testing.T) {
 	for _, fn := range []synth.Func{synth.F1, synth.F6} {
@@ -123,16 +125,13 @@ func TestRainForestMatchesSPRINT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scfg := sprint.DefaultConfig()
-		sres, err := sprint.Build(storage.NewMem(tbl), scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := exact.BuildTable(tbl, exact.DefaultConfig())
+		prune.PUBLIC1(want, nil)
 		// The in-memory bottoming-out can pick equal-gini splits in a
 		// different order, so compare classification behaviour rather than
 		// structure: every record must get the same label.
 		for i := 0; i < tbl.NumRecords(); i++ {
-			if rres.Tree.Predict(tbl.Row(i)) != sres.Tree.Predict(tbl.Row(i)) {
+			if rres.Tree.Predict(tbl.Row(i)) != want.Predict(tbl.Row(i)) {
 				t.Fatalf("%v: record %d classified differently", fn, i)
 			}
 		}

@@ -231,9 +231,6 @@ func TestCategoricalOutOfRange(t *testing.T) {
 		if s.GoesLeft([]float64{v}) {
 			t.Errorf("GoesLeft(%v) = true, want deterministic false", v)
 		}
-		if s.GoesLeftValue(v) {
-			t.Errorf("GoesLeftValue(%v) = true, want deterministic false", v)
-		}
 	}
 	// In-range values still follow the subset mask.
 	for v, want := range map[float64]int{0: 0, 1: 1, 2: 0, 2.9: 0} {

@@ -59,24 +59,6 @@ func (s *Split) GoesLeft(vals []float64) bool {
 	}
 }
 
-// GoesLeftValue evaluates a single-attribute split (numeric or categorical)
-// on just that attribute's value — used by streaming evaluators like SLIQ
-// that walk one attribute list at a time. Linear splits need the full
-// record and return false here.
-func (s *Split) GoesLeftValue(v float64) bool {
-	switch s.Kind {
-	case SplitNumeric:
-		return v <= s.Threshold
-	case SplitCategorical:
-		if categoryOutOfRange(v) {
-			return false
-		}
-		return s.Subset&(1<<uint(int(v))) != 0
-	default:
-		return false
-	}
-}
-
 // categoryOutOfRange reports whether a categorical value falls outside the
 // [0,64) domain a Subset bitmask can represent (NaN included: every
 // comparison with NaN is false). Before this guard, a negative value
