@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -129,5 +130,30 @@ func TestOptionsValidate(t *testing.T) {
 	}
 	if o, _ := cmpb.Validate(AlgoCMPB); o.Tree.Algorithm != core.CMPB {
 		t.Errorf("cmp-b validated as %v", o.Tree.Algorithm)
+	}
+}
+
+// TestInvalidRecordRejected: every algorithm rejects a record that
+// Schema.RecordDefect flags (a categorical value outside its domain, a NaN
+// or an infinite numeric value) with an error naming the record, instead
+// of indexing outside a histogram or sorting a value with no order.
+func TestInvalidRecordRejected(t *testing.T) {
+	for _, defect := range []struct {
+		name string
+		attr int
+		v    float64
+	}{
+		{"car=99", synth.AttrCar, 99},
+		{"salary=NaN", synth.AttrSalary, math.NaN()},
+		{"age=+Inf", synth.AttrAge, math.Inf(1)},
+	} {
+		for _, algo := range Algorithms() {
+			tbl := synth.Generate(synth.F2, 2000, 5)
+			tbl.Row(1234)[defect.attr] = defect.v
+			_, _, err := Run(algo, storage.NewMem(tbl), nil, nil, Options{})
+			if err == nil || !strings.Contains(err.Error(), "record 1234") {
+				t.Errorf("%s with %s: err %v, want an error naming record 1234", algo, defect.name, err)
+			}
+		}
 	}
 }

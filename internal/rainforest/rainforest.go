@@ -11,6 +11,7 @@ package rainforest
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 
 	"cmpdt/internal/dataset"
@@ -170,6 +171,8 @@ type rbuilder struct {
 	root     *rnode
 	level    int
 	st       Stats
+	// checked is set once a pass has validated every record.
+	checked bool
 }
 
 func (b *rbuilder) newNode(depth int) *rnode {
@@ -264,9 +267,16 @@ func (b *rbuilder) allocAVC(n *rnode) {
 }
 
 // fillPass scans the source, accumulating AVC-groups for rsFilling nodes
-// and buffering records for rsCollect nodes.
+// and buffering records for rsCollect nodes. The first pass rejects the
+// first record Schema.RecordDefect flags; the later ones read the same
+// records.
 func (b *rbuilder) fillPass() error {
 	err := b.src.Scan(func(rid int, vals []float64, label int) error {
+		if !b.checked {
+			if d := b.schema.RecordDefect(vals, label); d != "" {
+				return fmt.Errorf("rainforest: record %d invalid: %s", rid, d)
+			}
+		}
 		n := b.nodes[b.nid[rid]]
 		for n.state == rsResolved {
 			if n.tn.Split.GoesLeft(vals) {
@@ -300,6 +310,7 @@ func (b *rbuilder) fillPass() error {
 	if err != nil {
 		return err
 	}
+	b.checked = true
 	b.st.NidBytesIO += 8 * int64(len(b.nid))
 	return nil
 }

@@ -10,6 +10,7 @@ package window
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 
 	"cmpdt/internal/dataset"
@@ -99,7 +100,8 @@ func Build(src storage.Source, cfg Config) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// Initial window: reservoir sample over one scan.
+	// Initial window: reservoir sample over one scan, which also rejects
+	// the first record Schema.RecordDefect flags.
 	win, err := dataset.New(schema)
 	if err != nil {
 		return nil, err
@@ -108,6 +110,9 @@ func Build(src storage.Source, cfg Config) (*Result, error) {
 	reservoirLabels := make([]int, 0, cfg.InitialWindow)
 	seen := 0
 	err = src.Scan(func(rid int, vals []float64, label int) error {
+		if d := schema.RecordDefect(vals, label); d != "" {
+			return fmt.Errorf("window: record %d invalid: %s", rid, d)
+		}
 		if seen < cfg.InitialWindow {
 			reservoirVals = append(reservoirVals, append([]float64(nil), vals...))
 			reservoirLabels = append(reservoirLabels, label)
