@@ -16,16 +16,19 @@ import (
 )
 
 // listGoldenPath holds one "<row> <sha256 of the serialized model>
-// aux=<AuxBytesIO> mem=<PeakMemBytes>" line per golden run of the
-// attribute-list comparators: the tree and the two figures the paper's
-// Figures 16, 17 and 19 read from them. On a mismatch the test logs the
-// file its runs would produce.
+// aux=<AuxBytesIO> mem=<PeakMemBytes>" line per golden run of the exact
+// comparators: the tree and the figures the paper's Figures 16, 17 and 19
+// read from them. RainForest's rows also carry scans=<Scans>
+// read=<BytesRead> ahead of aux, since its AVC buffer sets how often it
+// scans the source. On a mismatch the test logs the file its runs would
+// produce.
 const listGoldenPath = "testdata/golden_lists.sha256"
 
-// TestGoldenListBuilds pins SPRINT's and SLIQ's trees, metered list
-// traffic and peak memory through Run: F1–F10 at 10k records, pruned and
-// unpruned; F7 under MaxDepth 3 and under PurityStop 0.8; and the 7-class
-// Statlog "segment" stand-in.
+// TestGoldenListBuilds pins SPRINT's, SLIQ's and RainForest's trees,
+// metered auxiliary traffic and peak memory through Run, and RainForest's
+// source scans: F1–F10 at 10k records, pruned and unpruned; F7 under
+// MaxDepth 3, under PurityStop 0.8 and with InMemoryNodeRecords 512; and
+// the 7-class Statlog "segment" stand-in.
 func TestGoldenListBuilds(t *testing.T) {
 	raw, err := os.ReadFile(listGoldenPath)
 	if err != nil {
@@ -57,11 +60,12 @@ func TestGoldenListBuilds(t *testing.T) {
 	rows = append(rows,
 		row{"F7/maxdepth=3", f7, core.Config{MaxDepth: 3}},
 		row{"F7/puritystop=0.8", f7, core.Config{PurityStop: 0.8}},
+		row{"F7/inmemory=512", f7, core.Config{InMemoryNodeRecords: 512}},
 		row{"segment/pruned", segment, core.Config{}})
 
 	var regen strings.Builder
 	n := 0
-	for _, algo := range []string{AlgoSPRINT, AlgoSLIQ} {
+	for _, algo := range []string{AlgoSPRINT, AlgoSLIQ, AlgoRainForest} {
 		for _, r := range rows {
 			name := algo + "/" + r.name
 			res, tr, err := Run(algo, storage.NewMem(r.tbl), nil, nil, Options{Tree: r.cfg})
@@ -73,7 +77,11 @@ func TestGoldenListBuilds(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			sum := sha256.Sum256(buf.Bytes())
-			got := fmt.Sprintf("%s aux=%d mem=%d", hex.EncodeToString(sum[:]), res.AuxBytesIO, res.PeakMemBytes)
+			got := hex.EncodeToString(sum[:])
+			if algo == AlgoRainForest {
+				got += fmt.Sprintf(" scans=%d read=%d", res.Scans, res.BytesRead)
+			}
+			got += fmt.Sprintf(" aux=%d mem=%d", res.AuxBytesIO, res.PeakMemBytes)
 			fmt.Fprintf(&regen, "%s %s\n", name, got)
 			n++
 			if want[name] != got {
