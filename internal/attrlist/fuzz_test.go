@@ -32,8 +32,9 @@ var fuzzValues = []float64{
 // decodeFuzzTable turns bytes into a small table and stopping rules: 2-6
 // classes, 1-4 attributes (numeric, or categorical with 2-5 values), 1-64
 // records, MaxDepth 1-8, MinSplitRecords 1-8, an occasional PurityStop in
-// [0.5, 1), pruning on or off.
-func decodeFuzzTable(data []byte) (*dataset.Table, exact.Config) {
+// [0.5, 1), pruning on or off; and RainForest's collection threshold,
+// 0-31 records, and a small AVC buffer, 1-256 entries.
+func decodeFuzzTable(data []byte) (tbl *dataset.Table, cfg exact.Config, inMemory int, buffer int64) {
 	s := fuzzStream(data)
 	nc := 2 + s.next()%5
 	na := 1 + s.next()%4
@@ -51,14 +52,15 @@ func decodeFuzzTable(data []byte) (*dataset.Table, exact.Config) {
 		}
 		schema.Attrs = append(schema.Attrs, attr)
 	}
-	cfg := exact.DefaultConfig()
+	cfg = exact.DefaultConfig()
 	cfg.MaxDepth = 1 + s.next()%8
 	cfg.MinSplitRecords = 1 + s.next()%8
 	if b := s.next(); b%4 == 0 {
 		cfg.PurityStop = 0.5 + float64(b%50)/100
 	}
 	cfg.Prune = s.next()%2 == 1
-	tbl := dataset.MustNew(schema)
+	inMemory, buffer = s.next()%32, 1+int64(s.next())
+	tbl = dataset.MustNew(schema)
 	n := 1 + s.next()%64
 	row := make([]float64, na)
 	for i := 0; i < n; i++ {
@@ -74,18 +76,18 @@ func decodeFuzzTable(data []byte) (*dataset.Table, exact.Config) {
 			panic(err)
 		}
 	}
-	return tbl, cfg
+	return tbl, cfg, inMemory, buffer
 }
 
 // FuzzAttrListCost: over random small tables and stopping rules, Build
-// grows the replaced builders' trees byte for byte and charges their list
-// traffic and peak memory, under both layouts.
+// grows the replaced builders' trees byte for byte and charges their
+// scans, traffic and peak memory, under every layout.
 func FuzzAttrListCost(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 3, 1, 2, 0, 7, 0, 3, 0, 4, 1, 60, 8, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13})
 	f.Add([]byte{0, 1, 2, 9, 1, 1, 0, 63, 8, 0, 9, 1, 8, 0, 9, 1, 10, 0, 8, 1, 9, 0, 10, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tbl, cfg := decodeFuzzTable(data)
-		checkOracle(t, "fuzz", tbl, cfg)
+		tbl, cfg, inMemory, buffer := decodeFuzzTable(data)
+		checkOracle(t, "fuzz", tbl, cfg, inMemory, buffer)
 	})
 }
