@@ -451,9 +451,9 @@ type Result struct {
 	IO storage.Stats
 }
 
-// splitAttrMask turns Config.SplitAttrs into a per-attribute mask over na
+// SplitAttrMask turns Config.SplitAttrs into a per-attribute mask over na
 // attributes: nil when every attribute may split.
-func splitAttrMask(splitAttrs []int, na int) ([]bool, error) {
+func SplitAttrMask(splitAttrs []int, na int) ([]bool, error) {
 	if splitAttrs == nil {
 		return nil, nil
 	}

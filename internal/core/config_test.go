@@ -17,6 +17,7 @@ import (
 	"cmpdt/internal/obs"
 	"cmpdt/internal/storage"
 	"cmpdt/internal/synth"
+	"cmpdt/internal/tree"
 )
 
 // TestConfigZeroIsDefault: the zero Config is the paper's configuration,
@@ -344,6 +345,7 @@ func TestConfigHonouredOrRejected(t *testing.T) {
 		{"QuantizeBins", true, func(c *core.Config) { c.Quantize, c.QuantizeBins = true, 1 }},
 		{"QuantizeBins", true, func(c *core.Config) { c.Quantize, c.QuantizeBins = true, 70_000 }},
 		{"MinSplitRecords", false, func(c *core.Config) { c.MinSplitRecords = -1 }},
+		{"SplitAttrs", false, func(c *core.Config) { c.SplitAttrs = []int{99} }},
 		{"MaxRounds", false, func(c *core.Config) { c.MaxRounds = -1 }},
 		{"ObliqueMinRecords", false, func(c *core.Config) { c.ObliqueMinRecords = -1 }},
 		{"ObliqueMaxDepth", false, func(c *core.Config) { c.ObliqueMaxDepth = -1 }},
@@ -393,6 +395,36 @@ func TestConfigHonouredOrRejected(t *testing.T) {
 			cfg := core.Config{Algorithm: algo, Workers: 2, Validation: core.ValidateSkip, CacheBytes: 1 << 20}
 			if got, err := e.run(t, cfg); err != nil || got.skipped == 0 {
 				t.Errorf("%s/%v: Workers 2, CacheBytes and ValidateSkip: %d skipped, err %v", e.name, algo, got.skipped, err)
+			}
+		}
+	}
+
+	// The exact-tree baselines honour the stopping rules and the split
+	// attributes: F2 stays one leaf under the first two, and splits on age
+	// alone under the third.
+	clean, _ := knobTables()
+	for _, algo := range []string{eval.AlgoSPRINT, eval.AlgoSLIQ, eval.AlgoRainForest, eval.AlgoWindow} {
+		for _, r := range []struct {
+			field string
+			cfg   core.Config
+		}{
+			{"MinSplitRecords", core.Config{MinSplitRecords: 100_000}},
+			{"MinGiniGain", core.Config{MinGiniGain: 0.4}},
+			{"SplitAttrs", core.Config{SplitAttrs: []int{synth.AttrAge}}},
+		} {
+			_, tr, err := eval.Run(algo, storage.NewMem(clean), nil, nil, eval.Options{Tree: r.cfg})
+			if err != nil {
+				t.Errorf("%s with %s: %v", algo, r.field, err)
+				continue
+			}
+			honoured := true
+			tr.Walk(func(n *tree.Node, _ int) {
+				if !n.IsLeaf() && (r.cfg.SplitAttrs == nil || n.Split.Attr != synth.AttrAge) {
+					honoured = false
+				}
+			})
+			if !honoured {
+				t.Errorf("%s ignores %s: it grew a %d-node tree", algo, r.field, tr.Size())
 			}
 		}
 	}

@@ -204,7 +204,7 @@ func newEngine[N node[N]](ctx context.Context, schema *dataset.Schema, cfg Confi
 		obs:     cfg.Obs,
 	}
 	var err error
-	e.allowed, err = splitAttrMask(cfg.SplitAttrs, e.na)
+	e.allowed, err = SplitAttrMask(cfg.SplitAttrs, e.na)
 	e.stats.RootSplitAttr = -1
 	e.useMats = cfg.Algorithm.matrices() && len(e.numeric) >= 2
 	return e, err

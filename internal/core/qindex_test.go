@@ -210,7 +210,7 @@ func subsetOf(bits uint, na int) []int {
 // record. It describes the first violation, or returns "".
 func oneCodeDefect(schema *dataset.Schema, cfg Config, o quantOutcome) string {
 	na := schema.NumAttrs()
-	allowed, err := splitAttrMask(cfg.SplitAttrs, na)
+	allowed, err := SplitAttrMask(cfg.SplitAttrs, na)
 	if err != nil {
 		return err.Error()
 	}
