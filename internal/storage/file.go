@@ -55,10 +55,6 @@ var ErrCorrupt = errors.New("page checksum mismatch")
 // ErrWriterClosed is returned by Writer.Append after Close or Abort.
 var ErrWriterClosed = errors.New("storage: writer is closed")
 
-// maxHeaderLen bounds the header length field read from disk, rejecting
-// implausible (malformed or hostile) inputs before allocating.
-const maxHeaderLen = 1 << 20
-
 // fileHeader is the JSON header stored after the magic string. Quant holds
 // the per-attribute code↔breakpoint tables of a quantized (CMPDQ1) store and
 // is absent from CMPDT1/CMPDT2 files.
@@ -336,69 +332,100 @@ type File struct {
 // OpenFile opens an existing store in either format, validating the header
 // and the file's physical size against its declared record count.
 func OpenFile(path string) (*File, error) {
+	var version Version
+	h, err := readHeader(path, func(magic string) error {
+		switch magic {
+		case magicV1:
+			version = FormatV1
+		case magicV2:
+			version = FormatV2
+		case magicQ1:
+			return fmt.Errorf("storage: %s is a quantized (CMPDQ1) store; use OpenQuantFile", path)
+		default:
+			return fmt.Errorf("storage: %s is not a CMPDT record file", path)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return h.file(path, version, recordBytes(h.Schema))
+}
+
+// storeHeader is a store's decoded header, where its records begin and
+// how long the file is.
+type storeHeader struct {
+	fileHeader
+	dataOff, size int64
+}
+
+// readHeader reads the magic of the store at path, which check vets, and
+// the length-prefixed JSON header after it. A declared length running
+// past the end of the file is rejected before anything is allocated, so
+// the header is bounded by the file's size and nothing else; it must hold
+// a valid schema and a record count of at least zero.
+func readHeader(path string, check func(magic string) error) (*storeHeader, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
 	br := bufio.NewReader(f)
-	got := make([]byte, len(magicV1))
-	if _, err := io.ReadFull(br, got); err != nil {
+	magic := make([]byte, len(magicV1))
+	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("storage: reading magic: %w", err)
 	}
-	var version Version
-	switch string(got) {
-	case magicV1:
-		version = FormatV1
-	case magicV2:
-		version = FormatV2
-	case magicQ1:
-		return nil, fmt.Errorf("storage: %s is a quantized (CMPDQ1) store; use OpenQuantFile", path)
-	default:
-		return nil, fmt.Errorf("storage: %s is not a CMPDT record file", path)
+	if err := check(string(magic)); err != nil {
+		return nil, err
 	}
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
 		return nil, fmt.Errorf("storage: reading header length: %w", err)
 	}
-	hdrLen := binary.LittleEndian.Uint32(lenBuf[:])
-	if hdrLen > maxHeaderLen {
-		return nil, fmt.Errorf("storage: header length %d exceeds limit %d", hdrLen, maxHeaderLen)
+	hdrLen := int64(binary.LittleEndian.Uint32(lenBuf[:]))
+	h := &storeHeader{dataOff: int64(len(magic)) + 4 + hdrLen, size: st.Size()}
+	if h.dataOff > h.size {
+		return nil, fmt.Errorf("storage: header length %d runs past the end of %s (%d bytes)", hdrLen, path, h.size)
 	}
 	hdrBytes := make([]byte, hdrLen)
 	if _, err := io.ReadFull(br, hdrBytes); err != nil {
 		return nil, fmt.Errorf("storage: reading header: %w", err)
 	}
-	var hdr fileHeader
-	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
+	if err := json.Unmarshal(hdrBytes, &h.fileHeader); err != nil {
 		return nil, fmt.Errorf("storage: decoding header: %w", err)
 	}
-	if hdr.Schema == nil {
+	if h.Schema == nil {
 		return nil, fmt.Errorf("storage: header of %s lacks a schema", path)
 	}
-	if err := hdr.Schema.Validate(); err != nil {
+	if err := h.Schema.Validate(); err != nil {
 		return nil, fmt.Errorf("storage: stored schema invalid: %w", err)
 	}
-	if hdr.NumRecords < 0 {
-		return nil, fmt.Errorf("storage: negative record count %d", hdr.NumRecords)
+	if h.NumRecords < 0 {
+		return nil, fmt.Errorf("storage: negative record count %d", h.NumRecords)
 	}
+	return h, nil
+}
+
+// file returns the store h heads as a File of recSize-byte records in the
+// given format, checking the file holds every record it declares.
+func (h *storeHeader) file(path string, version Version, recSize int64) (*File, error) {
 	out := &File{
 		path:      path,
-		schema:    hdr.Schema,
-		n:         hdr.NumRecords,
+		schema:    h.Schema,
+		n:         h.NumRecords,
 		version:   version,
-		dataOff:   int64(len(magicV1)) + 4 + int64(hdrLen),
-		recSize:   recordBytes(hdr.Schema),
+		dataOff:   h.dataOff,
+		recSize:   recSize,
 		retry:     DefaultRetryPolicy,
 		readahead: DefaultReadahead,
 	}
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
-	if want := out.dataOff + out.diskDataLen(); st.Size() < want {
+	if want := out.dataOff + out.diskDataLen(); h.size < want {
 		return nil, fmt.Errorf("storage: %s truncated: %d bytes, need %d for %d records",
-			path, st.Size(), want, out.n)
+			path, h.size, want, out.n)
 	}
 	return out, nil
 }

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,8 +12,9 @@ import (
 
 // FuzzOpenFile throws arbitrary bytes at the header parser and, when a file
 // is accepted, at the scanner: neither may panic, whatever the input. The
-// seeds cover both real formats, both magics with garbage after, and a few
-// header-length edge cases.
+// seeds cover both real formats, both magics with garbage after, a few
+// header-length edge cases (one running a byte past the end of the file),
+// and a valid header past 1 MiB.
 func FuzzOpenFile(f *testing.F) {
 	dir, err := os.MkdirTemp("", "fuzz-openfile")
 	if err != nil {
@@ -27,13 +30,20 @@ func FuzzOpenFile(f *testing.F) {
 		Classes: []string{"n", "y"},
 	}
 	seedPath := filepath.Join(dir, "seed.rec")
-	for _, version := range []Version{FormatV1, FormatV2} {
+	store := func(schema *dataset.Schema, version Version, n int) []byte {
 		w, err := CreateFileVersion(seedPath, schema, version)
 		if err != nil {
 			f.Fatal(err)
 		}
-		for r := 0; r < 50; r++ {
-			if err := w.Append([]float64{float64(r), float64(r % 2)}, r%2); err != nil {
+		vals := make([]float64, schema.NumAttrs())
+		for r := 0; r < n; r++ {
+			for a, attr := range schema.Attrs {
+				vals[a] = float64(r)
+				if attr.Kind == dataset.Categorical {
+					vals[a] = float64(r % attr.Cardinality())
+				}
+			}
+			if err := w.Append(vals, r%2); err != nil {
 				f.Fatal(err)
 			}
 		}
@@ -44,10 +54,20 @@ func FuzzOpenFile(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		return raw
+	}
+	for _, version := range []Version{FormatV1, FormatV2} {
+		raw := store(schema, version, 50)
 		f.Add(raw)
 		f.Add(raw[:len(raw)/2])
 		f.Add(append(append([]byte(nil), raw...), 0xff, 0xfe))
 	}
+	f.Add(pastEOF(store(schema, FormatV2, 50)))
+	large := &dataset.Schema{Attrs: []dataset.Attribute{{Name: "c", Kind: dataset.Categorical}}, Classes: schema.Classes}
+	for v := 0; v < 150_000; v++ {
+		large.Attrs[0].Values = append(large.Attrs[0].Values, fmt.Sprintf("value%d", v))
+	}
+	f.Add(store(large, FormatV2, 2))
 	f.Add([]byte(magicV1))
 	f.Add([]byte(magicV2))
 	f.Add([]byte(magicV1 + "\xff\xff\xff\xff"))
@@ -68,4 +88,12 @@ func FuzzOpenFile(f *testing.F) {
 		var st Stats
 		_ = file.ScanRange(1, file.NumRecords(), &st, func(int, []float64, int) error { return nil })
 	})
+}
+
+// pastEOF returns a copy of the store raw whose header length field
+// declares a header ending one byte past the end of the file.
+func pastEOF(raw []byte) []byte {
+	c := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(c[len(magicV1):], uint32(len(c)-len(magicV1)-4+1))
+	return c
 }

@@ -4,9 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"os"
 
@@ -366,65 +364,25 @@ type QuantFile struct {
 // OpenQuantFile opens an existing CMPDQ1 store, validating the header, the
 // quantization tables, and the physical size against the record count.
 func OpenQuantFile(path string) (*QuantFile, error) {
-	f, err := os.Open(path)
+	h, err := readHeader(path, func(magic string) error {
+		if magic != magicQ1 {
+			return fmt.Errorf("storage: %s is not a CMPDQ quantized record file", path)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	got := make([]byte, len(magicQ1))
-	if _, err := io.ReadFull(br, got); err != nil {
-		return nil, fmt.Errorf("storage: reading magic: %w", err)
-	}
-	if string(got) != magicQ1 {
-		return nil, fmt.Errorf("storage: %s is not a CMPDQ quantized record file", path)
-	}
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-		return nil, fmt.Errorf("storage: reading header length: %w", err)
-	}
-	hdrLen := binary.LittleEndian.Uint32(lenBuf[:])
-	if hdrLen > maxHeaderLen {
-		return nil, fmt.Errorf("storage: header length %d exceeds limit %d", hdrLen, maxHeaderLen)
-	}
-	hdrBytes := make([]byte, hdrLen)
-	if _, err := io.ReadFull(br, hdrBytes); err != nil {
-		return nil, fmt.Errorf("storage: reading header: %w", err)
-	}
-	var hdr fileHeader
-	if err := json.Unmarshal(hdrBytes, &hdr); err != nil {
-		return nil, fmt.Errorf("storage: decoding header: %w", err)
-	}
-	if hdr.Schema == nil {
-		return nil, fmt.Errorf("storage: header of %s lacks a schema", path)
-	}
-	if hdr.Quant == nil {
+	if h.Quant == nil {
 		return nil, fmt.Errorf("storage: header of %s lacks quantization tables", path)
 	}
-	if hdr.NumRecords < 0 {
-		return nil, fmt.Errorf("storage: negative record count %d", hdr.NumRecords)
-	}
-	q, err := NewQuantizer(hdr.Schema, hdr.Quant)
+	q, err := NewQuantizer(h.Schema, h.Quant)
 	if err != nil {
 		return nil, fmt.Errorf("storage: stored quantizer invalid: %w", err)
 	}
-	inner := &File{
-		path:      path,
-		schema:    hdr.Schema,
-		n:         hdr.NumRecords,
-		version:   FormatV2,
-		dataOff:   int64(len(magicQ1)) + 4 + int64(hdrLen),
-		recSize:   q.RecordBytes(),
-		retry:     DefaultRetryPolicy,
-		readahead: DefaultReadahead,
-	}
-	st, err := f.Stat()
+	inner, err := h.file(path, FormatV2, q.RecordBytes())
 	if err != nil {
 		return nil, err
-	}
-	if want := inner.dataOff + inner.diskDataLen(); st.Size() < want {
-		return nil, fmt.Errorf("storage: %s truncated: %d bytes, need %d for %d records",
-			path, st.Size(), want, inner.n)
 	}
 	return &QuantFile{f: inner, q: q}, nil
 }

@@ -56,6 +56,8 @@ func FuzzOpenQuantFile(f *testing.F) {
 	f.Add(raw)
 	f.Add(raw[:len(raw)/2])
 	f.Add(append(append([]byte(nil), raw...), 0xff, 0xfe))
+	f.Add(pastEOF(raw))
+	f.Add(largeQuantStore(f, dir))
 	f.Add([]byte(magicQ1))
 	f.Add([]byte(magicQ1 + "\xff\xff\xff\xff"))
 	f.Add([]byte(magicQ1 + "\x10\x00\x00\x00{\"schema\":null}"))
@@ -304,4 +306,27 @@ func fuzzDiscretizers(t *testing.T, rng *rand.Rand, cuts []float64) []namedDiscr
 		}
 	}
 	return out
+}
+
+// largeQuantStore returns a valid CMPDQ1 store whose header runs past
+// 1 MiB (largeQuantizer's), holding two records.
+func largeQuantStore(f *testing.F, dir string) []byte {
+	path := filepath.Join(dir, "large.rec")
+	w, err := CreateQuantFile(path, largeQuantizer(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for r := 0; r < 2; r++ {
+		if err := w.Append([]float64{float64(r)}, r); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	return raw
 }

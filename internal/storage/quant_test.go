@@ -71,6 +71,67 @@ func writeTestQuantFile(t *testing.T, path string, n, q int) (*QuantFile, *datas
 	return qf, tbl, qz
 }
 
+// largeQuantizer has 60,000 cuts on one numeric attribute, each printed
+// with 17 significant digits: its CMPDQ1 header runs past 1 MiB.
+func largeQuantizer(tb testing.TB) *Quantizer {
+	tb.Helper()
+	schema := &dataset.Schema{
+		Attrs:   []dataset.Attribute{{Name: "x", Kind: dataset.Numeric}},
+		Classes: []string{"n", "y"},
+	}
+	cuts := make([]float64, 60_000)
+	for i := range cuts {
+		cuts[i] = float64(i) + 1.0/3
+	}
+	qz, err := NewQuantizer(schema, []QuantAttr{{Cuts: cuts, Max: 60_000}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return qz
+}
+
+// TestQuantLargeHeaderRoundTrip: a store whose quantization tables run past
+// 1 MiB opens and scans back the codes it was written with; the header is
+// bounded by the file's size alone.
+func TestQuantLargeHeaderRoundTrip(t *testing.T) {
+	qz := largeQuantizer(t)
+	path := filepath.Join(t.TempDir(), "large.rec")
+	w, err := CreateQuantFile(path, qz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := []float64{0, 1, 30_000.5, 59_999, 60_000}
+	for i, v := range vals {
+		if err := w.Append([]float64{v}, i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := os.Stat(path); err != nil || st.Size() <= 1<<20 {
+		t.Fatalf("store is %v bytes (err %v), want a header past 1 MiB", st.Size(), err)
+	}
+	qf, err := OpenQuantFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := qf.Quantizer().Bins(0); got != 60_001 {
+		t.Errorf("reopened quantizer has %d bins, want 60001", got)
+	}
+	want := make([]uint16, 1)
+	err = qf.ScanCodes(func(rid int, codes []uint16, label int) error {
+		qz.Encode([]float64{vals[rid]}, want)
+		if codes[0] != want[0] || label != rid%2 {
+			t.Errorf("record %d: code %d label %d, want %d and %d", rid, codes[0], label, want[0], rid%2)
+		}
+		return nil
+	})
+	if err != nil || qf.Stats().RecordsRead != int64(len(vals)) {
+		t.Fatalf("scan: err %v, %d records read", err, qf.Stats().RecordsRead)
+	}
+}
+
 // TestQuantizerCodeIdentity pins the split-translation identity the whole
 // quantized path rests on: code(v) <= c exactly when v <= Threshold(a, c),
 // and re-encoding a decoded representative reproduces the code.
