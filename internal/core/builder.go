@@ -408,12 +408,12 @@ func (b *builder) resolvePending(p *bnode) {
 	// of Section 2.1). Its children start fresh because the region
 	// histograms cannot be divided at an interior boundary.
 	if pd := p.pending; pd.fallbackCum != nil && (!found || pd.fallbackGini < bestG-1e-12) {
-		if parentG-pd.fallbackGini >= b.cfg.MinGiniGain {
+		if parentG-pd.fallbackGini >= exact.MinGiniGain {
 			b.resolveAtFallback(p, total)
 			return
 		}
 	}
-	if !found || parentG-bestG < b.cfg.MinGiniGain {
+	if !found || parentG-bestG < exact.MinGiniGain {
 		// The alive gaps held no improving split point (typically the
 		// attribute is effectively constant here and its optimistic interval
 		// estimate was unfalsifiable). Ban the attribute and rebuild the

@@ -344,16 +344,7 @@ func TestConfigHonouredOrRejected(t *testing.T) {
 		{"Workers", true, func(c *core.Config) { c.Workers = -1 }},
 		{"QuantizeBins", true, func(c *core.Config) { c.Quantize, c.QuantizeBins = true, 1 }},
 		{"QuantizeBins", true, func(c *core.Config) { c.Quantize, c.QuantizeBins = true, 70_000 }},
-		{"MinSplitRecords", false, func(c *core.Config) { c.MinSplitRecords = -1 }},
 		{"SplitAttrs", false, func(c *core.Config) { c.SplitAttrs = []int{99} }},
-		{"MaxRounds", false, func(c *core.Config) { c.MaxRounds = -1 }},
-		{"ObliqueMinRecords", false, func(c *core.Config) { c.ObliqueMinRecords = -1 }},
-		{"ObliqueMaxDepth", false, func(c *core.Config) { c.ObliqueMaxDepth = -1 }},
-		{"MinGiniGain", false, func(c *core.Config) { c.MinGiniGain = -1e-3 }},
-		{"MinGiniGain", false, func(c *core.Config) { c.MinGiniGain = math.NaN() }},
-		{"ObliqueThreshold", false, func(c *core.Config) { c.ObliqueThreshold = -0.5 }},
-		{"ObliqueThreshold", false, func(c *core.Config) { c.ObliqueThreshold = math.NaN() }},
-		{"ObliqueGain", false, func(c *core.Config) { c.ObliqueGain = math.NaN() }},
 		{"PurityStop", false, func(c *core.Config) { c.PurityStop = math.NaN() }},
 		{"PurityStop", false, func(c *core.Config) { c.PurityStop = 1.5 }},
 		{"PurityStop", false, func(c *core.Config) { c.PurityStop = -0.1 }},
@@ -399,34 +390,21 @@ func TestConfigHonouredOrRejected(t *testing.T) {
 		}
 	}
 
-	// The exact-tree baselines honour the stopping rules and the split
-	// attributes: F2 stays one leaf under the first two, and splits on age
-	// alone under the third.
+	// The exact-tree baselines honour the split attributes: F2 splits on
+	// age alone under SplitAttrs [age].
 	clean, _ := knobTables()
 	for _, algo := range []string{eval.AlgoSPRINT, eval.AlgoSLIQ, eval.AlgoRainForest, eval.AlgoWindow} {
-		for _, r := range []struct {
-			field string
-			cfg   core.Config
-		}{
-			{"MinSplitRecords", core.Config{MinSplitRecords: 100_000}},
-			{"MinGiniGain", core.Config{MinGiniGain: 0.4}},
-			{"SplitAttrs", core.Config{SplitAttrs: []int{synth.AttrAge}}},
-		} {
-			_, tr, err := eval.Run(algo, storage.NewMem(clean), nil, nil, eval.Options{Tree: r.cfg})
-			if err != nil {
-				t.Errorf("%s with %s: %v", algo, r.field, err)
-				continue
-			}
-			honoured := true
-			tr.Walk(func(n *tree.Node, _ int) {
-				if !n.IsLeaf() && (r.cfg.SplitAttrs == nil || n.Split.Attr != synth.AttrAge) {
-					honoured = false
-				}
-			})
-			if !honoured {
-				t.Errorf("%s ignores %s: it grew a %d-node tree", algo, r.field, tr.Size())
-			}
+		cfg := core.Config{SplitAttrs: []int{synth.AttrAge}}
+		_, tr, err := eval.Run(algo, storage.NewMem(clean), nil, nil, eval.Options{Tree: cfg})
+		if err != nil {
+			t.Errorf("%s with SplitAttrs: %v", algo, err)
+			continue
 		}
+		tr.Walk(func(n *tree.Node, _ int) {
+			if !n.IsLeaf() && n.Split.Attr != synth.AttrAge {
+				t.Errorf("%s ignores SplitAttrs: it splits on attribute %d", algo, n.Split.Attr)
+			}
+		})
 	}
 }
 
@@ -469,14 +447,13 @@ func checkKnobRow(t *testing.T, name string, e knobEntry, cfg core.Config) {
 // the config or accepts one that validates to itself and builds a tree
 // over a 300-record store without error or panic.
 func FuzzConfigValidate(f *testing.F) {
-	f.Add(uint8(0), false, false, uint8(0), int16(0), int16(0), int16(0), int16(0), int16(0), int16(0), int16(0), int16(0), int32(0), int32(0), int8(1), 0.0, 0.0, 0.0, 0.0, int64(0))
-	f.Add(uint8(1), true, false, uint8(1), int16(16), int16(1), int16(3), int16(4), int16(2), int16(5), int16(8), int16(2), int32(-1), int32(-1), int8(2), 0.01, 0.9, 0.05, 0.5, int64(7))
-	f.Add(uint8(2), false, true, uint8(0), int16(8), int16(2), int16(1), int16(-1), int16(0), int16(1), int16(3), int16(1), int32(64), int32(100), int8(0), -1.0, math.NaN(), 2.0, 0.0, int64(-3))
+	f.Add(uint8(0), false, false, uint8(0), int16(0), int16(0), int16(0), int16(0), int32(0), int32(0), int8(1), 0.0, int64(0))
+	f.Add(uint8(1), true, false, uint8(1), int16(16), int16(1), int16(4), int16(2), int32(-1), int32(-1), int8(2), 0.9, int64(7))
+	f.Add(uint8(2), false, true, uint8(0), int16(8), int16(2), int16(-1), int16(1), int32(64), int32(100), int8(0), math.NaN(), int64(-3))
 	tbl := synth.Generate(synth.FPaper, 300, 5)
 	f.Fuzz(func(t *testing.T, algo uint8, quantize, allPairs bool, validation uint8,
-		intervals, maxAlive, minSplit, maxDepth, maxRounds, oblMin, oblDepth, bins int16,
-		inMem, sample int32, workers int8,
-		minGain, purity, oblThreshold, oblGain float64, seed int64) {
+		intervals, maxAlive, maxDepth, bins int16,
+		inMem, sample int32, workers int8, purity float64, seed int64) {
 		cfg := core.Config{
 			Algorithm:           core.Algorithm(algo % 6),
 			Quantize:            quantize,
@@ -484,19 +461,12 @@ func FuzzConfigValidate(f *testing.F) {
 			Validation:          core.ValidationPolicy(validation % 3),
 			Intervals:           int(intervals) % 300,
 			MaxAlive:            int(maxAlive) % 8,
-			MinSplitRecords:     int(minSplit),
 			MaxDepth:            int(maxDepth) % 64,
-			MaxRounds:           int(maxRounds) % 64,
-			ObliqueMinRecords:   int(oblMin),
-			ObliqueMaxDepth:     int(oblDepth) % 16,
 			QuantizeBins:        int(bins),
 			InMemoryNodeRecords: int(inMem),
 			DiscretizeSample:    int(sample),
 			Workers:             int(workers) % 5,
-			MinGiniGain:         minGain,
 			PurityStop:          purity,
-			ObliqueThreshold:    oblThreshold,
-			ObliqueGain:         oblGain,
 			Seed:                seed,
 		}
 		valid, err := cfg.Validate()

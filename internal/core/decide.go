@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"cmpdt/internal/dataset"
+	"cmpdt/internal/exact"
 	"cmpdt/internal/gini"
 	"cmpdt/internal/histogram"
 	"cmpdt/internal/obs"
@@ -235,7 +236,7 @@ const (
 // only the cheap gates.
 func (e *engine[N]) evaluate(n N, d *decideEval, kind decideKind, tn *tree.Node) verdict {
 	v, primary, depth := d.v, kind == decidePrimary, n.base().depth
-	if tn.Gini == 0 || tn.N < e.cfg.MinSplitRecords || depth >= e.cfg.MaxDepth ||
+	if tn.Gini == 0 || tn.N < exact.MinSplitRecords || depth >= e.cfg.MaxDepth ||
 		(e.cfg.PurityStop > 0 && float64(tn.ClassCounts[tn.Class]) >= e.cfg.PurityStop*float64(tn.N)) {
 		return leafVerdict
 	}
@@ -265,17 +266,17 @@ func (e *engine[N]) evaluate(n N, d *decideEval, kind decideKind, tn *tree.Node)
 	if useCat {
 		bestScore = d.catG
 	}
-	if math.IsInf(bestScore, 1) || tn.Gini-bestScore < e.cfg.MinGiniGain {
+	if math.IsInf(bestScore, 1) || tn.Gini-bestScore < exact.MinGiniGain {
 		return leafVerdict
 	}
 	// Full CMP: try linear-combination splits when univariate looks weak.
-	if primary && e.oblique && v.mats != nil && depth <= e.cfg.ObliqueMaxDepth &&
-		tn.N >= e.cfg.ObliqueMinRecords && bestScore > e.cfg.ObliqueThreshold {
+	if primary && e.oblique && v.mats != nil && depth <= obliqueMaxDepth &&
+		tn.N >= obliqueMinRecords && bestScore > obliqueThreshold {
 		if !d.lineTried {
 			d.line, d.lineOK = e.k.bestObliqueSplit(v)
 			d.lineTried = true
 		}
-		if d.lineOK && d.line.gini < (1-e.cfg.ObliqueGain)*bestScore && tn.Gini-d.line.gini >= e.cfg.MinGiniGain {
+		if d.lineOK && d.line.gini < (1-obliqueGain)*bestScore && tn.Gini-d.line.gini >= exact.MinGiniGain {
 			return obliqueVerdict
 		}
 	}

@@ -33,9 +33,9 @@ func TestPrunedFinishersMatchPostPruning(t *testing.T) {
 	inputs = append(inputs, input{"segment", seg})
 	def := Default(CMPB)
 	cfg := exact.Config{
-		MinSplitRecords: def.MinSplitRecords,
+		MinSplitRecords: exact.MinSplitRecords,
 		MaxDepth:        def.MaxDepth,
-		MinGiniGain:     def.MinGiniGain,
+		MinGiniGain:     exact.MinGiniGain,
 		PurityStop:      def.PurityStop,
 	}
 	for _, in := range inputs {

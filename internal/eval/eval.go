@@ -45,8 +45,9 @@ type Options struct {
 	// The CMP family and CLOUDS build with it on the core engine, Algorithm
 	// set from the run's algorithm name (a nonzero Algorithm must agree
 	// with it); core rejects Quantize and ObliqueAllPairs for CLOUDS. The
-	// other baselines read MinSplitRecords, MaxDepth, MinGiniGain,
-	// PurityStop, SplitAttrs and DisablePruning; RainForest also reads
+	// other baselines read MaxDepth, PurityStop, SplitAttrs and
+	// DisablePruning, and stop at exact.MinSplitRecords and
+	// exact.MinGiniGain like a CMP build; RainForest also reads
 	// InMemoryNodeRecords, and windowing Seed. They reject a nonzero
 	// Algorithm, Quantize, QuantizeBins, ValidateSkip and ObliqueAllPairs,
 	// which they cannot honour. Workers, CacheBytes and Obs are accepted
@@ -197,15 +198,12 @@ func RunContext(ctx context.Context, algo string, src storage.Source, trainTbl, 
 		return nil, nil, err
 	}
 	ec := exact.Config{
-		MinSplitRecords: cfg.MinSplitRecords, MaxDepth: cfg.MaxDepth, MinGiniGain: cfg.MinGiniGain,
+		MinSplitRecords: exact.MinSplitRecords, MaxDepth: cfg.MaxDepth, MinGiniGain: exact.MinGiniGain,
 		PurityStop: cfg.PurityStop, AllowedAttrs: allowed, Prune: !cfg.DisablePruning,
 	}
 	if algo == AlgoWindow {
-		wc := window.DefaultConfig()
-		wc.Seed = cfg.Seed
-		wc.Exact = ec
-		wc.Exact.Prune = false // windowing keeps each window's full tree
-		res, err := window.Build(src, wc)
+		ec.Prune = false // windowing keeps each window's full tree
+		res, err := window.Build(src, ec, cfg.Seed)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -37,9 +37,18 @@ type Config struct {
 	Prune bool
 }
 
+// The stopping rules every builder shares: the CMP family and the
+// regression forest hold them fixed, and DefaultConfig starts from them.
+const (
+	// MinSplitRecords: a node with fewer records stays a leaf.
+	MinSplitRecords = 2
+	// MinGiniGain is the minimum index improvement a split must deliver.
+	MinGiniGain = 1e-4
+)
+
 // DefaultConfig mirrors the CMP builder's stopping rules.
 func DefaultConfig() Config {
-	return Config{MinSplitRecords: 2, MaxDepth: 32, MinGiniGain: 1e-4}
+	return Config{MinSplitRecords: MinSplitRecords, MaxDepth: 32, MinGiniGain: MinGiniGain}
 }
 
 // Stops reports whether the stopping rules keep node, depth edges below

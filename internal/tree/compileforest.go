@@ -2,10 +2,8 @@ package tree
 
 import (
 	"fmt"
-	"time"
 
 	"cmpdt/internal/dataset"
-	"cmpdt/internal/obs"
 )
 
 // CompiledForest is an ensemble compiled for inference: every tree's nodes
@@ -30,8 +28,6 @@ type CompiledForest struct {
 	// distribution; probability averaging reads it. Nil in regression mode.
 	dist    []float32
 	regress bool
-
-	batchObs *obs.Histogram
 }
 
 // maxStackClasses bounds the class count for which voting scratch lives on
@@ -161,36 +157,15 @@ func (c *CompiledForest) PredictValue(vals []float64) float64 {
 	return sum / float64(len(c.roots))
 }
 
-// SetBatchObserver attaches a latency histogram exactly as
-// Compiled.SetBatchObserver does: every subsequent batch call records its
-// wall time (one observation per batch); single-record methods are never
-// instrumented. Pass nil to detach; set before sharing across goroutines.
-func (c *CompiledForest) SetBatchObserver(h *obs.Histogram) { c.batchObs = h }
-
-func (c *CompiledForest) batchStart() time.Time {
-	if c.batchObs == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-func (c *CompiledForest) batchEnd(start time.Time) {
-	if c.batchObs != nil {
-		c.batchObs.Observe(time.Since(start).Nanoseconds())
-	}
-}
-
 // PredictBatch majority-vote classifies records[j] into dst[j] for every
 // j, sequentially. dst must be at least as long as records.
 func (c *CompiledForest) PredictBatch(dst []int, records [][]float64) {
 	if len(dst) < len(records) {
 		panic(fmt.Sprintf("tree: PredictBatch dst len %d < %d records", len(dst), len(records)))
 	}
-	start := c.batchStart()
 	for j, r := range records {
 		dst[j] = c.Predict(r)
 	}
-	c.batchEnd(start)
 }
 
 // PredictBatchWorkers is PredictBatch sharded across RECORDS (never across
@@ -202,7 +177,6 @@ func (c *CompiledForest) PredictBatchWorkers(dst []int, records [][]float64, wor
 	if len(dst) < n {
 		panic(fmt.Sprintf("tree: PredictBatchWorkers dst len %d < %d records", len(dst), n))
 	}
-	start := c.batchStart()
 	if serialShard(n, workers) {
 		for j, r := range records {
 			dst[j] = c.Predict(r)
@@ -214,7 +188,6 @@ func (c *CompiledForest) PredictBatchWorkers(dst []int, records [][]float64, wor
 			}
 		})
 	}
-	c.batchEnd(start)
 }
 
 // PredictValueBatchWorkers predicts numeric targets for every record,
@@ -224,7 +197,6 @@ func (c *CompiledForest) PredictValueBatchWorkers(dst []float64, records [][]flo
 	if len(dst) < n {
 		panic(fmt.Sprintf("tree: PredictValueBatchWorkers dst len %d < %d records", len(dst), n))
 	}
-	start := c.batchStart()
 	if serialShard(n, workers) {
 		for j, r := range records {
 			dst[j] = c.PredictValue(r)
@@ -236,5 +208,4 @@ func (c *CompiledForest) PredictValueBatchWorkers(dst []float64, records [][]flo
 			}
 		})
 	}
-	c.batchEnd(start)
 }

@@ -19,29 +19,15 @@ import (
 	"cmpdt/internal/tree"
 )
 
-// Config controls windowing.
-type Config struct {
-	// InitialWindow is the starting sample size (default n/50, at least
-	// 500 and at most n).
-	InitialWindow int
-	// MaxAdditions bounds the misclassified records added per iteration
-	// (default InitialWindow/2).
-	MaxAdditions int
-	// MaxIterations bounds the refinement loop (default 5).
-	MaxIterations int
-	// Exact configures the in-memory tree built on each window. A zero
-	// MaxDepth takes exact.DefaultConfig's stopping rules: MaxDepth, and
-	// MinSplitRecords and MinGiniGain where they are zero; the other
-	// fields are kept.
-	Exact exact.Config
-	// Seed drives the sampling.
-	Seed int64
-}
-
-// DefaultConfig returns Quinlan-flavoured defaults.
-func DefaultConfig() Config {
-	return Config{MaxIterations: 5, Exact: exact.DefaultConfig(), Seed: 1}
-}
+// The windowing schedule (Quinlan's defaults): the first window holds
+// n/initialWindowDiv records, at least minInitialWindow and at most n; each
+// iteration adds at most half the initial window of misclassified records;
+// and the loop stops after maxIterations.
+const (
+	initialWindowDiv = 50
+	minInitialWindow = 500
+	maxIterations    = 5
+)
 
 // Stats reports what a windowing run did.
 type Stats struct {
@@ -61,10 +47,12 @@ type Result struct {
 	IO    storage.Stats
 }
 
-// Build trains a tree by windowing over src. Each iteration costs one
-// sequential scan (the verification pass that also collects misclassified
-// records); tree building itself happens in memory on the window.
-func Build(src storage.Source, cfg Config) (*Result, error) {
+// Build trains a tree by windowing over src, growing each window's tree
+// with cfg and drawing the initial window with seed. Each iteration costs
+// one sequential scan (the verification pass that also collects
+// misclassified records); tree building itself happens in memory on the
+// window.
+func Build(src storage.Source, cfg exact.Config, seed int64) (*Result, error) {
 	schema := src.Schema()
 	if err := schema.Validate(); err != nil {
 		return nil, err
@@ -73,32 +61,9 @@ func Build(src storage.Source, cfg Config) (*Result, error) {
 	if n == 0 {
 		return nil, errors.New("window: empty training set")
 	}
-	if cfg.MaxIterations <= 0 {
-		cfg.MaxIterations = 5
-	}
-	if cfg.InitialWindow <= 0 {
-		cfg.InitialWindow = n / 50
-		if cfg.InitialWindow < 500 {
-			cfg.InitialWindow = 500
-		}
-	}
-	if cfg.InitialWindow > n {
-		cfg.InitialWindow = n
-	}
-	if cfg.MaxAdditions <= 0 {
-		cfg.MaxAdditions = cfg.InitialWindow / 2
-	}
-	if cfg.Exact.MaxDepth == 0 {
-		def := exact.DefaultConfig()
-		cfg.Exact.MaxDepth = def.MaxDepth
-		if cfg.Exact.MinSplitRecords == 0 {
-			cfg.Exact.MinSplitRecords = def.MinSplitRecords
-		}
-		if cfg.Exact.MinGiniGain == 0 {
-			cfg.Exact.MinGiniGain = def.MinGiniGain
-		}
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	initial := min(max(n/initialWindowDiv, minInitialWindow), n)
+	maxAdditions := initial / 2
+	rng := rand.New(rand.NewSource(seed))
 
 	// Initial window: reservoir sample over one scan, which also rejects
 	// the first record Schema.RecordDefect flags.
@@ -106,17 +71,17 @@ func Build(src storage.Source, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	reservoirVals := make([][]float64, 0, cfg.InitialWindow)
-	reservoirLabels := make([]int, 0, cfg.InitialWindow)
+	reservoirVals := make([][]float64, 0, initial)
+	reservoirLabels := make([]int, 0, initial)
 	seen := 0
 	err = src.Scan(func(rid int, vals []float64, label int) error {
 		if d := schema.RecordDefect(vals, label); d != "" {
 			return fmt.Errorf("window: record %d invalid: %s", rid, d)
 		}
-		if seen < cfg.InitialWindow {
+		if seen < initial {
 			reservoirVals = append(reservoirVals, append([]float64(nil), vals...))
 			reservoirLabels = append(reservoirLabels, label)
-		} else if j := rng.Intn(seen + 1); j < cfg.InitialWindow {
+		} else if j := rng.Intn(seen + 1); j < initial {
 			reservoirVals[j] = append(reservoirVals[j][:0], vals...)
 			reservoirLabels[j] = label
 		}
@@ -134,12 +99,12 @@ func Build(src storage.Source, cfg Config) (*Result, error) {
 
 	var st Stats
 	var t *tree.Tree
-	for iter := 0; iter < cfg.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		st.Iterations++
-		t = exact.BuildTable(win, cfg.Exact)
+		t = exact.BuildTable(win, cfg)
 
 		// Verification scan: count misclassifications and collect up to
-		// MaxAdditions of them into the window.
+		// maxAdditions of them into the window.
 		added := 0
 		misses := 0
 		err := src.Scan(func(rid int, vals []float64, label int) error {
@@ -147,7 +112,7 @@ func Build(src storage.Source, cfg Config) (*Result, error) {
 				return nil
 			}
 			misses++
-			if added < cfg.MaxAdditions {
+			if added < maxAdditions {
 				if err := win.Append(vals, label); err != nil {
 					return err
 				}

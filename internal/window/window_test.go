@@ -1,7 +1,6 @@
 package window
 
 import (
-	"bytes"
 	"testing"
 
 	"cmpdt/internal/core"
@@ -9,11 +8,12 @@ import (
 	"cmpdt/internal/exact"
 	"cmpdt/internal/storage"
 	"cmpdt/internal/synth"
+	"cmpdt/internal/tree"
 )
 
 func TestWindowingLearns(t *testing.T) {
 	tbl := synth.Generate(synth.F2, 40_000, 3)
-	res, err := Build(storage.NewMem(tbl), DefaultConfig())
+	res, err := Build(storage.NewMem(tbl), exact.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +45,7 @@ func TestWindowingLosesToFullData(t *testing.T) {
 	}
 	test := synth.Generate(synth.F7, 15_000, 77)
 
-	wcfg := DefaultConfig()
-	wcfg.InitialWindow = 600
-	wcfg.MaxAdditions = 300
-	wres, err := Build(storage.NewMem(noisy), wcfg)
+	wres, err := Build(storage.NewMem(noisy), exact.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +84,7 @@ func TestWindowingStopsWhenPerfect(t *testing.T) {
 		}
 		tbl.Append([]float64{float64(i)}, label)
 	}
-	res, err := Build(storage.NewMem(tbl), DefaultConfig())
+	res, err := Build(storage.NewMem(tbl), exact.DefaultConfig(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,36 +98,33 @@ func TestWindowingStopsWhenPerfect(t *testing.T) {
 
 func TestWindowingEmptyInput(t *testing.T) {
 	empty := dataset.MustNew(synth.Schema())
-	if _, err := Build(storage.NewMem(empty), DefaultConfig()); err == nil {
+	if _, err := Build(storage.NewMem(empty), exact.DefaultConfig(), 1); err == nil {
 		t.Error("empty training set accepted")
 	}
 }
 
-// TestWindowingKeepsExactSettings holds an Exact config with only
-// PurityStop set to the tree its default-filled counterpart grows: filling
-// the unset stopping rules must keep the purity stop.
+// TestWindowingKeepsExactSettings holds that every window's tree grows
+// under the caller's exact.Config: a PurityStop of 0.6 must stop the
+// default stopping rules' tree early, so the run cannot have dropped it.
 func TestWindowingKeepsExactSettings(t *testing.T) {
 	src := storage.NewMem(synth.Generate(synth.F2, 5_000, 4))
-	build := func(ex exact.Config) []byte {
+	build := func(cfg exact.Config) *tree.Tree {
 		t.Helper()
-		cfg := DefaultConfig()
-		cfg.Exact = ex
-		res, err := Build(src, cfg)
+		res, err := Build(src, cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := res.Tree.WriteJSON(&buf); err != nil {
-			t.Fatal(err)
+		return res.Tree
+	}
+	pure := exact.DefaultConfig()
+	pure.PurityStop = 0.6
+	got, def := build(pure), build(exact.DefaultConfig())
+	if got.Size() >= def.Size() {
+		t.Fatalf("PurityStop 0.6 grew %d nodes, the default rules %d", got.Size(), def.Size())
+	}
+	got.Walk(func(n *tree.Node, _ int) {
+		if !n.IsLeaf() && float64(n.ClassCounts[n.Class]) >= 0.6*float64(n.N) {
+			t.Errorf("node of %d records with majority %d was split under PurityStop 0.6", n.N, n.ClassCounts[n.Class])
 		}
-		return buf.Bytes()
-	}
-	got := build(exact.Config{PurityStop: 0.6})
-	want := build(exact.Config{PurityStop: 0.6, MaxDepth: 32, MinSplitRecords: 2, MinGiniGain: 1e-4})
-	if !bytes.Equal(got, want) {
-		t.Fatal("Exact{PurityStop: 0.6} grows a different tree from its default-filled counterpart")
-	}
-	if bytes.Equal(got, build(exact.Config{})) {
-		t.Fatal("PurityStop 0.6 grows the default tree; the check would not see it dropped")
-	}
+	})
 }
