@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"cmpdt/internal/dataset"
@@ -133,9 +135,10 @@ func TestRegressForestRoundTrip(t *testing.T) {
 }
 
 // TestRegressValidation: a categorical attribute cannot be a regression
-// target. (Non-finite targets are guarded in buildRegressTree, but the
-// dataset layer already rejects NaN numerics at ingestion, so that path is
-// unreachable through a Table-backed source.)
+// target, and a regression forest rejects the records a classification
+// forest rejects under ValidateStrict: the table and store layers both
+// accept a non-finite feature (Table.Append takes ±Inf, a CMPDT2 store any
+// float), so training must catch it.
 func TestRegressValidation(t *testing.T) {
 	schema := &dataset.Schema{
 		Attrs: []dataset.Attribute{
@@ -154,5 +157,39 @@ func TestRegressValidation(t *testing.T) {
 	cfg.Target = "c"
 	if _, err := Train(storage.NewMem(tbl), cfg); err == nil {
 		t.Error("categorical target accepted")
+	}
+
+	// Record 7 carries an invalid feature: +Inf in a table, NaN in a
+	// store. Every tree trains on every record, so every tree sees it.
+	clean := regressTable(300, 3)
+	inf := dataset.MustNew(clean.Schema())
+	w, err := storage.CreateFile(filepath.Join(t.TempDir(), "nan.dat"), clean.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < clean.NumRecords(); i++ {
+		row := append([]float64(nil), clean.Row(i)...)
+		nan := append([]float64(nil), row...)
+		if i == 7 {
+			row[0], nan[1] = math.Inf(1), math.NaN()
+		}
+		if err := inf.Append(row, clean.Label(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(nan, clean.Label(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f, err := w.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg = smallConfig(2)
+	cfg.Target = "y"
+	cfg.NoBootstrap = true
+	for name, src := range map[string]storage.RangeSource{"+Inf in a table": storage.NewMem(inf), "NaN in a store": f} {
+		if _, err := Train(src, cfg); err == nil || !strings.Contains(err.Error(), "record 7 invalid") {
+			t.Errorf("%s: err %v, want record 7 rejected", name, err)
+		}
 	}
 }
