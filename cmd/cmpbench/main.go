@@ -312,29 +312,11 @@ func main() {
 	}
 
 	if *metricsJSON != "" {
-		if err := writeMetrics(*metricsJSON, col.Snapshot()); err != nil {
+		if err := cli.WriteReport(*metricsJSON, os.Stderr, col.Snapshot()); err != nil {
 			fmt.Fprintln(os.Stderr, "cmpbench:", err)
 			os.Exit(1)
 		}
 	}
-}
-
-// writeMetrics emits the aggregate observability report as indented JSON to
-// path, or to stderr when path is "-" (stdout carries the experiment
-// tables).
-func writeMetrics(path string, rep *obs.Report) error {
-	if path == "-" {
-		return rep.WriteJSON(os.Stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func emit(name, title string, rows []experiments.Row, csv bool) error {

@@ -162,7 +162,7 @@ func runStore(ctx context.Context, modelPath, dataPath string, cacheBytes int64,
 		rep.Build.WallNs = time.Since(start).Nanoseconds()
 		rep.Metrics = reg.Snapshot()
 		rep.IO = f.Stats().Summary()
-		return writeMetrics(metricsJSON, rep)
+		return cli.WriteReport(metricsJSON, os.Stderr, rep)
 	}
 	return nil
 }
@@ -310,26 +310,9 @@ func run(ctx context.Context, modelPath string, batch, workers int, metricsJSON 
 		rep.Build.Algorithm = "classify"
 		rep.Build.WallNs = time.Since(start).Nanoseconds()
 		rep.Metrics = reg.Snapshot()
-		return writeMetrics(metricsJSON, rep)
+		return cli.WriteReport(metricsJSON, os.Stderr, rep)
 	}
 	return nil
-}
-
-// writeMetrics emits the report as indented JSON to path, or to stderr when
-// path is "-" (stdout carries the prediction CSV).
-func writeMetrics(path string, rep *obs.Report) error {
-	if path == "-" {
-		return rep.WriteJSON(os.Stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // classifySerial is the record-at-a-time path.

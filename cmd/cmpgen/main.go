@@ -84,18 +84,7 @@ func writeGenMetrics(path, workload string, records int, seed int64, out string,
 			rep.IO.PagesWritten = (fi.Size() + storage.PageSize - 1) / storage.PageSize
 		}
 	}
-	if path == "-" {
-		return rep.WriteJSON(os.Stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cli.WriteReport(path, os.Stderr, rep)
 }
 
 // writeSchema serializes a schema as indented JSON, the shape cmpstream's

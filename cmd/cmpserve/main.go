@@ -186,16 +186,5 @@ func writeMetrics(path string, s *serve.Server, reg *obs.Registry) error {
 	rep := (*obs.Collector)(nil).Snapshot()
 	rep.Metrics = reg.Snapshot()
 	rep.Serve = s.Summary()
-	if path == "-" {
-		return rep.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cli.WriteReport(path, os.Stdout, rep)
 }

@@ -274,18 +274,7 @@ func writeMetrics(path string, st stream.Stats, published int64, workers int, wa
 		TreeDepth:           st.Depth,
 		SketchBytes:         st.SketchBytes,
 	}
-	if path == "-" {
-		return rep.WriteJSON(stderr)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return cli.WriteReport(path, stderr, rep)
 }
 
 // tailReader turns a file into an unbounded stream: EOF means "wait for the

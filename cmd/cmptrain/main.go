@@ -119,7 +119,7 @@ func runForest(ctx context.Context, algo string, fc forest.Config, data, save, m
 		rep.Build.Records = src.NumRecords()
 		rep.Build.Seed = f.Seed
 		rep.Build.WallNs = res.Wall.Nanoseconds()
-		if err := writeMetrics(metricsJSON, rep); err != nil {
+		if err := cli.WriteReport(metricsJSON, os.Stdout, rep); err != nil {
 			return err
 		}
 	}
@@ -162,7 +162,7 @@ func run(ctx context.Context, algo, data, save, metricsJSON string, quiet bool, 
 	if metricsJSON != "" {
 		rep := eval.MetricsReport(opts.Tree.Obs, res)
 		rep.Build.Seed = opts.Tree.Seed
-		if err := writeMetrics(metricsJSON, rep); err != nil {
+		if err := cli.WriteReport(metricsJSON, os.Stdout, rep); err != nil {
 			return err
 		}
 	}
@@ -200,23 +200,6 @@ func saveModel(path string, write func(io.Writer) error) error {
 		return err
 	}
 	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// writeMetrics emits the observability report as indented JSON to path, or
-// to stdout when path is "-".
-func writeMetrics(path string, rep *obs.Report) error {
-	if path == "-" {
-		return rep.WriteJSON(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
 		f.Close()
 		return err
 	}

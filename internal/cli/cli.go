@@ -1,6 +1,7 @@
 // Package cli holds the plumbing every command in cmd/ shares: a root
-// context cancelled by SIGINT/SIGTERM (and, optionally, a -timeout), and
-// the repository's uniform "tool: message" failure exit.
+// context cancelled by SIGINT/SIGTERM (and, optionally, a -timeout), the
+// repository's uniform "tool: message" failure exit, and the
+// -metrics-json report writer.
 //
 // Before this package each main wired its own signal handling — or, worse,
 // none: a Ctrl-C during a long cmpclassify stream or cmpgen generation
@@ -14,10 +15,13 @@ package cli
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
+
+	"cmpdt/internal/obs"
 )
 
 // Context returns the command's root context: cancelled on SIGINT or
@@ -42,4 +46,21 @@ func Context(timeout time.Duration) (context.Context, context.CancelFunc) {
 func Fatal(tool string, err error) {
 	fmt.Fprintln(os.Stderr, tool+": "+err.Error())
 	os.Exit(1)
+}
+
+// WriteReport writes rep as indented JSON to the file at path, or to
+// stream when path is "-" (each tool keeps its own stream for "-").
+func WriteReport(path string, stream io.Writer, rep *obs.Report) error {
+	if path == "-" {
+		return rep.WriteJSON(stream)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := rep.WriteJSON(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -1,10 +1,15 @@
 package cli
 
 import (
+	"bytes"
 	"context"
+	"os"
+	"path/filepath"
 	"syscall"
 	"testing"
 	"time"
+
+	"cmpdt/internal/obs"
 )
 
 func TestContextTimeout(t *testing.T) {
@@ -50,5 +55,30 @@ func TestContextNoTimeoutStaysOpen(t *testing.T) {
 	case <-ctx.Done():
 	case <-time.After(5 * time.Second):
 		t.Fatal("stop did not cancel the context")
+	}
+}
+
+// TestWriteReport: "-" writes the report to the given stream, any other
+// path to that file, byte for byte the same JSON.
+func TestWriteReport(t *testing.T) {
+	rep := (*obs.Collector)(nil).Snapshot()
+	rep.Build.Algorithm = "test"
+	var stream bytes.Buffer
+	if err := WriteReport("-", &stream, rep); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "report.json")
+	if err := WriteReport(path, nil, rep); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(got, []byte(`"test"`)) || !bytes.Equal(got, stream.Bytes()) {
+		t.Errorf("file %q, stream %q", got, stream.Bytes())
+	}
+	if err := WriteReport(filepath.Join(path, "x"), nil, rep); err == nil {
+		t.Error("a path under a regular file was written")
 	}
 }
