@@ -128,12 +128,14 @@ faults:
 
 # Coverage-guided fuzzing, briefly: every Fuzz* target in the module runs
 # for 10s, one go test -fuzz call per target (go test fuzzes one target at
-# a time). Plain go test only replays the seed corpora.
+# a time). Minimizing a new input is bounded to 1s: the default 60s would
+# spend the whole budget on the first input a target finds. Plain go test
+# only replays the seed corpora.
 fuzz-smoke:
 	@set -e; grep -rl --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' . | sort | \
 	while read -r file; do \
 		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$file"); do \
 			echo "fuzz-smoke: $$target ($$(dirname "$$file"))"; \
-			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime=10s "./$$(dirname "$$file")"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime=10s -fuzzminimizetime=1s "./$$(dirname "$$file")"; \
 		done; \
 	done
