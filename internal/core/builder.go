@@ -59,6 +59,16 @@ func BuildContext(ctx context.Context, src storage.Source, cfg Config) (res *Res
 	if src.NumRecords() == 0 {
 		return nil, errors.New("core: empty training set")
 	}
+	records, what := int64(src.NumRecords()), "record count"
+	switch s := src.(type) {
+	case *storage.Masked:
+		what = "multiplicity sum"
+	case *storage.QuantMem:
+		records, what = s.WeightedRecords(), "weighted record count"
+	}
+	if err := checkCountRange(what, records); err != nil {
+		return nil, err
+	}
 	if cfg.CacheBytes > 0 {
 		if c, ok := src.(storage.Cacheable); ok {
 			c.SetCacheBytes(cfg.CacheBytes)

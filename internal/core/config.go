@@ -335,7 +335,7 @@ type Stats struct {
 	// PeakBufferBytes is the largest simultaneous buffer footprint.
 	PeakBufferBytes int64
 	// PeakHistogramBytes is the largest simultaneous histogram/matrix
-	// footprint.
+	// footprint, at 4 bytes per class count.
 	PeakHistogramBytes int64
 	// PeakMemoryBytes is the peak of buffers plus histograms, the quantity
 	// Figure 19 charts for CMP.

@@ -186,7 +186,7 @@ func (e *engine[N]) evalCategoricalAttrs(v *view) (attr int, mask uint64, g floa
 			continue
 		}
 		h := v.marg[a]
-		counts := make([][]int, h.Bins())
+		counts := make([][]int32, h.Bins())
 		for bin := range counts {
 			counts[bin] = h.Bin(bin)
 		}
@@ -466,7 +466,7 @@ func (e *engine[N]) makeResolvedCategorical(n N, v *view, attr int, mask uint64)
 	for val := 0; val < h.Bins(); val++ {
 		if mask&(1<<uint(val)) != 0 {
 			for c, k := range h.Bin(val) {
-				leftCounts[c] += k
+				leftCounts[c] += int(k)
 			}
 		}
 	}

@@ -241,6 +241,16 @@ func errInvalidRecord(rid int, defect string) error {
 	return fmt.Errorf("core: record %d invalid: %s (set Config.Validation = ValidateSkip to drop such records)", rid, defect)
 }
 
+// checkCountRange rejects, before any scan, a training set of n records
+// (what names how they are counted) that a 32-bit histogram count cannot
+// hold: every count the build makes is at most n.
+func checkCountRange(what string, n int64) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("core: %s %d exceeds %d, the most a 32-bit histogram count holds", what, n, math.MaxInt32)
+	}
+	return nil
+}
+
 // errSampleDone ends the discretization pass once a prefix sample is full.
 var errSampleDone = errors.New("core: sample complete")
 

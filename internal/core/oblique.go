@@ -171,7 +171,7 @@ func centerGini(m *histogram.Matrix, x, y int, mirror bool) float64 {
 				dst = left
 			}
 			for c, n := range m.Cell(i, j) {
-				dst[c] += n
+				dst[c] += int(n)
 			}
 		}
 	}
@@ -280,7 +280,7 @@ func lineGini(m *histogram.Matrix, x, y int, mirror bool) (float64, bool) {
 				dst = on
 			}
 			for c, n := range m.Cell(i, j) {
-				dst[c] += n
+				dst[c] += int(n)
 			}
 		}
 	}
@@ -369,7 +369,7 @@ func (b *builder) lineToSplit(v *view, xAttr, yAttr int, cm *histogram.Matrix, x
 				dst = left
 			}
 			for cls, n := range cm.Cell(i, j) {
-				dst[cls] += n
+				dst[cls] += int(n)
 			}
 		}
 	}

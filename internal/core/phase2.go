@@ -249,7 +249,7 @@ func (b *builder) deriveChildDisc(v *view, attr int, lo, hi float64, childN int)
 	counts := make([]int, h.Bins())
 	for k := range counts {
 		for _, c := range h.Bin(k) {
-			counts[k] += c
+			counts[k] += int(c)
 		}
 	}
 	d, err := quantile.Derive(v.disc[attr], counts, lo, hi, b.childBins(childN),
@@ -459,7 +459,7 @@ func (b *builder) regionCounts(h *histogram.Hist1D, alive []int) [][]int {
 		}
 		prevAlive = false
 		for c, v := range h.Bin(k) {
-			cur[c] += v
+			cur[c] += int(v)
 		}
 	}
 	out = append(out, cur)

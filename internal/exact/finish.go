@@ -63,8 +63,8 @@ type finisher struct {
 
 	idx, tmp []int32
 	cum      []int
-	occ      []int   // bestSplit's scratch: one attribute's occupied ranks
-	tab      [][]int // bestSplit's view of one categorical attribute's rows
+	occ      []int     // bestSplit's scratch: one attribute's occupied ranks
+	tab      [][]int32 // bestSplit's view of one categorical attribute's rows
 	// left holds the class counts of bestSplit's left side; right is
 	// build's scratch for the other side.
 	left, right []int
@@ -75,9 +75,10 @@ type finisher struct {
 // nodeHist is one node's class histograms over every allowed attribute,
 // laid out as finisher.span and off describe. lo[a] and hi[a] bound the
 // ranks of attribute a that may hold a non-zero count (lo > hi when none
-// does).
+// does). Counts are 32-bit, as in package histogram: a count is at most
+// the weight of every row, which the builders bound by math.MaxInt32.
 type nodeHist struct {
-	counts []int
+	counts []int32
 	lo, hi []int
 }
 
@@ -116,7 +117,7 @@ func newFinisher(schema *dataset.Schema, cfg Config, cols [][]uint32, vals [][]f
 		}
 		f.rows += f.span[a]
 	}
-	f.maxHists = histBudget * bufBytes / max(8*f.rows*nc, 1)
+	f.maxHists = histBudget * bufBytes / max(4*f.rows*nc, 1)
 	return f
 }
 
@@ -250,7 +251,7 @@ func (f *finisher) route(h *nodeHist, s *tree.Split, boundary int) int {
 		clear(f.left)
 		counts := h.counts[f.off[s.Attr]*f.nc : (f.off[s.Attr]+b+1)*f.nc]
 		for i, v := range counts {
-			f.left[i%f.nc] += v
+			f.left[i%f.nc] += int(v)
 		}
 	}
 	return b
@@ -304,7 +305,7 @@ func (f *finisher) get() *nodeHist {
 		return h
 	}
 	f.made++
-	h := &nodeHist{counts: make([]int, f.rows*f.nc), lo: make([]int, len(f.span)), hi: make([]int, len(f.span))}
+	h := &nodeHist{counts: make([]int32, f.rows*f.nc), lo: make([]int, len(f.span)), hi: make([]int, len(f.span))}
 	for a := range h.lo {
 		h.lo[a], h.hi[a] = f.span[a], -1
 	}
@@ -364,7 +365,7 @@ func (f *finisher) fill(h *nodeHist, idx []int32) {
 		for _, i := range idx {
 			c := int(col[i])
 			lo, hi = min(lo, c), max(hi, c)
-			counts[c*nc+int(f.labels[i])] += int(f.weights[i])
+			counts[c*nc+int(f.labels[i])] += int32(f.weights[i])
 		}
 		h.lo[a], h.hi[a] = lo, hi
 	}
@@ -390,7 +391,7 @@ func (f *finisher) subtract(h, part *nodeHist, idx []int32) {
 		default:
 			counts := h.counts[f.off[a]*nc : (f.off[a]+f.span[a])*nc]
 			for _, i := range idx {
-				counts[int(f.cols[a][i])*nc+int(f.labels[i])] -= int(f.weights[i])
+				counts[int(f.cols[a][i])*nc+int(f.labels[i])] -= int32(f.weights[i])
 			}
 		}
 	}
@@ -423,7 +424,7 @@ func (f *finisher) bestSplit(h *nodeHist, idx []int32, total []int) (best tree.S
 				for v, row := range tab {
 					if mask&(1<<uint(v)) != 0 {
 						for k, n := range row {
-							f.left[k] += n
+							f.left[k] += int(n)
 						}
 					}
 				}
@@ -443,7 +444,7 @@ func (f *finisher) bestSplit(h *nodeHist, idx []int32, total []int) (best tree.S
 				}
 			}
 			for k, v := range counts[c*nc : (c+1)*nc] {
-				cum[k] += v
+				cum[k] += int(v)
 			}
 		}
 		h.lo[a], h.hi[a] = f.span[a], -1

@@ -5,25 +5,27 @@
 package gini
 
 // Count is a per-class record count: exact integers for the batch
-// builders, float64 for the stream builder, whose counts decay. Integral
-// float64 inputs give bit-identical results to the int instantiation.
-type Count interface{ int | float64 }
+// builders (int32 where they sit in histograms), float64 for the stream
+// builder, whose counts decay. Sums of counts are taken in float64, so
+// they cannot overflow a narrow count type, and are exact for integers
+// below 2^53: integral inputs give bit-identical results in every
+// instantiation.
+type Count interface{ int | int32 | float64 }
 
 // Index returns gini(S) = 1 - sum_j p_j^2 for a set with the given per-class
 // counts (Eq. 1). An empty set has index 0 by convention, matching the
 // weighted-sum formulas where an empty part contributes nothing.
 func Index[T Count](counts []T) float64 {
-	var n T
+	n := 0.0
 	for _, c := range counts {
-		n += c
+		n += float64(c)
 	}
 	if n == 0 {
 		return 0
 	}
 	sumSq := 0.0
-	fn := float64(n)
 	for _, c := range counts {
-		p := float64(c) / fn
+		p := float64(c) / n
 		sumSq += p * p
 	}
 	return 1 - sumSq
@@ -33,10 +35,10 @@ func Index[T Count](counts []T) float64 {
 // S into the given parts (Eq. 2, generalized to any number of parts as
 // needed by the oblique-split search, which partitions into three).
 func Split[T Count](parts ...[]T) float64 {
-	var n T
+	n := 0.0
 	for _, p := range parts {
 		for _, c := range p {
-			n += c
+			n += float64(c)
 		}
 	}
 	if n == 0 {
@@ -44,14 +46,14 @@ func Split[T Count](parts ...[]T) float64 {
 	}
 	g := 0.0
 	for _, p := range parts {
-		var np T
+		np := 0.0
 		for _, c := range p {
-			np += c
+			np += float64(c)
 		}
 		if np == 0 {
 			continue
 		}
-		g += float64(np) / float64(n) * Index(p)
+		g += np / n * Index(p)
 	}
 	return g
 }
@@ -60,10 +62,10 @@ func Split[T Count](parts ...[]T) float64 {
 // below of records with a <= v and the node's per-class totals (Eq. 3).
 // It avoids materializing the complement.
 func SplitBelow[T Count](below, total []T) float64 {
-	var nl, n T
+	nl, n := 0.0, 0.0
 	for i := range total {
-		nl += below[i]
-		n += total[i]
+		nl += float64(below[i])
+		n += float64(total[i])
 	}
 	if n == 0 {
 		return 0
@@ -73,7 +75,7 @@ func SplitBelow[T Count](below, total []T) float64 {
 	if nl > 0 {
 		sum := 0.0
 		for _, c := range below {
-			p := float64(c) / float64(nl)
+			p := float64(c) / nl
 			sum += p * p
 		}
 		gl = 1 - sum
@@ -81,12 +83,12 @@ func SplitBelow[T Count](below, total []T) float64 {
 	if nu > 0 {
 		sum := 0.0
 		for i := range total {
-			p := float64(total[i]-below[i]) / float64(nu)
+			p := (float64(total[i]) - float64(below[i])) / nu
 			sum += p * p
 		}
 		gu = 1 - sum
 	}
-	return float64(nl)/float64(n)*gl + float64(nu)/float64(n)*gu
+	return nl/n*gl + nu/n*gu
 }
 
 // Gradient returns d gini^D(S, a <= v_l) / d x_i (Eq. 4): the sensitivity of

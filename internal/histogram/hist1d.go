@@ -5,10 +5,11 @@ package histogram
 
 import "fmt"
 
-// Hist1D counts records per (interval, class).
+// Hist1D counts records per (interval, class), in 32-bit counts like
+// Matrix.
 type Hist1D struct {
 	bins, classes int
-	counts        []int // bins * classes, bin-major
+	counts        []int32 // bins * classes, bin-major
 }
 
 // New1D returns a zeroed histogram with the given shape.
@@ -16,7 +17,7 @@ func New1D(bins, classes int) *Hist1D {
 	if bins <= 0 || classes <= 0 {
 		panic(fmt.Sprintf("histogram: bad shape %dx%d", bins, classes))
 	}
-	return &Hist1D{bins: bins, classes: classes, counts: make([]int, bins*classes)}
+	return &Hist1D{bins: bins, classes: classes, counts: make([]int32, bins*classes)}
 }
 
 // Bins returns the number of intervals.
@@ -29,14 +30,14 @@ func (h *Hist1D) Classes() int { return h.classes }
 func (h *Hist1D) Add(bin, class int) { h.counts[bin*h.classes+class]++ }
 
 // AddN adds n to the count for (bin, class).
-func (h *Hist1D) AddN(bin, class, n int) { h.counts[bin*h.classes+class] += n }
+func (h *Hist1D) AddN(bin, class, n int) { h.counts[bin*h.classes+class] += int32(n) }
 
 // Count returns the count for (bin, class).
-func (h *Hist1D) Count(bin, class int) int { return h.counts[bin*h.classes+class] }
+func (h *Hist1D) Count(bin, class int) int { return int(h.counts[bin*h.classes+class]) }
 
 // Bin returns a view of one bin's per-class counts. The slice aliases the
 // histogram's storage.
-func (h *Hist1D) Bin(bin int) []int {
+func (h *Hist1D) Bin(bin int) []int32 {
 	return h.counts[bin*h.classes : (bin+1)*h.classes : (bin+1)*h.classes]
 }
 
@@ -46,7 +47,7 @@ func (h *Hist1D) ClassTotals() []int {
 	for b := 0; b < h.bins; b++ {
 		row := h.Bin(b)
 		for c, n := range row {
-			t[c] += n
+			t[c] += int(n)
 		}
 	}
 	return t
@@ -56,14 +57,15 @@ func (h *Hist1D) ClassTotals() []int {
 func (h *Hist1D) Total() int {
 	n := 0
 	for _, c := range h.counts {
-		n += c
+		n += int(c)
 	}
 	return n
 }
 
 // Cumulative returns, for each boundary b in [0, Bins()-1), the per-class
 // counts of records in bins 0..b — the x_i / y_i vectors of the paper's
-// estimation formulas. The rows alias one backing array; treat as read-only.
+// estimation formulas, widened to int. The rows alias one backing array;
+// treat as read-only.
 func (h *Hist1D) Cumulative() [][]int {
 	if h.bins < 2 {
 		return nil
@@ -74,7 +76,7 @@ func (h *Hist1D) Cumulative() [][]int {
 	for b := 0; b < h.bins-1; b++ {
 		row := h.Bin(b)
 		for c, n := range row {
-			run[c] += n
+			run[c] += int(n)
 		}
 		dst := backing[b*h.classes : (b+1)*h.classes]
 		copy(dst, run)
@@ -111,5 +113,5 @@ func (h *Hist1D) SliceBins(lo, hi int) *Hist1D {
 }
 
 // MemoryBytes estimates the in-memory footprint, used by the experiment
-// harness's memory accounting.
-func (h *Hist1D) MemoryBytes() int64 { return int64(len(h.counts)) * 8 }
+// harness's memory accounting: 4 bytes per count.
+func (h *Hist1D) MemoryBytes() int64 { return int64(len(h.counts)) * 4 }

@@ -116,7 +116,7 @@ func TestMatrixSliceRoundTrip(t *testing.T) {
 	}
 	for x := 0; x < 6; x++ {
 		for y := 0; y < 5; y++ {
-			var got []int
+			var got []int32
 			if x < 3 {
 				got = left.Cell(x, y)
 			} else {
@@ -204,7 +204,7 @@ func TestMatrixSliceXView(t *testing.T) {
 			for x := lo; x < hi; x++ {
 				for y := 0; y < 4; y++ {
 					for c, n := range m.Cell(x, y) {
-						want.AddN(x-lo, y, c, n)
+						want.AddN(x-lo, y, c, int(n))
 						if got := s.Cell(x-lo, y)[c]; got != n {
 							t.Fatalf("SliceX(%d,%d) cell (%d,%d) class %d: %d, parent %d", lo, hi, x-lo, y, c, got, n)
 						}

@@ -4,10 +4,12 @@ import "fmt"
 
 // Matrix is the bivariate class histogram of CMP-B: cell (i, j) holds the
 // per-class counts of records whose X-attribute falls in interval i and
-// whose Y-attribute falls in interval j (Figure 5 of the paper).
+// whose Y-attribute falls in interval j (Figure 5 of the paper). Counts are
+// 32-bit: the builders reject a training set of more than math.MaxInt32
+// records before counting any.
 type Matrix struct {
 	xbins, ybins, classes int
-	counts                []int // x-major, then y, then class
+	counts                []int32 // x-major, then y, then class
 }
 
 // NewMatrix returns a zeroed matrix with the given shape.
@@ -16,7 +18,7 @@ func NewMatrix(xbins, ybins, classes int) *Matrix {
 		panic(fmt.Sprintf("histogram: bad matrix shape %dx%dx%d", xbins, ybins, classes))
 	}
 	return &Matrix{xbins: xbins, ybins: ybins, classes: classes,
-		counts: make([]int, xbins*ybins*classes)}
+		counts: make([]int32, xbins*ybins*classes)}
 }
 
 // XBins returns the number of X intervals.
@@ -35,12 +37,12 @@ func (m *Matrix) Add(xbin, ybin, class int) {
 
 // AddN adds n to the count for (xbin, ybin, class).
 func (m *Matrix) AddN(xbin, ybin, class, n int) {
-	m.counts[(xbin*m.ybins+ybin)*m.classes+class] += n
+	m.counts[(xbin*m.ybins+ybin)*m.classes+class] += int32(n)
 }
 
 // Cell returns a view of the per-class counts of cell (xbin, ybin). The
 // slice aliases the matrix's storage.
-func (m *Matrix) Cell(xbin, ybin int) []int {
+func (m *Matrix) Cell(xbin, ybin int) []int32 {
 	off := (xbin*m.ybins + ybin) * m.classes
 	return m.counts[off : off+m.classes : off+m.classes]
 }
@@ -125,7 +127,7 @@ func (m *Matrix) Clone() *Matrix {
 func (m *Matrix) Total() int {
 	n := 0
 	for _, c := range m.counts {
-		n += c
+		n += int(c)
 	}
 	return n
 }
@@ -134,10 +136,10 @@ func (m *Matrix) Total() int {
 func (m *Matrix) ClassTotals() []int {
 	t := make([]int, m.classes)
 	for i, n := range m.counts {
-		t[i%m.classes] += n
+		t[i%m.classes] += int(n)
 	}
 	return t
 }
 
-// MemoryBytes estimates the in-memory footprint.
-func (m *Matrix) MemoryBytes() int64 { return int64(len(m.counts)) * 8 }
+// MemoryBytes estimates the in-memory footprint: 4 bytes per count.
+func (m *Matrix) MemoryBytes() int64 { return int64(len(m.counts)) * 4 }
